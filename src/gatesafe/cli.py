@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .config import Config, ConfigError, dump_manifest, load_config
+from .config import Config, ConfigError, dump_manifest, load_config, parse_config
 from .field import (
     MapFormatError,
     build_field,
@@ -31,7 +31,7 @@ from .field import (
     save_field,
 )
 from .qp import safest_action_field
-from .report import ReportError, write_report
+from .report import ReportError, _g, write_report
 from .sim import MODES, STEP_LABELS, TrialRecord, run_experiment
 
 
@@ -47,41 +47,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _g(x: float) -> str:
-    """Stable shortish float formatting used for every CSV number."""
-    return format(float(x), ".10g")
+def _csv_items(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
 
 
 def _csv_floats(text: str) -> list[float]:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in _csv_items(text)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    if any(v < 0 for v in values):
-        raise argparse.ArgumentTypeError(f"values must be >= 0, got {text!r}")
-    return values
-
-
-def _csv_modes(text: str) -> list[str]:
-    modes = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
-    if not modes:
-        raise argparse.ArgumentTypeError("expected at least one mode")
-    for m in modes:
-        if m not in MODES:
-            raise argparse.ArgumentTypeError(f"unknown mode {m!r} (choose from {', '.join(MODES)})")
-    return modes
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
 
 
 def _inflate_arg(text: str) -> np.ndarray:
@@ -239,13 +213,11 @@ def _write_run_outputs(out_dir: str, cfg: Config, records: list[TrialRecord]) ->
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_cfg(args.config)
-    if args.levels is not None:
-        cfg.run.levels = tuple(args.levels)
-    if args.tracks is not None:
-        cfg.run.tracks = args.tracks
-    if args.modes is not None:
-        cfg.run.modes = tuple(args.modes)
+    data = _load_cfg(args.config).to_dict()
+    for key in ("levels", "tracks", "modes"):
+        if getattr(args, key) is not None:
+            data["run"][key] = getattr(args, key)
+    cfg = parse_config(data)
     run = cfg.run
 
     spec = cfg.grid_spec()
@@ -304,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="YAML config or a previous run's manifest.yaml")
     p.add_argument("--levels", type=_csv_floats, metavar="L0,L1,...",
                    help="difficulty levels, overrides run.levels")
-    p.add_argument("--tracks", type=_positive_int, metavar="N", help="tracks per level, overrides run.tracks")
-    p.add_argument("--modes", type=_csv_modes, metavar="m0,m1,...",
+    p.add_argument("--tracks", type=int, metavar="N", help="tracks per level, overrides run.tracks")
+    p.add_argument("--modes", type=_csv_items, metavar="m0,m1,...",
                    help=f"modes to fly ({', '.join(MODES)}), overrides run.modes")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_run)

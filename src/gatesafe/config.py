@@ -8,8 +8,9 @@ that reproduces the run with no hidden state.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -24,96 +25,125 @@ class ConfigError(ValueError):
     """Configuration rejected: parse failure, unknown key, or out-of-range value."""
 
 
-def _require_number(section: str, key: str, value, *, minimum=None, positive=False) -> float:
+def _number(path: str, value, *, minimum=None, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{path} must be a number, got {value!r}")
     v = float(value)
     if not math.isfinite(v):
-        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     if positive and v <= 0.0:
-        raise ConfigError(f"{section}.{key} must be > 0, got {v}")
+        raise ConfigError(f"{path} must be > 0, got {v}")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{section}.{key} must be >= {minimum}, got {v}")
+        raise ConfigError(f"{path} must be >= {minimum}, got {v}")
     return v
 
 
-def _require_int(section: str, key: str, value, *, minimum=None) -> int:
+def _int(path: str, value, *, minimum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{section}.{key} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{path} must be >= {minimum}, got {value}")
     return value
 
 
-def _require_extent(section: str, key: str, value) -> tuple[float, float]:
+def _extent(path: str, value) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{section}.{key} must be a [lo, hi] pair, got {value!r}")
-    lo = _require_number(section, key, value[0])
-    hi = _require_number(section, key, value[1])
+        raise ConfigError(f"{path} must be a [lo, hi] pair, got {value!r}")
+    lo = _number(path, value[0])
+    hi = _number(path, value[1])
     if lo >= hi:
-        raise ConfigError(f"{section}.{key} must satisfy lo < hi, got [{lo}, {hi}]")
+        raise ConfigError(f"{path} must satisfy lo < hi, got [{lo}, {hi}]")
     return (lo, hi)
 
 
-def _require_vec3(section: str, key: str, value) -> tuple[float, float, float]:
+def _vec3(path: str, value) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{section}.{key} must be three per-axis values, got {value!r}")
-    out = tuple(_require_number(section, key, v, minimum=0.0) for v in value)
-    return out  # type: ignore[return-value]
+        raise ConfigError(f"{path} must be three per-axis values, got {value!r}")
+    return tuple(_number(path, v, minimum=0.0) for v in value)  # type: ignore[return-value]
+
+
+def _dt(path: str, value) -> float:
+    v = _number(path, value, positive=True)
+    if v >= 1.0:
+        raise ConfigError(f"{path} must be < 1 s, got {v}")
+    return v
+
+
+def _nonempty_list(path: str, value) -> None:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
+
+
+def _levels(path: str, value) -> tuple[float, ...]:
+    _nonempty_list(path, value)
+    return tuple(_number(path, v, minimum=0.0) for v in value)
+
+
+def _modes(path: str, value) -> tuple[str, ...]:
+    _nonempty_list(path, value)
+    for m in value:
+        if m not in MODES:
+            raise ConfigError(f"{path} entry {m!r} is not one of {list(MODES)}")
+    return tuple(value)
+
+
+def _setting(default, check, **bounds):
+    """A section field whose value is validated by ``check(path, value, **bounds)``."""
+    return field(default=default, metadata={"check": functools.partial(check, **bounds)})
 
 
 @dataclass
 class GeometryConfig:
-    inner_size: float = 1.5
-    bar_thickness: float = 0.25
+    inner_size: float = _setting(1.5, _number, positive=True)
+    bar_thickness: float = _setting(0.25, _number, positive=True)
 
 
 @dataclass
 class MapConfig:
-    resolution: float = 0.1
-    x: tuple[float, float] = (-6.0, 6.0)
-    y: tuple[float, float] = (-6.0, 6.0)
-    z: tuple[float, float] = (-4.0, 4.0)
+    resolution: float = _setting(0.1, _number, positive=True)
+    x: tuple[float, float] = _setting((-6.0, 6.0), _extent)
+    y: tuple[float, float] = _setting((-6.0, 6.0), _extent)
+    z: tuple[float, float] = _setting((-4.0, 4.0), _extent)
 
 
 @dataclass
 class SafetyConfig:
-    R: float = 0.3
-    gamma: float = 4.0
-    alpha: float = 3.0
+    R: float = _setting(0.3, _number, positive=True)
+    gamma: float = _setting(4.0, _number, positive=True)
+    alpha: float = _setting(3.0, _number, positive=True)
 
 
 @dataclass
 class NoiseConfig:
-    dw: tuple[float, float, float] = (0.1, 0.1, 0.1)
-    dv: tuple[float, float, float] = (0.25, 0.25, 0.25)
+    dw: tuple[float, float, float] = _setting((0.1, 0.1, 0.1), _vec3)
+    dv: tuple[float, float, float] = _setting((0.25, 0.25, 0.25), _vec3)
 
 
 @dataclass
 class SimSectionConfig:
-    dt: float = 0.02
-    laps: int = 3
-    max_steps: int = 12000
+    dt: float = _setting(0.02, _dt)
+    laps: int = _setting(3, _int, minimum=1)
+    max_steps: int = _setting(12000, _int, minimum=1)
 
 
 @dataclass
 class TrackConfig:
-    num_gates: int = 8
-    spacing: float = 6.25
+    num_gates: int = _setting(8, _int, minimum=1)
+    spacing: float = _setting(6.25, _number, positive=True)
 
 
 @dataclass
 class PolicyConfig:
-    gain: float = 2.0
-    pass_offset: float = 3.0
+    gain: float = _setting(2.0, _number, positive=True)
+    pass_offset: float = _setting(3.0, _number, minimum=0.0)
 
 
 @dataclass
 class RunSectionConfig:
-    levels: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5)
-    tracks: int = 10
-    modes: tuple[str, ...] = MODES
-    seed_base: int = 1000
+    levels: tuple[float, ...] = _setting((0.0, 0.5, 1.0, 1.5), _levels)
+    tracks: int = _setting(10, _int, minimum=1)
+    modes: tuple[str, ...] = _setting(MODES, _modes)
+    seed_base: int = _setting(1000, _int, minimum=0)
 
 
 @dataclass
@@ -166,148 +196,23 @@ class Config:
 
     def to_dict(self) -> dict:
         return {
-            "geometry": {
-                "inner_size": self.geometry.inner_size,
-                "bar_thickness": self.geometry.bar_thickness,
-            },
-            "map": {
-                "resolution": self.map.resolution,
-                "x": list(self.map.x),
-                "y": list(self.map.y),
-                "z": list(self.map.z),
-            },
-            "safety": {"R": self.safety.R, "gamma": self.safety.gamma, "alpha": self.safety.alpha},
-            "noise": {"dw": list(self.noise.dw), "dv": list(self.noise.dv)},
-            "sim": {"dt": self.sim.dt, "laps": self.sim.laps, "max_steps": self.sim.max_steps},
-            "track": {"num_gates": self.track.num_gates, "spacing": self.track.spacing},
-            "policy": {"gain": self.policy.gain, "pass_offset": self.policy.pass_offset},
-            "run": {
-                "levels": list(self.run.levels),
-                "tracks": self.run.tracks,
-                "modes": list(self.run.modes),
-                "seed_base": self.run.seed_base,
-            },
+            name: {key: list(v) if isinstance(v, tuple) else v for key, v in body.items()}
+            for name, body in asdict(self).items()
         }
 
 
-def _parse_geometry(data: dict) -> GeometryConfig:
-    cfg = GeometryConfig()
-    for key, value in data.items():
-        if key == "inner_size":
-            cfg.inner_size = _require_number("geometry", key, value, positive=True)
-        elif key == "bar_thickness":
-            cfg.bar_thickness = _require_number("geometry", key, value, positive=True)
-        else:
-            raise ConfigError(f"unknown key geometry.{key}")
-    return cfg
+_SECTIONS = {f.name: f.default_factory for f in fields(Config)}
 
 
-def _parse_map(data: dict) -> MapConfig:
-    cfg = MapConfig()
-    for key, value in data.items():
-        if key == "resolution":
-            cfg.resolution = _require_number("map", key, value, positive=True)
-        elif key in ("x", "y", "z"):
-            setattr(cfg, key, _require_extent("map", key, value))
-        else:
-            raise ConfigError(f"unknown key map.{key}")
-    return cfg
-
-
-def _parse_safety(data: dict) -> SafetyConfig:
-    cfg = SafetyConfig()
-    for key, value in data.items():
-        if key in ("R", "gamma", "alpha"):
-            setattr(cfg, key, _require_number("safety", key, value, positive=True))
-        else:
-            raise ConfigError(f"unknown key safety.{key}")
-    return cfg
-
-
-def _parse_noise(data: dict) -> NoiseConfig:
-    cfg = NoiseConfig()
-    for key, value in data.items():
-        if key in ("dw", "dv"):
-            setattr(cfg, key, _require_vec3("noise", key, value))
-        else:
-            raise ConfigError(f"unknown key noise.{key}")
-    return cfg
-
-
-def _parse_sim(data: dict) -> SimSectionConfig:
-    cfg = SimSectionConfig()
-    for key, value in data.items():
-        if key == "dt":
-            v = _require_number("sim", key, value, positive=True)
-            if v >= 1.0:
-                raise ConfigError(f"sim.dt must be < 1 s, got {v}")
-            cfg.dt = v
-        elif key == "laps":
-            cfg.laps = _require_int("sim", key, value, minimum=1)
-        elif key == "max_steps":
-            cfg.max_steps = _require_int("sim", key, value, minimum=1)
-        else:
-            raise ConfigError(f"unknown key sim.{key}")
-    return cfg
-
-
-def _parse_track(data: dict) -> TrackConfig:
-    cfg = TrackConfig()
-    for key, value in data.items():
-        if key == "num_gates":
-            cfg.num_gates = _require_int("track", key, value, minimum=1)
-        elif key == "spacing":
-            cfg.spacing = _require_number("track", key, value, positive=True)
-        else:
-            raise ConfigError(f"unknown key track.{key}")
-    return cfg
-
-
-def _parse_policy(data: dict) -> PolicyConfig:
-    cfg = PolicyConfig()
-    for key, value in data.items():
-        if key == "gain":
-            cfg.gain = _require_number("policy", key, value, positive=True)
-        elif key == "pass_offset":
-            cfg.pass_offset = _require_number("policy", key, value, minimum=0.0)
-        else:
-            raise ConfigError(f"unknown key policy.{key}")
-    return cfg
-
-
-def _parse_run(data: dict) -> RunSectionConfig:
-    cfg = RunSectionConfig()
-    for key, value in data.items():
-        if key == "levels":
-            if not isinstance(value, (list, tuple)) or not value:
-                raise ConfigError(f"run.levels must be a non-empty list, got {value!r}")
-            cfg.levels = tuple(_require_number("run", "levels", v, minimum=0.0) for v in value)
-        elif key == "tracks":
-            cfg.tracks = _require_int("run", key, value, minimum=1)
-        elif key == "modes":
-            if not isinstance(value, (list, tuple)) or not value:
-                raise ConfigError(f"run.modes must be a non-empty list, got {value!r}")
-            for m in value:
-                if m not in MODES:
-                    raise ConfigError(f"run.modes entry {m!r} is not one of {list(MODES)}")
-            cfg.modes = tuple(value)
-        elif key == "seed_base":
-            cfg.seed_base = _require_int("run", key, value, minimum=0)
-        else:
-            raise ConfigError(f"unknown key run.{key}")
-    return cfg
-
-
-_SECTION_PARSERS = {
-    "geometry": _parse_geometry,
-    "map": _parse_map,
-    "safety": _parse_safety,
-    "noise": _parse_noise,
-    "sim": _parse_sim,
-    "track": _parse_track,
-    "policy": _parse_policy,
-    "run": _parse_run,
-}
+def _parse_section(name: str, body: dict):
+    """Validate one section mapping through its dataclass fields' checks."""
+    known = {f.name: f for f in fields(_SECTIONS[name])}
+    values = {}
+    for key, value in body.items():
+        if key not in known:
+            raise ConfigError(f"unknown key {name}.{key}")
+        values[key] = known[key].metadata["check"](f"{name}.{key}", value)
+    return _SECTIONS[name](**values)
 
 
 def parse_config(data: dict | None) -> Config:
@@ -318,14 +223,13 @@ def parse_config(data: dict | None) -> Config:
         raise ConfigError(f"config root must be a mapping of sections, got {type(data).__name__}")
     cfg = Config()
     for section, body in data.items():
-        parser = _SECTION_PARSERS.get(section)
-        if parser is None:
-            raise ConfigError(f"unknown section {section!r} (expected one of {sorted(_SECTION_PARSERS)})")
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section {section!r} (expected one of {sorted(_SECTIONS)})")
         if body is None:
             continue
         if not isinstance(body, dict):
             raise ConfigError(f"section {section!r} must be a mapping, got {type(body).__name__}")
-        setattr(cfg, section, parser(body))
+        setattr(cfg, section, _parse_section(section, body))
     # Cross-field checks that need the assembled config.
     try:
         cfg.gate()

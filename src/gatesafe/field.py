@@ -147,7 +147,6 @@ def build_field(
                 f"plus margins (need at least [-{required[k]:g}, {required[k]:g}])"
             )
 
-    nx, ny, nz = spec.dims
     xs, ys, zs = (spec.axis_nodes(k) for k in range(3))
     pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
     values = exact_distance_batch(pts, gate).reshape(spec.dims).astype(np.float32)
@@ -238,9 +237,7 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
     """
     res = f.spec.resolution
     origin = f.spec.origin
-    nx, ny, nz = f.spec.dims
 
-    rel = [0.0, 0.0, 0.0]
     idx = [0, 0, 0]
     frac = [0.0, 0.0, 0.0]
     for k in range(3):
@@ -263,7 +260,7 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
             t = 0.0
         elif t > 1.0:
             t = 1.0
-        rel[k], idx[k], frac[k] = r, i, t
+        idx[k], frac[k] = i, t
 
     i, j, l = idx
     v = f.values
@@ -328,7 +325,6 @@ def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     g = f.gradients
     vals = np.zeros(n)
     grads = np.zeros((n, 3))
-    in_obs = np.zeros(n, dtype=bool)
     corner_min = np.full(n, np.inf)
     for dx in (0, 1):
         wx = tx if dx else (1.0 - tx)

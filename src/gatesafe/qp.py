@@ -8,10 +8,11 @@ Solves, in closed form by case analysis::
 Cases:
 - constraint satisfied and inside the ball: keep the action;
 - halfspace violated: project onto the hyperplane, accept if inside the ball;
-- only the ball violated: rescale onto the sphere, accept if the halfspace
-  still holds;
+- ball violated (alone, or with a plane foot outside the ball): rescale onto
+  the sphere, accept if the halfspace still holds;
 - both boundaries active: the optimum lies on the circle where the plane cuts
-  the sphere; found by bisecting the Lagrangian norm condition to 1e-12;
+  the sphere, at the circle point nearest u_nom's component orthogonal to a
+  (closed form);
 - no action in the ball can satisfy the constraint: fall back to the
   best-effort action alpha * a / |a| (maximizes the constraint margin);
 - a = 0 degenerates: b <= 0 means every direction is admissible (keep the
@@ -32,7 +33,6 @@ import scipy.optimize
 from .barrier import BarrierConstraint, SafetyParams
 from .field import DistanceField, sample_batch, SAMPLE_OK
 
-BISECTION_TOL = 1e-12
 _DEGENERATE_NORM = 1e-300
 
 
@@ -111,20 +111,8 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
             deviation=float(np.linalg.norm(u_nom - u)),
         )
 
-    if au >= b:
-        # Only the norm bound is violated; try the sphere projection.
-        u = u_nom * (alpha / nu)
-        m = float(a @ u) - b
-        if m >= -1e-12 * max(1.0, abs(b)):
-            return FilterDecision(
-                u_star=u, status=FilterStatus.PROJECTED, margin=m, deviation=float(np.linalg.norm(u_nom - u))
-            )
-    else:
-        # Halfspace violated; project onto its boundary plane. If the foot
-        # leaves the ball, the ball clip may still restore the halfspace (a
-        # projection onto one set that lands in the other is globally
-        # optimal); only when both single-set projections fail are both
-        # boundaries active.
+    if au < b:
+        # Halfspace violated; project onto its boundary plane.
         u = u_nom + ((b - au) / na2) * a
         if float(np.linalg.norm(u)) <= alpha * (1.0 + 1e-12):
             return FilterDecision(
@@ -133,15 +121,19 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
                 margin=float(a @ u) - b,
                 deviation=float(np.linalg.norm(u_nom - u)),
             )
-        if nu > alpha:
-            u = u_nom * (alpha / nu)
-            m = float(a @ u) - b
-            if m >= -1e-12 * max(1.0, abs(b)):
-                return FilterDecision(
-                    u_star=u, status=FilterStatus.PROJECTED, margin=m, deviation=float(np.linalg.norm(u_nom - u))
-                )
+    if nu > alpha:
+        # Clip onto the ball and keep it if the halfspace still holds (a
+        # projection onto one set that lands in the other is globally
+        # optimal). Reached with au >= b only when the ball alone is violated.
+        u = u_nom * (alpha / nu)
+        m = float(a @ u) - b
+        if m >= -1e-12 * max(1.0, abs(b)):
+            return FilterDecision(
+                u_star=u, status=FilterStatus.PROJECTED, margin=m, deviation=float(np.linalg.norm(u_nom - u))
+            )
 
-    u = _project_onto_circle(u_nom, a, b, alpha, na2)
+    # Both single-set projections failed, so both boundaries are active.
+    u = _circle_rows(u_nom[None, :], a[None, :], np.array([b]), alpha, np.array([na2]))[0]
     return FilterDecision(
         u_star=u,
         status=FilterStatus.PROJECTED,
@@ -150,64 +142,14 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
     )
 
 
-def _project_onto_circle(u_nom: np.ndarray, a: np.ndarray, b: float, alpha: float, na2: float) -> np.ndarray:
-    """Nearest point on {a.u = b, |u| = alpha} via Lagrangian bisection.
-
-    With multiplier parameter s = 1 + mu the stationary point is
-    u(s) = c0 + perp / s where c0 = (b/|a|^2) a and perp is u_nom's component
-    orthogonal to a; |u(s)| is monotone decreasing in s, so bisect
-    |u(s)|^2 = alpha^2 to 1e-12.
-    """
-    c0 = a * (b / na2)
-    perp = u_nom - a * (float(a @ u_nom) / na2)
-    np_norm = float(np.linalg.norm(perp))
-    r2 = alpha * alpha - b * b / na2
-    if r2 < 0.0:
-        r2 = 0.0
-    if np_norm < 1e-12:
-        # Nominal action parallel to a: every circle point is equidistant;
-        # pick a deterministic direction orthogonal to a.
-        k = int(np.argmin(np.abs(a)))
-        e = np.zeros(3)
-        e[k] = 1.0
-        perp = np.cross(a, e)
-        perp /= float(np.linalg.norm(perp))
-        return c0 + perp * math.sqrt(r2)
-
-    def norm2(s: float) -> float:
-        u = c0 + perp / s
-        return float(u @ u)
-
-    s_lo = 1.0
-    if norm2(s_lo) <= alpha * alpha:
-        # Boundary case: the plane projection already sits on/inside the
-        # sphere (possible only through rounding at the case border).
-        return c0 + perp
-
-    s_hi = 2.0
-    for _ in range(600):
-        if norm2(s_hi) <= alpha * alpha:
-            break
-        s_lo = s_hi
-        s_hi *= 2.0
-    while s_hi - s_lo > BISECTION_TOL * max(1.0, s_lo):
-        mid = 0.5 * (s_lo + s_hi)
-        if norm2(mid) > alpha * alpha:
-            s_lo = mid
-        else:
-            s_hi = mid
-    return c0 + perp / (0.5 * (s_lo + s_hi))
-
-
 def filter_action_batch(
     U: np.ndarray, A: np.ndarray, B: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`filter_action` over N independent instances.
 
     Returns (u_star (N,3), status codes (N,), margins (N,), deviations (N,)).
-    Status codes index into FILTER_STATUS_ORDER. The two-boundary case uses
-    the circle projection in closed form (the limit of the scalar path's
-    bisection); the scalar and batch paths agree to solver tolerance.
+    Status codes index into FILTER_STATUS_ORDER. Both paths run the same case
+    analysis and the same closed-form circle step, so they agree to rounding.
     """
     U = np.asarray(U, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -249,73 +191,62 @@ def filter_action_batch(
     if np.any(contained):
         out[contained] = U[contained] * (alpha / nu[contained])[:, None]
         status[contained] = _STATUS_CODE[FilterStatus.PROJECTED]
-    solvable = solvable & ~contained
+    todo = solvable & ~ok & ~contained
 
-    # Ball-only violation: rescale, keep when the halfspace still holds.
-    ball_v = solvable & (au >= B) & (nu > alpha)
-    if np.any(ball_v):
-        cand = U[ball_v] * (alpha / nu[ball_v])[:, None]
-        m = np.einsum("ij,ij->i", A[ball_v], cand) - B[ball_v]
-        good = m >= -1e-12 * np.maximum(1.0, np.abs(B[ball_v]))
-        idx = np.flatnonzero(ball_v)
-        out[idx[good]] = cand[good]
-        status[idx[good]] = _STATUS_CODE[FilterStatus.PROJECTED]
-        _circle_batch(U, A, B, alpha, na2, idx[~good], out, status)
-
-    # Halfspace violation: plane foot if inside the ball, else the ball clip
-    # if it restores the halfspace, else both boundaries are active.
-    half_v = solvable & (au < B)
+    # Halfspace violation: the plane foot, when it lies in the ball.
+    half_v = todo & (au < B)
     if np.any(half_v):
         lam = (B[half_v] - au[half_v]) / na2[half_v]
         cand = U[half_v] + lam[:, None] * A[half_v]
         good = np.linalg.norm(cand, axis=1) <= alpha * (1.0 + 1e-12)
-        idx = np.flatnonzero(half_v)
-        out[idx[good]] = cand[good]
-        status[idx[good]] = _STATUS_CODE[FilterStatus.PROJECTED]
+        idx = np.flatnonzero(half_v)[good]
+        out[idx] = cand[good]
+        status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
+        todo[idx] = False
 
-        rest = idx[~good]
-        if rest.size:
-            clip_ok = np.zeros(rest.size, dtype=bool)
-            outside = nu[rest] > alpha
-            ridx = rest[outside]
-            if ridx.size:
-                clip = U[ridx] * (alpha / nu[ridx])[:, None]
-                m = np.einsum("ij,ij->i", A[ridx], clip) - B[ridx]
-                keep = m >= -1e-12 * np.maximum(1.0, np.abs(B[ridx]))
-                out[ridx[keep]] = clip[keep]
-                status[ridx[keep]] = _STATUS_CODE[FilterStatus.PROJECTED]
-                clip_ok[np.flatnonzero(outside)[keep]] = True
-            _circle_batch(U, A, B, alpha, na2, rest[~clip_ok], out, status)
+    # Ball clip, kept when the halfspace still holds.
+    clip_v = todo & (nu > alpha)
+    if np.any(clip_v):
+        cand = U[clip_v] * (alpha / nu[clip_v])[:, None]
+        m = np.einsum("ij,ij->i", A[clip_v], cand) - B[clip_v]
+        keep = m >= -1e-12 * np.maximum(1.0, np.abs(B[clip_v]))
+        idx = np.flatnonzero(clip_v)[keep]
+        out[idx] = cand[keep]
+        status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
+        todo[idx] = False
+
+    # Both boundaries active.
+    if np.any(todo):
+        out[todo] = _circle_rows(U[todo], A[todo], B[todo], alpha, na2[todo])
+        status[todo] = _STATUS_CODE[FilterStatus.PROJECTED]
 
     margins = np.einsum("ij,ij->i", A, out) - B
     deviations = np.linalg.norm(U - out, axis=1)
     return out, status, margins, deviations
 
 
-def _circle_batch(U, A, B, alpha, na2, idx, out, status) -> None:
-    """Closed-form nearest point on the sphere/plane intersection circle."""
-    if idx.size == 0:
-        return
-    a = A[idx]
-    b = B[idx]
-    u = U[idx]
-    n2 = na2[idx]
-    c0 = a * (b / n2)[:, None]
-    perp = u - a * (np.einsum("ij,ij->i", a, u) / n2)[:, None]
+def _circle_rows(U, A, B, alpha, na2) -> np.ndarray:
+    """Nearest point on each row's circle {a.u = b, |u| = alpha}, in closed form.
+
+    With c0 = (b/|a|^2) a the circle's centre and perp the component of u
+    orthogonal to a, the nearest circle point is c0 + r perp/|perp| with
+    r = sqrt(alpha^2 - b^2/|a|^2).
+    """
+    c0 = A * (B / na2)[:, None]
+    perp = U - A * (np.einsum("ij,ij->i", A, U) / na2)[:, None]
     pn = np.linalg.norm(perp, axis=1)
-    r = np.sqrt(np.maximum(alpha * alpha - b * b / n2, 0.0))
+    r = np.sqrt(np.maximum(alpha * alpha - B * B / na2, 0.0))
     # Deterministic orthogonal direction for nominal actions parallel to a.
     par = pn < 1e-12
     if np.any(par):
-        ap = a[par]
+        ap = A[par]
         e = np.zeros_like(ap)
         e[np.arange(ap.shape[0]), np.argmin(np.abs(ap), axis=1)] = 1.0
         alt = np.cross(ap, e)
         alt /= np.linalg.norm(alt, axis=1)[:, None]
         perp[par] = alt
         pn[par] = 1.0
-    out[idx] = c0 + perp * (r / pn)[:, None]
-    status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
+    return c0 + perp * (r / pn)[:, None]
 
 
 FILTER_STATUS_ORDER = (

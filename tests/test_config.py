@@ -161,3 +161,52 @@ def test_manifest_lists_every_effective_value(tmp_path):
     for key in ("geometry", "map", "safety", "noise", "sim", "track", "policy", "run",
                 "R", "gamma", "alpha", "dw", "dv", "dt", "laps", "levels", "seed_base"):
         assert key in text, f"manifest must record {key} even when it is a default"
+
+
+# Written out by hand, not derived from the schema, so that a field that
+# loses its check (or a check that names the wrong path) shows up here.
+SETTABLE_PATHS = [
+    "geometry.inner_size", "geometry.bar_thickness",
+    "map.resolution", "map.x", "map.y", "map.z",
+    "safety.R", "safety.gamma", "safety.alpha",
+    "noise.dw", "noise.dv",
+    "sim.dt", "sim.laps", "sim.max_steps",
+    "track.num_gates", "track.spacing",
+    "policy.gain", "policy.pass_offset",
+    "run.levels", "run.tracks", "run.modes", "run.seed_base",
+]
+
+
+@pytest.mark.parametrize("path", SETTABLE_PATHS)
+def test_every_setting_rejects_a_bool_naming_its_path(path):
+    section, key = path.split(".")
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} "):
+        parse_config({section: {key: True}})
+
+
+DEFAULT_MANIFEST = """\
+geometry: {bar_thickness: 0.25, inner_size: 1.5}
+map:
+  resolution: 0.1
+  x: [-6.0, 6.0]
+  y: [-6.0, 6.0]
+  z: [-4.0, 4.0]
+noise:
+  dv: [0.25, 0.25, 0.25]
+  dw: [0.1, 0.1, 0.1]
+policy: {gain: 2.0, pass_offset: 3.0}
+run:
+  levels: [0.0, 0.5, 1.0, 1.5]
+  modes: [baseline, filtered, filtered_uncertainty]
+  seed_base: 1000
+  tracks: 10
+safety: {R: 0.3, alpha: 3.0, gamma: 4.0}
+sim: {dt: 0.02, laps: 3, max_steps: 12000}
+track: {num_gates: 8, spacing: 6.25}
+"""
+
+
+def test_default_manifest_text_is_pinned(tmp_path):
+    path = tmp_path / "m.yaml"
+    dump_manifest(Config(), str(path))
+    assert path.read_text() == DEFAULT_MANIFEST

@@ -233,11 +233,12 @@ def test_circle_helper_parallel_tiebreak_is_deterministic():
     # The two-boundary solver must survive a nominal action with no component
     # orthogonal to a (every circle point equidistant): deterministic pick on
     # the circle.
-    from gatesafe.qp import _project_onto_circle
+    from gatesafe.qp import _circle_rows
 
-    a = np.array([1.0, 0.0, 0.0])
-    u1 = _project_onto_circle(np.array([-3.0, 0.0, 0.0]), a, 2.0, 3.0, 1.0)
-    u2 = _project_onto_circle(np.array([-3.0, 0.0, 0.0]), a, 2.0, 3.0, 1.0)
+    a = np.array([[1.0, 0.0, 0.0]])
+    u_nom = np.array([[-3.0, 0.0, 0.0]])
+    u1 = _circle_rows(u_nom, a, np.array([2.0]), 3.0, np.array([1.0]))[0]
+    u2 = _circle_rows(u_nom, a, np.array([2.0]), 3.0, np.array([1.0]))[0]
     assert np.array_equal(u1, u2), "tiebreak must be deterministic"
     assert u1[0] == pytest.approx(2.0, abs=1e-12), "point must sit on the plane"
     assert np.linalg.norm(u1) == pytest.approx(3.0, abs=1e-12), "point must sit on the sphere"

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .config import Config, ConfigError, dump_manifest, load_config, parse_config
+from .config import Config, dump_manifest, load_config, parse_config
 from .field import (
     MapFormatError,
     build_field,
@@ -295,10 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MapFormatError, ReportError, OSError, RuntimeError) as exc:

@@ -14,13 +14,13 @@ File format (all little-endian)::
 
     magic   4 bytes  b"ESDF"
     version u32      2
-    flags   u32      bit 0 set when a gradient block is present
+    flags   u32      bit 0 (gradient block present) must be set
     dims    3 x u32  nx, ny, nz
     origin  3 x f64  grid min corner [m]
     res     f64      node spacing [m]
     infl    3 x f64  inflation applied per axis [m] (0 for a nominal map)
     values  nx*ny*nz x f32, x-fastest node order
-    grads   3 x f32 per node, same node order (only when flags bit 0 is set)
+    grads   3 x f32 per node, same node order
     crc32   u32      checksum of every preceding byte
 
 Grid geometry is kept at full double precision so node coordinates of a
@@ -112,14 +112,14 @@ class DistanceField:
 
     spec: GridSpec
     values: np.ndarray
-    gradients: np.ndarray | None
+    gradients: np.ndarray
     inflated_by: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
         self.inflated_by = np.asarray(self.inflated_by, dtype=float)
         if self.values.shape != self.spec.dims:
             raise ValueError(f"values shape {self.values.shape} != dims {self.spec.dims}")
-        if self.gradients is not None and self.gradients.shape != self.spec.dims + (3,):
+        if self.gradients.shape != self.spec.dims + (3,):
             raise ValueError(f"gradients shape {self.gradients.shape} != dims + (3,)")
 
 
@@ -280,8 +280,6 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
     )
     d = sum(wi * ci for wi, ci in zip(w, c))
 
-    if f.gradients is None:
-        raise ValueError("field carries no gradients")
     g = f.gradients
     corners = (
         g[i, j, l], g[i, j, l + 1], g[i, j + 1, l], g[i, j + 1, l + 1],
@@ -350,22 +348,22 @@ def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def save_field(f: DistanceField, path: str | Path) -> None:
     """Write a field to disk in the binary map format."""
-    flags = FLAG_GRADIENTS if f.gradients is not None else 0
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
-        flags,
+        FLAG_GRADIENTS,
         *f.spec.dims,
         *(float(c) for c in f.spec.origin),
         float(f.spec.resolution),
         *(float(e) for e in f.inflated_by),
     )
-    chunks = [header, np.ascontiguousarray(f.values.astype("<f4", copy=False).ravel(order="F")).tobytes()]
-    if f.gradients is not None:
-        # x-fastest node order with the 3 components adjacent per node.
-        g = f.gradients.astype("<f4", copy=False).transpose(2, 1, 0, 3)
-        chunks.append(np.ascontiguousarray(g).tobytes())
-    payload = b"".join(chunks)
+    # x-fastest node order, with the 3 gradient components adjacent per node.
+    g = f.gradients.astype("<f4", copy=False).transpose(2, 1, 0, 3)
+    payload = b"".join([
+        header,
+        np.ascontiguousarray(f.values.astype("<f4", copy=False).ravel(order="F")).tobytes(),
+        np.ascontiguousarray(g).tobytes(),
+    ])
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     Path(path).write_bytes(payload + struct.pack("<I", crc))
 
@@ -382,12 +380,11 @@ def load_field(path: str | Path) -> DistanceField:
     magic, version, flags, nx, ny, nz, ox, oy, oz, res, ex, ey, ez = _HEADER.unpack_from(raw, 0)
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
+    if not flags & FLAG_GRADIENTS:
+        raise MapFormatError(f"{path}: flags {flags:#x} lack the gradient block")
 
     n = nx * ny * nz
-    size = _HEADER.size + 4 * n
-    if flags & FLAG_GRADIENTS:
-        size += 12 * n
-    size += 4  # crc
+    size = _HEADER.size + 16 * n + 4  # values, gradients, crc
     if len(raw) < size:
         raise TruncatedMapError(f"{path}: expected {size} bytes, found {len(raw)}")
     if len(raw) > size:
@@ -405,14 +402,12 @@ def load_field(path: str | Path) -> DistanceField:
         .copy()
     )
     offset += 4 * n
-    gradients = None
-    if flags & FLAG_GRADIENTS:
-        gradients = (
-            np.frombuffer(raw, dtype="<f4", count=3 * n, offset=offset)
-            .reshape((nz, ny, nx, 3))
-            .transpose(2, 1, 0, 3)
-            .copy()
-        )
+    gradients = (
+        np.frombuffer(raw, dtype="<f4", count=3 * n, offset=offset)
+        .reshape((nz, ny, nx, 3))
+        .transpose(2, 1, 0, 3)
+        .copy()
+    )
     spec = GridSpec(origin=np.array([ox, oy, oz], dtype=float), resolution=float(res), dims=(nx, ny, nz))
     return DistanceField(spec=spec, values=values, gradients=gradients, inflated_by=np.array([ex, ey, ez], dtype=float))
 

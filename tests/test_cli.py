@@ -145,6 +145,10 @@ def test_trajectory_schema(run_dir):
     t = np.array([float(r[0]) for r in body])
     np.testing.assert_allclose(np.diff(t), 0.02, atol=1e-9)
     assert all(r[5] == "nan" for r in body), "baseline logs no barrier value"
+    # The status vocabulary the README documents, in code order.
+    assert STEP_LABELS == (
+        "unchanged", "projected", "infeasible_fallback", "degenerate_safe", "off_map", "in_obstacle",
+    )
     assert all(r[6] in STEP_LABELS for r in body)
     assert all(float(r[7]) == 0.0 for r in body), "baseline never deviates from the nominal command"
 

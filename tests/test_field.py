@@ -7,6 +7,7 @@ Oracles:
 - interpolation against the exact distance with the res*sqrt(3)/2 bound.
 """
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -368,4 +369,19 @@ def test_load_rejects_trailing_garbage(small_field, tmp_path):
     save_field(small_field, path)
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(MapFormatError):
+        load_field(path)
+
+
+def test_load_rejects_map_without_gradient_block(small_field, tmp_path):
+    # A well-formed file (valid CRC) whose flags drop the gradient block:
+    # sampling needs gradients, so the loader must refuse it.
+    path = tmp_path / "nograd.esdf"
+    save_field(small_field, path)
+    raw = bytearray(path.read_bytes())
+    n = math.prod(small_field.spec.dims)
+    header = len(raw) - 16 * n - 4
+    raw[8:12] = (0).to_bytes(4, "little")
+    payload = bytes(raw[: header + 4 * n])
+    path.write_bytes(payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
+    with pytest.raises(MapFormatError, match="gradient"):
         load_field(path)

@@ -9,6 +9,8 @@ from gatesafe.geometry import Pose, world_to_gate
 from gatesafe.sim import (
     MODES,
     STEP_FALLBACK,
+    STEP_IN_OBSTACLE,
+    STEP_OFF_MAP,
     SetupError,
     SimEnv,
     SimState,
@@ -146,6 +148,17 @@ def test_trial_result_invariants(default_env):
             assert r.min_distance == 0.0, "collision must zero the min distance"
         assert r.steps == len(r.log.t) == len(r.log.d_true) == len(r.log.status)
         assert r.log.x.shape == (r.steps, 3)
+        # Step counts and flags agree with the status log and are plain Python values.
+        assert all(type(v) is int for v in (r.fallback_steps, r.off_map_steps, r.in_obstacle_steps))
+        assert type(r.clean) is bool and type(r.timed_out) is bool
+        status = list(r.log.status)
+        assert r.fallback_steps == status.count(STEP_FALLBACK)
+        assert r.off_map_steps == status.count(STEP_OFF_MAP)
+        assert r.in_obstacle_steps == status.count(STEP_IN_OBSTACLE)
+        assert r.clean == (STEP_FALLBACK not in status and STEP_IN_OBSTACLE not in status)
+        assert not r.timed_out or r.safe, "a timeout is a safe ending"
+        if r.safe:
+            assert r.min_distance <= r.log.d_true.min()
 
 
 def test_trial_bitwise_determinism(default_env):
@@ -313,3 +326,19 @@ def test_unclean_trial_flags(default_env):
     assert r.fallback_steps > 0, "overwhelming disturbance bound must trigger the fallback"
     assert not r.clean
     assert r.log.status[0] == STEP_FALLBACK
+
+    # Spawned 0.055 m from the bar with R = 0.05: the first sample's cell has
+    # an inside-solid corner, so the filter cannot run and the trial is not
+    # clean even though it never fell back.
+    params = SafetyParams(R=0.05, dw=np.zeros(3), dv=np.zeros(3))
+    env = SimEnv(
+        gate=default_env.gate,
+        nominal_field=default_env.nominal_field,
+        inflated_field=default_env.inflated_field,
+        params=params,
+        max_steps=20,
+    )
+    r = run_trial(env, track, "filtered", seed=0, spawn=np.array([-0.18, 0.875, 0.0]))
+    assert r.log.status[0] == STEP_IN_OBSTACLE
+    assert r.in_obstacle_steps >= 1 and r.fallback_steps == 0
+    assert not r.clean

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -40,7 +41,13 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     The stock parser exits with 2, which this tool reserves for runtime
     failures; 1 means "the invocation or configuration was wrong".
+    An argument that starts like a negative number (``-1,2``) is a value:
+    no option of this tool starts with a digit.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -235,39 +235,23 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
     :class:`InsideObstacleError` when any corner of the enclosing cell is an
     inside-solid node.
     """
-    res = f.spec.resolution
-    origin = f.spec.origin
-
-    idx = [0, 0, 0]
-    frac = [0.0, 0.0, 0.0]
-    for k in range(3):
+    idx, frac = [], []
+    for k, (lo, n) in enumerate(zip(f.spec.origin.tolist(), f.spec.dims)):
         qk = float(q[k])
         if not math.isfinite(qk):
             raise ValueError(f"query must be finite, got {q}")
-        r = (qk - float(origin[k])) / res
-        n = f.spec.dims[k]
+        r = (qk - lo) / f.spec.resolution
         if r < -1e-9 or r > (n - 1) + 1e-9:
             raise OutOfBoundsError(
                 f"query {np.asarray(q).tolist()} outside grid extent on axis {'xyz'[k]}"
             )
-        i = int(r)
-        if i > n - 2:
-            i = n - 2
-        if i < 0:
-            i = 0
-        t = r - i
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        idx[k], frac[k] = i, t
+        i = min(max(int(r), 0), n - 2)
+        idx.append(i)
+        frac.append(min(max(r - i, 0.0), 1.0))
 
     i, j, l = idx
-    v = f.values
-    c = (
-        float(v[i, j, l]), float(v[i, j, l + 1]), float(v[i, j + 1, l]), float(v[i, j + 1, l + 1]),
-        float(v[i + 1, j, l]), float(v[i + 1, j, l + 1]), float(v[i + 1, j + 1, l]), float(v[i + 1, j + 1, l + 1]),
-    )
+    # Corner order (i, j, l), (i, j, l + 1), (i, j + 1, l), ..., (i + 1, j + 1, l + 1).
+    c = f.values[i:i + 2, j:j + 2, l:l + 2].ravel().tolist()
     if min(c) == INSIDE_SENTINEL:
         raise InsideObstacleError(f"query {np.asarray(q).tolist()} touches an inside-solid cell")
 
@@ -278,17 +262,15 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
         tx * (1 - ty) * (1 - tz), tx * (1 - ty) * tz,
         tx * ty * (1 - tz), tx * ty * tz,
     )
-    d = sum(wi * ci for wi, ci in zip(w, c))
-
-    g = f.gradients
-    corners = (
-        g[i, j, l], g[i, j, l + 1], g[i, j + 1, l], g[i, j + 1, l + 1],
-        g[i + 1, j, l], g[i + 1, j, l + 1], g[i + 1, j + 1, l], g[i + 1, j + 1, l + 1],
-    )
-    grad = np.zeros(3)
-    for wi, gi in zip(w, corners):
-        grad += wi * gi.astype(np.float64)
-    return float(d), grad
+    # Sums start at 0.0 and add the corners in the order above (pinned in test_field).
+    d = gx = gy = gz = 0.0
+    cell_grads = f.gradients[i:i + 2, j:j + 2, l:l + 2].reshape(8, 3).tolist()
+    for wi, ci, (cx, cy, cz) in zip(w, c, cell_grads):
+        d += wi * ci
+        gx += wi * cx
+        gy += wi * cy
+        gz += wi * cz
+    return d, np.array([gx, gy, gz])
 
 
 # Status codes returned by sample_batch.

@@ -126,7 +126,7 @@ def _check_point(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
+    if not all(map(math.isfinite, q.tolist())):
         raise ValueError(f"point must be finite, got {q}")
     return q
 
@@ -137,11 +137,9 @@ def classify_point(q: np.ndarray, gate: GateGeometry) -> Region:
     INSIDE means strictly interior to the frame material. BOUNDARY means on
     the surface within ``BOUNDARY_TOL``. Non-finite input raises ValueError.
     """
-    q = _check_point(q)
-    lo, hi = gate.bar_boxes()
-    if bool(np.any(np.all((lo < q) & (q < hi), axis=1))):
+    d = exact_distance(q, gate)
+    if d == -1.0:
         return Region.INSIDE
-    d = float(np.min(_box_distances(q[None, :], lo, hi)))
     return Region.BOUNDARY if d <= BOUNDARY_TOL else Region.OUTSIDE
 
 
@@ -155,26 +153,30 @@ def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:
 
 
 def exact_distance_batch(points: np.ndarray, gate: GateGeometry) -> np.ndarray:
-    """Vectorized :func:`exact_distance` for an (N, 3) array of points."""
+    """Vectorized :func:`exact_distance` for an (N, 3) array of points.
+
+    Works box by box on (N,) coordinate columns, so temporaries are O(N).
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array, got shape {pts.shape}")
+    cols = pts.T.copy()
     lo, hi = gate.bar_boxes()
-    d = np.min(_box_distances(pts, lo, hi), axis=1)
-    inside = np.any(
-        np.all((lo[None, :, :] < pts[:, None, :]) & (pts[:, None, :] < hi[None, :, :]), axis=2),
-        axis=1,
-    )
+    d = np.full(len(pts), np.inf)
+    inside = np.zeros(len(pts), dtype=bool)
+    for box_lo, box_hi in zip(lo.tolist(), hi.tolist()):
+        sq = np.zeros(len(pts))
+        box_inside = np.ones(len(pts), dtype=bool)
+        for c, lk, hk in zip(cols, box_lo, box_hi):  # squares summed in axis order x, y, z
+            e = np.maximum(lk - c, 0.0)
+            e += np.maximum(c - hk, 0.0)
+            e *= e
+            sq += e
+            box_inside &= (lk < c) & (c < hk)
+        np.minimum(d, np.sqrt(sq, out=sq), out=d)
+        inside |= box_inside
     d[inside] = -1.0
     return d
-
-
-def _box_distances(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Distance from each of N points to each of B boxes, shaped (N, B)."""
-    # Per-axis overshoot outside the box; zero inside the slab.
-    over = np.maximum(lo[None, :, :] - pts[:, None, :], 0.0)
-    under = np.maximum(pts[:, None, :] - hi[None, :, :], 0.0)
-    return np.sqrt(np.sum((over + under) ** 2, axis=2))
 
 
 def _rot_z(yaw: float) -> np.ndarray:
@@ -185,7 +187,11 @@ def _rot_z(yaw: float) -> np.ndarray:
 def world_to_gate(x: np.ndarray, pose: Pose) -> np.ndarray:
     """Map a world point into the gate's local frame."""
     x = _check_point(x)
-    return _rot_z(-pose.yaw) @ (x - pose.position)
+    # The rotation is kept on the pose per yaw object, not per yaw value:
+    # +0.0 and -0.0 give matrices that differ in the sign of a zero.
+    if getattr(pose, "_to_gate", (None,))[0] is not pose.yaw:
+        pose._to_gate = (pose.yaw, _rot_z(-pose.yaw))
+    return pose._to_gate[1] @ (x - pose.position)
 
 
 def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
@@ -194,34 +200,38 @@ def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
     return _rot_z(pose.yaw) @ q + pose.position
 
 
+def _slab_hit(p0: list[float], d: list[float], lo: list[float], hi: list[float]) -> bool:
+    """Slab test: does the segment p0 + t d, t in [0, 1], touch the closed box [lo, hi]?"""
+    tmin, tmax = 0.0, 1.0
+    for pk, dk, lk, hk in zip(p0, d, lo, hi):
+        if dk == 0.0:
+            if pk < lk or pk > hk:
+                return False
+            continue
+        t0, t1 = (lk - pk) / dk, (hk - pk) / dk
+        if t0 > t1:
+            t0, t1 = t1, t0
+        tmin = max(tmin, t0)
+        tmax = min(tmax, t1)
+        if tmin > tmax:
+            return False
+    return True
+
+
 def segment_hits_frame(p0: np.ndarray, p1: np.ndarray, gate: GateGeometry) -> bool:
     """True if the gate-frame segment p0 -> p1 touches the solid frame.
 
-    Standard slab test against each bar box; touching counts as a hit.
+    Standard slab test against each bar box; touching counts as a hit. A miss
+    on the outer box [-hd, hd] x [-outer_half, outer_half]^2 returns at once,
+    and exactly: every bar box lies inside it, and the rounded slab parameter
+    fl((lo - p0) / dk) is monotone in lo, so each bar's per-axis interval lies
+    inside the outer box's and a miss there is a miss on all four bars.
     """
-    p0 = _check_point(p0)
-    p1 = _check_point(p1)
-    d = p1 - p0
+    p0 = _check_point(p0).tolist()
+    p1 = _check_point(p1).tolist()
+    d = [b - a for a, b in zip(p0, p1)]
+    hd, ho = gate.half_depth, gate.outer_half
+    if not _slab_hit(p0, d, [-hd, -ho, -ho], [hd, ho, ho]):
+        return False
     lo, hi = gate.bar_boxes()
-    for box in range(lo.shape[0]):
-        tmin, tmax = 0.0, 1.0
-        hit = True
-        for k in range(3):
-            dk = d[k]
-            if dk == 0.0:
-                if p0[k] < lo[box, k] or p0[k] > hi[box, k]:
-                    hit = False
-                    break
-                continue
-            t0 = (lo[box, k] - p0[k]) / dk
-            t1 = (hi[box, k] - p0[k]) / dk
-            if t0 > t1:
-                t0, t1 = t1, t0
-            tmin = max(tmin, t0)
-            tmax = min(tmax, t1)
-            if tmin > tmax:
-                hit = False
-                break
-        if hit:
-            return True
-    return False
+    return any(_slab_hit(p0, d, box_lo, box_hi) for box_lo, box_hi in zip(lo.tolist(), hi.tolist()))

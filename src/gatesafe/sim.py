@@ -35,7 +35,7 @@ import numpy as np
 from .barrier import SafetyParams, assemble_constraint, eval_barrier_world
 from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
-    GateGeometry, Pose, exact_distance, exact_distance_batch, segment_hits_frame, world_to_gate,
+    GateGeometry, Pose, exact_distance_batch, segment_hits_frame, world_to_gate,
 )
 from .qp import FILTER_STATUS_ORDER, filter_action
 
@@ -233,17 +233,16 @@ def step_dynamics(x: np.ndarray, u: np.ndarray, w: np.ndarray, dt: float) -> np.
 
 
 def _validate_spawn(x: np.ndarray, env: SimEnv, track: TrackSpec) -> None:
-    for m in range(track.total_gates):
-        pose = virtual_gate_pose(track, m)
-        if exact_distance(world_to_gate(x, pose), env.gate) < 0.0:
-            raise SetupError(f"spawn {x} lies inside the gate-{m} frame")
-    q0 = world_to_gate(x, track.gate_poses[0])
-    if q0[0] >= -env.gate.half_depth:
-        raise SetupError(f"spawn {x} must lie before gate 0 (local x = {q0[0]:.3f})")
-    if exact_distance(q0, env.gate) < env.params.R:
-        raise SetupError(
-            f"spawn {x} starts unsafe: clearance {exact_distance(q0, env.gate):.3f} < R = {env.params.R}"
-        )
+    # The spawn in every gate's frame; row 0 is gate 0 of the first lap.
+    q = np.array([world_to_gate(x, virtual_gate_pose(track, m)) for m in range(track.total_gates)])
+    d = exact_distance_batch(q, env.gate)
+    inside = np.flatnonzero(d < 0.0)
+    if inside.size:
+        raise SetupError(f"spawn {x} lies inside the gate-{inside[0]} frame")
+    if q[0, 0] >= -env.gate.half_depth:
+        raise SetupError(f"spawn {x} must lie before gate 0 (local x = {q[0, 0]:.3f})")
+    if d[0] < env.params.R:
+        raise SetupError(f"spawn {x} starts unsafe: clearance {d[0]:.3f} < R = {env.params.R}")
 
 
 def run_trial(

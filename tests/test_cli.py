@@ -174,7 +174,10 @@ def test_run_rejects_unknown_mode(tmp_path):
     assert run_cli(["run", "--modes", "warp", "--out", tmp_path / "r"]) == 1
 
 
-@pytest.mark.parametrize("flag, value, path", [("--levels", "-1", "run.levels"), ("--tracks", "0", "run.tracks")])
+@pytest.mark.parametrize(
+    "flag, value, path",
+    [("--levels", "-1", "run.levels"), ("--levels", "-1,2", "run.levels"), ("--tracks", "0", "run.tracks")],
+)
 def test_run_rejects_out_of_range_override_naming_its_path(flag, value, path, tmp_path, capsys):
     assert run_cli(["run", flag, value, "--out", tmp_path / "r"]) == 1
     assert path in capsys.readouterr().err

@@ -385,3 +385,58 @@ def test_load_rejects_map_without_gradient_block(small_field, tmp_path):
     path.write_bytes(payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
     with pytest.raises(MapFormatError, match="gradient"):
         load_field(path)
+
+
+def _reference_sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
+    """Per-corner trilinear sample: one scalar read per corner, grad += w * g."""
+    res = f.spec.resolution
+    idx, frac = [], []
+    for k in range(3):
+        r = (float(q[k]) - float(f.spec.origin[k])) / res
+        n = f.spec.dims[k]
+        if r < -1e-9 or r > (n - 1) + 1e-9:
+            raise OutOfBoundsError("outside")
+        i = min(max(int(r), 0), n - 2)
+        idx.append(i)
+        frac.append(min(max(r - i, 0.0), 1.0))
+    i, j, l = idx
+    corners = [(i + dx, j + dy, l + dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+    c = [float(f.values[n]) for n in corners]
+    if min(c) == -1.0:
+        raise InsideObstacleError("inside")
+    tx, ty, tz = frac
+    w = [
+        (tx if dx else 1 - tx) * (ty if dy else 1 - ty) * (tz if dz else 1 - tz)
+        for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)
+    ]
+    grad = np.zeros(3)
+    for wi, n in zip(w, corners):
+        grad += wi * f.gradients[n].astype(np.float64)
+    return float(sum(wi * ci for wi, ci in zip(w, c))), grad
+
+
+def test_sample_is_bit_identical_to_per_corner_reference(small_field):
+    rng = np.random.default_rng(6)
+    spec = small_field.spec
+    inflated = inflate_field(small_field, np.full(3, 0.3))
+    pts = np.concatenate([
+        rng.uniform(-1.0, 1.0, size=(4000, 3)) * [0.5, 1.5, 1.5],       # near the frame
+        rng.uniform(spec.origin - 0.05, spec.max_corner + 0.05, size=(4000, 3)),  # whole grid and past it
+        spec.origin + spec.resolution * rng.integers(0, np.array(spec.dims), size=(2000, 3)),  # nodes
+    ])
+    outcomes = set()
+    for fld in (small_field, inflated):
+        for q in pts:
+            try:
+                want = _reference_sample(fld, q)
+            except (OutOfBoundsError, InsideObstacleError) as exc:
+                with pytest.raises(type(exc)):
+                    sample(fld, q)
+                outcomes.add(type(exc))
+                continue
+            d, grad = sample(fld, q)
+            assert d == want[0] and math.copysign(1.0, d) == math.copysign(1.0, want[0])
+            assert grad.dtype == np.float64
+            assert grad.tobytes() == want[1].tobytes(), f"gradient differs at {q.tolist()}"
+            outcomes.add("ok")
+    assert outcomes == {"ok", OutOfBoundsError, InsideObstacleError}

@@ -256,3 +256,112 @@ def test_segment_oracle_against_dense_walk(default_gate, rng):
             # Slab said hit but the walk missed: must be a graze shallower
             # than the walk pitch.
             assert float(np.min(d)) < 0.01, f"claimed hit but clearance is {np.min(d)}"
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact references: the per-box distance and the four-box slab loop
+# ---------------------------------------------------------------------------
+
+def _reference_distance_batch(pts: np.ndarray, gate: GateGeometry) -> np.ndarray:
+    """(N, boxes, 3) broadcast over all bar boxes at once, then min over boxes."""
+    lo, hi = gate.bar_boxes()
+    over = np.maximum(lo[None, :, :] - pts[:, None, :], 0.0)
+    under = np.maximum(pts[:, None, :] - hi[None, :, :], 0.0)
+    d = np.min(np.sqrt(np.sum((over + under) ** 2, axis=2)), axis=1)
+    inside = np.any(
+        np.all((lo[None, :, :] < pts[:, None, :]) & (pts[:, None, :] < hi[None, :, :]), axis=2),
+        axis=1,
+    )
+    d[inside] = -1.0
+    return d
+
+
+def _reference_segment_hits(p0: np.ndarray, p1: np.ndarray, gate: GateGeometry) -> bool:
+    """Slab test against each bar box in turn, on numpy scalars, no early reject."""
+    d = p1 - p0
+    lo, hi = gate.bar_boxes()
+    for box in range(lo.shape[0]):
+        tmin, tmax = 0.0, 1.0
+        hit = True
+        for k in range(3):
+            dk = d[k]
+            if dk == 0.0:
+                if p0[k] < lo[box, k] or p0[k] > hi[box, k]:
+                    hit = False
+                    break
+                continue
+            t0 = (lo[box, k] - p0[k]) / dk
+            t1 = (hi[box, k] - p0[k]) / dk
+            if t0 > t1:
+                t0, t1 = t1, t0
+            tmin = max(tmin, t0)
+            tmax = min(tmax, t1)
+            if tmin > tmax:
+                hit = False
+                break
+        if hit:
+            return True
+    return False
+
+
+def _face_lattice(gate: GateGeometry) -> np.ndarray:
+    """Points whose coordinates sit on, just inside and just outside every face plane."""
+    hd, hi_in, ho = gate.half_depth, gate.inner_half, gate.outer_half
+    planes_x = [0.0, hd, 1.5 * hd]
+    planes_yz = [0.0, hi_in, 0.5 * (hi_in + ho), ho, 1.2 * ho]
+    axes = []
+    for planes in (planes_x, planes_yz, planes_yz):
+        vals = set()
+        for p in planes:
+            for s in (p, -p):
+                vals.update((s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)))
+        axes.append(np.array(sorted(vals)))
+    g = np.meshgrid(*axes, indexing="ij")
+    return np.stack([c.ravel() for c in g], axis=1)
+
+
+def test_distance_batch_is_bit_identical_to_reference(default_gate):
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([
+        rng.uniform(-1.5, 1.5, size=(5000, 3)),    # near the frame
+        rng.uniform(-8.0, 8.0, size=(5000, 3)),    # far from it
+        _face_lattice(default_gate),               # on, just inside, just outside faces
+    ])
+    got = exact_distance_batch(pts, default_gate)
+    want = _reference_distance_batch(pts, default_gate)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.any(want == -1.0) and np.any(want == 0.0)
+    regions = [classify_point(q, default_gate) for q in pts[::7]]
+    for region, dq in zip(regions, want[::7]):
+        assert (region is Region.INSIDE) == (dq == -1.0)
+
+
+def test_segment_hits_frame_is_bit_identical_to_reference(default_gate):
+    rng = np.random.default_rng(5)
+    lattice = _face_lattice(default_gate)
+    segs = []
+    for _ in range(4000):  # short steps near the frame, long chords far and near
+        p0 = rng.uniform(-1.5, 1.5, 3)
+        segs.append((p0, p0 + rng.normal(scale=0.06, size=3)))
+        segs.append((rng.uniform(-8.0, 8.0, 3), rng.uniform(-8.0, 8.0, 3)))
+    for _ in range(4000):  # lattice endpoints: zero components, faces, parallel runs
+        a, b = lattice[rng.integers(len(lattice), size=2)]
+        segs.append((a, b))
+        c = b.copy()
+        c[rng.integers(3)] = a[rng.integers(3)]
+        segs.append((a, c))
+    hd, ho = default_gate.half_depth, default_gate.outer_half
+    for s in (-1.0, 1.0):  # along the outer faces x = +/-hd and |y| = outer_half
+        segs.append((np.array([s * hd, -2.0, 0.0]), np.array([s * hd, 2.0, 0.0])))
+        segs.append((np.array([-1.0, s * ho, 0.3]), np.array([1.0, s * ho, 0.3])))
+        segs.append((np.array([s * hd, s * ho, -2.0]), np.array([s * hd, s * ho, 2.0])))
+        segs.append((np.array([-1.0, 0.0, s * ho]), np.array([1.0, 0.0, s * ho])))
+        segs.append((np.array([s * hd, 0.0, 0.0]), np.array([s * hd, 0.0, 0.0])))
+    hits = 0
+    for p0, p1 in segs:
+        got = segment_hits_frame(p0, p1, default_gate)
+        with np.errstate(over="ignore"):  # subnormal steps overflow t to inf, as in the kernel
+            want = _reference_segment_hits(p0, p1, default_gate)
+        assert got == want, f"{p0.tolist()} -> {p1.tolist()}"
+        hits += got
+    assert 0.05 * len(segs) < hits < 0.95 * len(segs), "sanity: both outcomes occur"

@@ -243,6 +243,10 @@ def test_spawn_validation(default_env):
     track = generate_track(difficulty=0.0, seed=0)
     with pytest.raises(SetupError, match="inside"):
         run_trial(default_env, track, "baseline", seed=0, spawn=np.array([0.0, 0.875, 0.0]))
+    # The error names the first gate of the unrolled track whose frame holds the spawn.
+    gate3 = virtual_gate_pose(track, 3).position
+    with pytest.raises(SetupError, match=r"inside the gate-3 frame"):
+        run_trial(default_env, track, "baseline", seed=0, spawn=gate3 + np.array([0.0, 0.875, 0.0]))
     with pytest.raises(SetupError, match="before gate 0"):
         run_trial(default_env, track, "baseline", seed=0, spawn=np.array([3.0, 3.0, 0.0]))
     with pytest.raises(SetupError, match="unsafe"):

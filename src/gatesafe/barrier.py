@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import DistanceField, sample
-from .geometry import Pose, world_to_gate
+from .geometry import Pose, _norm, world_to_gate
 
 ADMISSIBLE_TOL = 1e-9
 
@@ -91,20 +91,19 @@ def eval_barrier_world(
     The gradient is rotated back into the world frame so the constraint acts
     on world-frame actions.
     """
-    q = world_to_gate(x_world, gate_pose)
-    ev = eval_barrier(f, q, params)
+    d, grad = sample(f, world_to_gate(x_world, gate_pose))
     c, s = math.cos(gate_pose.yaw), math.sin(gate_pose.yaw)
-    gx, gy, gz = ev.grad
+    gx, gy, gz = grad.tolist()
     world_grad = np.array([c * gx - s * gy, s * gx + c * gy, gz])
-    return BarrierEval(d=ev.d, grad=world_grad, h=ev.h)
+    return BarrierEval(d=d, grad=world_grad, h=d * d - params.R * params.R)
 
 
 def assemble_constraint(ev: BarrierEval, params: SafetyParams) -> BarrierConstraint:
     """Build the disturbance-robust linear constraint from a barrier sample."""
     a = 2.0 * ev.d * ev.grad
-    c_robust = 2.0 * ev.d * float(np.abs(ev.grad) @ params.dw)
+    c_robust = 2.0 * ev.d * float(np.abs(ev.grad).dot(params.dw))
     b = float(-params.gamma * ev.h + c_robust)
-    feasible = params.alpha * float(np.linalg.norm(a)) >= b
+    feasible = params.alpha * _norm(a) >= b
     return BarrierConstraint(a=a, b=b, feasible_direction_exists=feasible)
 
 

@@ -175,25 +175,16 @@ def _metrics_rows(records: list[TrialRecord]) -> list[str]:
     return rows
 
 
+# One trajectory row: report._g (format ".10g") on every float field.
+_TRAJECTORY_ROW = "{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{},{:.10g}"
+
+
 def _trajectory_rows(rec: TrialRecord) -> list[str]:
     log = rec.result.log
-    rows = ["t,x,y,z,d,h,status,deviation"]
-    for i in range(log.t.shape[0]):
-        rows.append(
-            ",".join(
-                [
-                    _g(log.t[i]),
-                    _g(log.x[i, 0]),
-                    _g(log.x[i, 1]),
-                    _g(log.x[i, 2]),
-                    _g(log.d_true[i]),
-                    _g(log.h[i]),
-                    STEP_LABELS[int(log.status[i])],
-                    _g(log.deviation[i]),
-                ]
-            )
-        )
-    return rows
+    columns = [c.tolist() for c in (log.t, *log.x.T, log.d_true, log.h)]
+    labels = [STEP_LABELS[s] for s in log.status.tolist()]
+    rows = map(_TRAJECTORY_ROW.format, *columns, labels, log.deviation.tolist())
+    return ["t,x,y,z,d,h,status,deviation", *rows]
 
 
 def _write_run_outputs(out_dir: str, cfg: Config, records: list[TrialRecord]) -> None:

@@ -158,32 +158,31 @@ def _node_gradients(values: np.ndarray, res: float) -> np.ndarray:
     """Central differences per axis, one-sided at borders and next to -1 cells.
 
     Nodes inside the solid (value -1) get zero gradient; -1 neighbors are
-    excluded from every stencil.
+    excluded from every stencil. Differences are taken in float64 and
+    rounded once into the float32 result.
     """
     v = values.astype(np.float64)
     valid = v != INSIDE_SENTINEL
-    grads = np.zeros(values.shape + (3,), dtype=np.float64)
-    for axis in range(3):
-        vl = np.roll(v, 1, axis=axis)
-        vr = np.roll(v, -1, axis=axis)
-        has_l = np.roll(valid, 1, axis=axis).copy()
-        has_r = np.roll(valid, -1, axis=axis).copy()
-        # Roll wraps around; the wrapped entries are not real neighbors.
-        sl_first = [slice(None)] * 3
-        sl_first[axis] = slice(0, 1)
-        sl_last = [slice(None)] * 3
-        sl_last[axis] = slice(-1, None)
-        has_l[tuple(sl_first)] = False
-        has_r[tuple(sl_last)] = False
+    grads = np.zeros(values.shape + (3,), dtype=np.float32)
 
-        central = (vr - vl) / (2.0 * res)
-        fwd = (vr - v) / res
-        bwd = (v - vl) / res
-        g = np.where(
-            has_l & has_r, central, np.where(has_r, fwd, np.where(has_l, bwd, 0.0))
-        )
-        grads[..., axis] = np.where(valid, g, 0.0)
-    return grads.astype(np.float32)
+    def along(axis, start, stop):
+        sl = [slice(None)] * 3
+        sl[axis] = slice(start, stop)
+        return tuple(sl)
+
+    for axis in range(3):
+        g = grads[..., axis]
+        lo, hi, mid = along(axis, 0, -1), along(axis, 1, None), along(axis, 1, -1)
+        # A pair of neighbours (k, k + 1), both outside the solid, gives the
+        # backward difference at k + 1 and the forward one at k; a node with
+        # both neighbours outside the solid takes the central one instead.
+        pair = valid[lo] & valid[hi]
+        step = (v[hi] - v[lo]) / res
+        np.copyto(g[hi], step, where=pair)
+        np.copyto(g[lo], step, where=pair)
+        central = (v[along(axis, 2, None)] - v[along(axis, 0, -2)]) / (2.0 * res)
+        np.copyto(g[mid], central, where=pair[lo] & pair[hi])
+    return grads
 
 
 def quantize_inflation(eps: np.ndarray, resolution: float) -> np.ndarray:
@@ -235,42 +234,51 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
     :class:`InsideObstacleError` when any corner of the enclosing cell is an
     inside-solid node.
     """
-    idx, frac = [], []
-    for k, (lo, n) in enumerate(zip(f.spec.origin.tolist(), f.spec.dims)):
-        qk = float(q[k])
-        if not math.isfinite(qk):
-            raise ValueError(f"query must be finite, got {q}")
-        r = (qk - lo) / f.spec.resolution
-        if r < -1e-9 or r > (n - 1) + 1e-9:
-            raise OutOfBoundsError(
-                f"query {np.asarray(q).tolist()} outside grid extent on axis {'xyz'[k]}"
-            )
-        i = min(max(int(r), 0), n - 2)
-        idx.append(i)
-        frac.append(min(max(r - i, 0.0), 1.0))
+    qx, qy, qz = np.asarray(q, dtype=float).tolist()
+    ox, oy, oz = f.spec.origin.tolist()
+    nx, ny, nz = f.spec.dims
+    res = f.spec.resolution
+    # Grid coordinates, checked per axis in x, y, z order; a NaN fails the
+    # range test as well and is rejected as non-finite.
+    rx = (qx - ox) / res
+    if not -1e-9 <= rx <= (nx - 1) + 1e-9:
+        _reject_query(q, qx, 0)
+    ry = (qy - oy) / res
+    if not -1e-9 <= ry <= (ny - 1) + 1e-9:
+        _reject_query(q, qy, 1)
+    rz = (qz - oz) / res
+    if not -1e-9 <= rz <= (nz - 1) + 1e-9:
+        _reject_query(q, qz, 2)
+    # int() truncates towards zero, so r >= -1e-9 gives an index >= 0.
+    i = min(int(rx), nx - 2)
+    j = min(int(ry), ny - 2)
+    l = min(int(rz), nz - 2)
+    tx = min(max(rx - i, 0.0), 1.0)
+    ty = min(max(ry - j, 0.0), 1.0)
+    tz = min(max(rz - l, 0.0), 1.0)
 
-    i, j, l = idx
-    # Corner order (i, j, l), (i, j, l + 1), (i, j + 1, l), ..., (i + 1, j + 1, l + 1).
-    c = f.values[i:i + 2, j:j + 2, l:l + 2].ravel().tolist()
-    if min(c) == INSIDE_SENTINEL:
+    # Corner k is (i + dx, j + dy, l + dz) with k = 4 dx + 2 dy + dz.
+    ((c0, c1), (c2, c3)), ((c4, c5), (c6, c7)) = f.values[i:i + 2, j:j + 2, l:l + 2].tolist()
+    if min(c0, c1, c2, c3, c4, c5, c6, c7) == INSIDE_SENTINEL:
         raise InsideObstacleError(f"query {np.asarray(q).tolist()} touches an inside-solid cell")
+    ((g0, g1), (g2, g3)), ((g4, g5), (g6, g7)) = f.gradients[i:i + 2, j:j + 2, l:l + 2].tolist()
 
-    tx, ty, tz = frac
-    w = (
-        (1 - tx) * (1 - ty) * (1 - tz), (1 - tx) * (1 - ty) * tz,
-        (1 - tx) * ty * (1 - tz), (1 - tx) * ty * tz,
-        tx * (1 - ty) * (1 - tz), tx * (1 - ty) * tz,
-        tx * ty * (1 - tz), tx * ty * tz,
-    )
-    # Sums start at 0.0 and add the corners in the order above (pinned in test_field).
-    d = gx = gy = gz = 0.0
-    cell_grads = f.gradients[i:i + 2, j:j + 2, l:l + 2].reshape(8, 3).tolist()
-    for wi, ci, (cx, cy, cz) in zip(w, c, cell_grads):
-        d += wi * ci
-        gx += wi * cx
-        gy += wi * cy
-        gz += wi * cz
+    sx, sy, sz = 1 - tx, 1 - ty, 1 - tz
+    w0, w1, w2, w3 = sx * sy * sz, sx * sy * tz, sx * ty * sz, sx * ty * tz
+    w4, w5, w6, w7 = tx * sy * sz, tx * sy * tz, tx * ty * sz, tx * ty * tz
+    # Sums start at 0.0 and add the corners in order 0..7 (pinned in test_field).
+    d = 0.0 + w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3 + w4 * c4 + w5 * c5 + w6 * c6 + w7 * c7
+    gx = 0.0 + w0 * g0[0] + w1 * g1[0] + w2 * g2[0] + w3 * g3[0] + w4 * g4[0] + w5 * g5[0] + w6 * g6[0] + w7 * g7[0]
+    gy = 0.0 + w0 * g0[1] + w1 * g1[1] + w2 * g2[1] + w3 * g3[1] + w4 * g4[1] + w5 * g5[1] + w6 * g6[1] + w7 * g7[1]
+    gz = 0.0 + w0 * g0[2] + w1 * g1[2] + w2 * g2[2] + w3 * g3[2] + w4 * g4[2] + w5 * g5[2] + w6 * g6[2] + w7 * g7[2]
     return d, np.array([gx, gy, gz])
+
+
+def _reject_query(q, qk: float, axis: int) -> None:
+    """Raise for a query coordinate that failed the grid range test."""
+    if not math.isfinite(qk):
+        raise ValueError(f"query must be finite, got {q}")
+    raise OutOfBoundsError(f"query {np.asarray(q).tolist()} outside grid extent on axis {'xyz'[axis]}")
 
 
 # Status codes returned by sample_batch.
@@ -283,7 +291,7 @@ def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Vectorized :func:`sample` with per-point status codes instead of raises.
 
     Returns (values, gradients, status); entries with nonzero status carry
-    NaN values.
+    NaN values. A point with a non-finite coordinate is out of bounds.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -292,12 +300,13 @@ def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     res = f.spec.resolution
     dims = np.array(f.spec.dims)
     rel = (pts - f.spec.origin[None, :]) / res
-    oob = np.any((rel < -1e-9) | (rel > (dims - 1)[None, :] + 1e-9), axis=1)
+    # A non-finite coordinate fails both comparisons, so its row is out of bounds.
+    oob = ~np.all((rel >= -1e-9) & (rel <= (dims - 1)[None, :] + 1e-9), axis=1)
+    # Move out-of-bounds rows to a valid cell so the cast and gather below are safe.
+    rel[oob] = 0.0
 
     idx = np.clip(np.floor(rel).astype(int), 0, (dims - 2)[None, :])
     frac = np.clip(rel - idx, 0.0, 1.0)
-    # Clamp out-of-bounds rows to a valid cell so the gather below is safe.
-    idx[oob] = 0
 
     i, j, l = idx[:, 0], idx[:, 1], idx[:, 2]
     tx, ty, tz = frac[:, 0], frac[:, 1], frac[:, 2]

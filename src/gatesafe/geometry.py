@@ -122,12 +122,31 @@ class Pose:
         self.yaw = yaw
 
 
-def _check_point(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, bit for bit float(np.linalg.norm(v)).
+
+    This is numpy's own formula, sqrt of the dot product of the raveled
+    vector, minus its wrapper overhead. It is not a Python-float sum of
+    squares: the dot product runs in BLAS, whose kernels may fuse
+    multiply-adds, so summing the squares in Python can move the last bit.
+    """
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
+def _point_coords(q: np.ndarray) -> list[float]:
+    """The three coordinates of a finite float 3-vector, as Python floats."""
     if q.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {q.shape}")
-    if not all(map(math.isfinite, q.tolist())):
+    x, y, z = coords = q.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"point must be finite, got {q}")
+    return coords
+
+
+def _check_point(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    _point_coords(q)
     return q
 
 
@@ -191,7 +210,7 @@ def world_to_gate(x: np.ndarray, pose: Pose) -> np.ndarray:
     # +0.0 and -0.0 give matrices that differ in the sign of a zero.
     if getattr(pose, "_to_gate", (None,))[0] is not pose.yaw:
         pose._to_gate = (pose.yaw, _rot_z(-pose.yaw))
-    return pose._to_gate[1] @ (x - pose.position)
+    return pose._to_gate[1].dot(x - pose.position)
 
 
 def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
@@ -227,8 +246,8 @@ def segment_hits_frame(p0: np.ndarray, p1: np.ndarray, gate: GateGeometry) -> bo
     fl((lo - p0) / dk) is monotone in lo, so each bar's per-axis interval lies
     inside the outer box's and a miss there is a miss on all four bars.
     """
-    p0 = _check_point(p0).tolist()
-    p1 = _check_point(p1).tolist()
+    p0 = _point_coords(np.asarray(p0, dtype=float))
+    p1 = _point_coords(np.asarray(p1, dtype=float))
     d = [b - a for a, b in zip(p0, p1)]
     hd, ho = gate.half_depth, gate.outer_half
     if not _slab_hit(p0, d, [-hd, -ho, -ho], [hd, ho, ho]):

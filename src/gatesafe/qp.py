@@ -32,6 +32,7 @@ import scipy.optimize
 
 from .barrier import BarrierConstraint, SafetyParams
 from .field import DistanceField, sample_batch, SAMPLE_OK
+from .geometry import _norm
 
 _DEGENERATE_NORM = 1e-300
 
@@ -66,16 +67,16 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
     b = float(con.b)
     alpha = float(params.alpha)
 
-    na2 = float(a @ a)
+    na2 = float(a.dot(a))
     if na2 <= _DEGENERATE_NORM:
-        nu = float(np.linalg.norm(u_nom))
+        nu = _norm(u_nom)
         if b <= 0.0:
             u = u_nom if nu <= alpha else u_nom * (alpha / nu)
             return FilterDecision(
                 u_star=u,
                 status=FilterStatus.DEGENERATE_SAFE,
                 margin=-b,
-                deviation=float(np.linalg.norm(u_nom - u)),
+                deviation=_norm(u_nom - u),
             )
         return FilterDecision(
             u_star=np.zeros(3),
@@ -92,11 +93,11 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
             u_star=u,
             status=FilterStatus.INFEASIBLE_FALLBACK,
             margin=alpha * na - b,
-            deviation=float(np.linalg.norm(u_nom - u)),
+            deviation=_norm(u_nom - u),
         )
 
-    au = float(a @ u_nom)
-    nu = float(np.linalg.norm(u_nom))
+    au = float(a.dot(u_nom))
+    nu = _norm(u_nom)
     if au >= b and nu <= alpha:
         return FilterDecision(u_star=u_nom.copy(), status=FilterStatus.UNCHANGED, margin=au - b, deviation=0.0)
 
@@ -107,29 +108,29 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
         return FilterDecision(
             u_star=u,
             status=FilterStatus.PROJECTED,
-            margin=float(a @ u) - b,
-            deviation=float(np.linalg.norm(u_nom - u)),
+            margin=float(a.dot(u)) - b,
+            deviation=_norm(u_nom - u),
         )
 
     if au < b:
         # Halfspace violated; project onto its boundary plane.
         u = u_nom + ((b - au) / na2) * a
-        if float(np.linalg.norm(u)) <= alpha * (1.0 + 1e-12):
+        if _norm(u) <= alpha * (1.0 + 1e-12):
             return FilterDecision(
                 u_star=u,
                 status=FilterStatus.PROJECTED,
-                margin=float(a @ u) - b,
-                deviation=float(np.linalg.norm(u_nom - u)),
+                margin=float(a.dot(u)) - b,
+                deviation=_norm(u_nom - u),
             )
     if nu > alpha:
         # Clip onto the ball and keep it if the halfspace still holds (a
         # projection onto one set that lands in the other is globally
         # optimal). Reached with au >= b only when the ball alone is violated.
         u = u_nom * (alpha / nu)
-        m = float(a @ u) - b
+        m = float(a.dot(u)) - b
         if m >= -1e-12 * max(1.0, abs(b)):
             return FilterDecision(
-                u_star=u, status=FilterStatus.PROJECTED, margin=m, deviation=float(np.linalg.norm(u_nom - u))
+                u_star=u, status=FilterStatus.PROJECTED, margin=m, deviation=_norm(u_nom - u)
             )
 
     # Both single-set projections failed, so both boundaries are active.
@@ -137,8 +138,8 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
     return FilterDecision(
         u_star=u,
         status=FilterStatus.PROJECTED,
-        margin=float(a @ u) - b,
-        deviation=float(np.linalg.norm(u_nom - u)),
+        margin=float(a.dot(u)) - b,
+        deviation=_norm(u_nom - u),
     )
 
 
@@ -352,6 +353,8 @@ def safest_action_field(
     else:
         au, av, fixed = 1, 2, 0
     lo, hi = f.spec.origin[fixed], f.spec.max_corner[fixed]
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset}")
     if offset < lo - 1e-9 or offset > hi + 1e-9:
         raise ValueError(f"offset {offset} outside grid extent [{lo:g}, {hi:g}] on axis {'xyz'[fixed]}")
 

@@ -35,9 +35,9 @@ import numpy as np
 from .barrier import SafetyParams, assemble_constraint, eval_barrier_world
 from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
-    GateGeometry, Pose, exact_distance_batch, segment_hits_frame, world_to_gate,
+    GateGeometry, Pose, _norm, exact_distance_batch, segment_hits_frame, world_to_gate,
 )
-from .qp import FILTER_STATUS_ORDER, filter_action
+from .qp import _STATUS_CODE, FILTER_STATUS_ORDER, filter_action
 
 MODES = ("baseline", "filtered", "filtered_uncertainty")
 
@@ -205,9 +205,22 @@ def virtual_gate_pose(track: TrackSpec, index: int) -> Pose:
 
 def observe_gate(state: SimState, track: TrackSpec, dv: np.ndarray, rng: np.random.Generator) -> Pose:
     """Noisy estimate of the current gate pose: per-axis uniform position error."""
-    true = virtual_gate_pose(track, state.gate_index)
-    err = rng.uniform(-1.0, 1.0, size=3) * np.asarray(dv, dtype=float)
-    return Pose(position=true.position + err, yaw=true.yaw)
+    return _estimate(virtual_gate_pose(track, state.gate_index), rng.uniform(-1.0, 1.0, size=3), dv)
+
+
+def _estimate(true: Pose, draw: np.ndarray, dv: np.ndarray) -> Pose:
+    """The estimate of a gate pose for one uniform(-1, 1) draw per axis."""
+    return Pose(position=true.position + draw * np.asarray(dv, dtype=float), yaw=true.yaw)
+
+
+def _uniform_rows(rng: np.random.Generator):
+    """Rows of rng.uniform(-1, 1, size=3), drawn 1024 rows at a time.
+
+    A (K, 3) draw holds the same doubles, in the same order, as K draws of
+    size 3, so taking the rows one by one reproduces the stream.
+    """
+    while True:
+        yield from rng.uniform(-1.0, 1.0, size=(1024, 3))
 
 
 def nominal_policy(
@@ -219,9 +232,16 @@ def nominal_policy(
     speed up through the crossing; the action is clipped to the norm bound.
     """
     c, s = math.cos(estimate.yaw), math.sin(estimate.yaw)
-    target = estimate.position + pass_offset * np.array([c, s, 0.0])
-    u = gain * (target - state.x)
-    n = float(np.linalg.norm(u))
+    ex, ey, ez = estimate.position.tolist()
+    x, y, z = np.asarray(state.x, dtype=float).tolist()
+    # Elementwise, as target = position + pass_offset * (c, s, 0) and
+    # u = gain * (target - x) on arrays; the 0 term keeps the sign of zeros.
+    u = np.array([
+        gain * (ex + pass_offset * c - x),
+        gain * (ey + pass_offset * s - y),
+        gain * (ez + pass_offset * 0.0 - z),
+    ])
+    n = _norm(u)
     if n > alpha:
         u *= alpha / n
     return u
@@ -256,7 +276,9 @@ def run_trial(
 
     The per-trial random stream is consumed in a fixed order (gate estimate
     error at start and after each gate advance; process noise each step), so
-    results are bitwise reproducible given (track, mode, seed).
+    results are bitwise reproducible given (track, mode, seed). The draws are
+    made in blocks of rows and the rows are taken in that same order, which
+    gives the same doubles as one draw per estimate and per step.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -275,7 +297,7 @@ def run_trial(
     x = np.asarray(spawn, dtype=float).copy()
     _validate_spawn(x, env, track)
 
-    rng = np.random.default_rng(seed)
+    draws = _uniform_rows(np.random.default_rng(seed))
     state = SimState(x=x)
     total = track.total_gates
     cap = env.max_steps
@@ -290,7 +312,7 @@ def run_trial(
 
     pose = virtual_gate_pose(track, 0)
     q = world_to_gate(x, pose)
-    estimate = observe_gate(state, track, params.dv, rng)
+    estimate = _estimate(pose, next(draws), params.dv)
     prev_pose: Pose | None = None  # last passed gate, checked during slab exit
     exit_window = env.gate.half_depth + (params.alpha + float(np.max(params.dw))) * env.dt * 2.0
 
@@ -313,9 +335,9 @@ def run_trial(
                 dec = filter_action(u, assemble_constraint(ev, params), params)
                 u = dec.u_star
                 dev = dec.deviation
-                status = FILTER_STATUS_ORDER.index(dec.status)
+                status = _STATUS_CODE[dec.status]
 
-        w = rng.uniform(-1.0, 1.0, size=3) * params.dw
+        w = next(draws) * params.dw
         x_new = step_dynamics(state.x, u, w, env.dt)
 
         t_log[steps] = state.t
@@ -350,7 +372,7 @@ def run_trial(
             if state.gate_index < total:
                 pose = virtual_gate_pose(track, state.gate_index)
                 q_new = world_to_gate(x_new, pose)
-                estimate = observe_gate(state, track, params.dv, rng)
+                estimate = _estimate(pose, next(draws), params.dv)
 
         state.x = x_new
         state.t += env.dt

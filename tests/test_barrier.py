@@ -192,3 +192,75 @@ def test_safety_params_validation():
         SafetyParams(dv=np.array([0.1, 0.1]))
     p = SafetyParams(dw=[0.1, 0.2, 0.3])
     assert isinstance(p.dw, np.ndarray) and p.dw.dtype == float
+
+
+def _matmul_eval_barrier_world(f, x_world, pose, params):
+    """eval_barrier_world with the gate transform as R @ (x - p) and numpy-scalar rotation."""
+    c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
+    q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ (x_world - pose.position)
+    ev = eval_barrier(f, q, params)
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    gx, gy, gz = ev.grad
+    return BarrierEval(d=ev.d, grad=np.array([c * gx - s * gy, s * gx + c * gy, gz]), h=ev.h)
+
+
+def _linalg_assemble_constraint(ev, params):
+    """assemble_constraint with @ and np.linalg.norm: (a, b, feasible)."""
+    a = 2.0 * ev.d * ev.grad
+    c_robust = 2.0 * ev.d * float(np.abs(ev.grad) @ params.dw)
+    b = float(-params.gamma * ev.h + c_robust)
+    return a, b, params.alpha * float(np.linalg.norm(a)) >= b
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_eval_barrier_world_is_bit_identical_to_matmul_reference(default_env):
+    rng = np.random.default_rng(23)
+    params = default_env.params
+    outcomes = set()
+    for fld in (default_env.nominal_field, default_env.inflated_field):
+        for _ in range(5000):
+            yaw = float(rng.choice([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)]))
+            pose = Pose(position=rng.uniform(-50.0, 50.0, size=3), yaw=yaw)
+            local = rng.uniform(-1.0, 1.0, size=3) * rng.choice([1.0, 3.0, 7.0])
+            x = pose.position + np.array([
+                math.cos(yaw) * local[0] - math.sin(yaw) * local[1],
+                math.sin(yaw) * local[0] + math.cos(yaw) * local[1],
+                local[2],
+            ])
+            try:
+                want = _matmul_eval_barrier_world(fld, x, pose, params)
+            except ValueError as exc:
+                with pytest.raises(type(exc)):
+                    eval_barrier_world(fld, x, pose, params)
+                outcomes.add(type(exc).__name__)
+                continue
+            got = eval_barrier_world(fld, x, pose, params)
+            assert _bits(got.d) == _bits(want.d) and _bits(got.h) == _bits(want.h)
+            assert got.grad.dtype == np.float64 and got.grad.tobytes() == want.grad.tobytes()
+            outcomes.add("ok")
+    assert outcomes == {"ok", "OutOfBoundsError", "InsideObstacleError"}
+
+
+def test_assemble_constraint_is_bit_identical_to_linalg_reference():
+    rng = np.random.default_rng(29)
+    feasible = set()
+    for _ in range(10_000):
+        params = SafetyParams(
+            R=float(rng.uniform(0.05, 1.0)),
+            gamma=float(rng.uniform(0.1, 10.0)),
+            alpha=float(rng.uniform(0.1, 5.0)),
+            dw=rng.uniform(0.0, 0.5, size=3) * (rng.random(3) < 0.8),
+        )
+        grad = rng.normal(size=3) * rng.choice([0.0, 1e-3, 1.0, 1e3], p=[0.02, 0.08, 0.8, 0.1])
+        d = float(rng.uniform(0.0, 6.0)) if rng.random() < 0.95 else 0.0
+        ev = BarrierEval(d=d, grad=grad, h=d * d - params.R * params.R)
+        a, b, ok = _linalg_assemble_constraint(ev, params)
+        con = assemble_constraint(ev, params)
+        assert con.a.tobytes() == a.tobytes()
+        assert type(con.b) is float and _bits(con.b) == _bits(b)
+        assert con.feasible_direction_exists == ok
+        feasible.add(ok)
+    assert feasible == {True, False}

@@ -1,22 +1,24 @@
 """End-to-end CLI behavior: subcommands, exit codes, file schemas, reruns."""
 import csv
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from gatesafe.cli import main as cli_main
+from gatesafe.cli import _trajectory_rows, main as cli_main
 from gatesafe.field import load_field
 from gatesafe.report import (
     MalformedInputError,
     MissingInputError,
+    _g,
     box_stats,
     load_metrics,
     summarize,
     write_report,
 )
-from gatesafe.sim import STEP_LABELS
+from gatesafe.sim import STEP_LABELS, StepLog, TrialRecord, generate_track, run_trial
 
 
 def run_cli(argv):
@@ -344,3 +346,51 @@ def test_report_handles_all_zero_min_distances(tmp_path):
     assert float(rows[0]["safety_rate"]) == 0.0
     assert float(rows[0]["md_median"]) == 0.0
     assert rows[0]["md_outlier_count"] == "0"
+
+
+def test_field_non_finite_offset_is_usage_error_and_writes_nothing(map_path, tmp_path):
+    for offset in ("nan", "inf", "-inf"):
+        out = tmp_path / f"f_{offset}.csv"
+        rc = run_cli(["field", "--map", map_path, "--plane", "yz", "--offset", offset,
+                      "--speed", "2.0", "--out", out])
+        assert rc == 1, offset
+        assert not out.exists(), offset
+
+
+def _joined_trajectory_rows(rec):
+    """One ",".join of _g per field, row by row."""
+    log = rec.result.log
+    rows = ["t,x,y,z,d,h,status,deviation"]
+    for i in range(log.t.shape[0]):
+        rows.append(",".join([
+            _g(log.t[i]), _g(log.x[i, 0]), _g(log.x[i, 1]), _g(log.x[i, 2]),
+            _g(log.d_true[i]), _g(log.h[i]), STEP_LABELS[int(log.status[i])], _g(log.deviation[i]),
+        ]))
+    return rows
+
+
+def test_trajectory_rows_match_per_field_formatting(default_env):
+    track = generate_track(num_gates=2, difficulty=1.0, laps=1, seed=5)
+    records = [
+        TrialRecord(level=1.0, track_index=0, mode=mode, seed=5, result=run_trial(default_env, track, mode, seed=6))
+        for mode in ("baseline", "filtered")
+    ]
+    special = np.array([
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300, 0.1 + 0.2, 1.0 / 3.0,
+        123456789012.0, -2.5e-7, 1.0, 7.0, 0.05,
+    ])
+    n = len(special)
+    rng = np.random.default_rng(37)
+    log = StepLog(
+        t=special,
+        x=np.stack([special, special[::-1], rng.normal(size=n)], axis=1),
+        u=np.zeros((n, 3)),
+        d_true=np.roll(special, 3),
+        h=np.roll(special, 7),
+        status=(np.arange(n) % len(STEP_LABELS)).astype(np.int8),
+        deviation=np.roll(special, 11),
+    )
+    base = records[0].result
+    records.append(TrialRecord(level=0.5, track_index=1, mode="filtered", seed=5, result=dataclasses.replace(base, log=log)))
+    for rec in records:
+        assert _trajectory_rows(rec) == _joined_trajectory_rows(rec)

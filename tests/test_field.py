@@ -7,6 +7,7 @@ Oracles:
 - interpolation against the exact distance with the res*sqrt(3)/2 bound.
 """
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -26,6 +27,7 @@ from gatesafe.field import (
     SAMPLE_OOB,
     TruncatedMapError,
     UnsupportedVersionError,
+    _node_gradients,
     build_field,
     default_grid_spec,
     inflate_field,
@@ -440,3 +442,162 @@ def test_sample_is_bit_identical_to_per_corner_reference(small_field):
             assert grad.tobytes() == want[1].tobytes(), f"gradient differs at {q.tolist()}"
             outcomes.add("ok")
     assert outcomes == {"ok", OutOfBoundsError, InsideObstacleError}
+
+
+def _loop_sample(f: DistanceField, q) -> tuple[float, np.ndarray]:
+    """Per-axis loop over (origin, dims) with the cell read as two flat slices."""
+    idx, frac = [], []
+    for k, (lo, n) in enumerate(zip(f.spec.origin.tolist(), f.spec.dims)):
+        qk = float(q[k])
+        if not math.isfinite(qk):
+            raise ValueError(f"query must be finite, got {q}")
+        r = (qk - lo) / f.spec.resolution
+        if r < -1e-9 or r > (n - 1) + 1e-9:
+            raise OutOfBoundsError(f"query {np.asarray(q).tolist()} outside grid extent on axis {'xyz'[k]}")
+        i = min(max(int(r), 0), n - 2)
+        idx.append(i)
+        frac.append(min(max(r - i, 0.0), 1.0))
+    i, j, l = idx
+    c = f.values[i:i + 2, j:j + 2, l:l + 2].ravel().tolist()
+    if min(c) == -1.0:
+        raise InsideObstacleError(f"query {np.asarray(q).tolist()} touches an inside-solid cell")
+    tx, ty, tz = frac
+    w = (
+        (1 - tx) * (1 - ty) * (1 - tz), (1 - tx) * (1 - ty) * tz,
+        (1 - tx) * ty * (1 - tz), (1 - tx) * ty * tz,
+        tx * (1 - ty) * (1 - tz), tx * (1 - ty) * tz,
+        tx * ty * (1 - tz), tx * ty * tz,
+    )
+    d = gx = gy = gz = 0.0
+    cell_grads = f.gradients[i:i + 2, j:j + 2, l:l + 2].reshape(8, 3).tolist()
+    for wi, ci, (cx, cy, cz) in zip(w, c, cell_grads):
+        d += wi * ci
+        gx += wi * cx
+        gy += wi * cy
+        gz += wi * cz
+    return d, np.array([gx, gy, gz])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # OutOfBoundsError and InsideObstacleError are ValueErrors
+        return type(exc), str(exc)
+
+
+def test_sample_is_bit_identical_to_loop_reference(small_field):
+    rng = np.random.default_rng(16)
+    spec = small_field.spec
+    inflated = inflate_field(small_field, np.full(3, 0.3))
+    lo, hi, res = spec.origin, spec.max_corner, spec.resolution
+    nodes = lo + res * rng.integers(0, np.array(spec.dims), size=(1000, 3))
+    pts = np.concatenate([
+        rng.uniform(-1.0, 1.0, size=(4000, 3)) * [0.5, 1.5, 1.5],
+        rng.uniform(lo - 0.05, hi + 0.05, size=(4000, 3)),
+        nodes,
+        np.nextafter(nodes, nodes + rng.choice([-1.0, 1.0], size=nodes.shape)),
+        # Faces of the extent and a hair (inside the 1e-9 cell tolerance) past them.
+        np.where(rng.random((500, 3)) < 0.3, rng.choice([0.0, 1.0], size=(500, 3)), rng.random((500, 3)))
+        * (hi - lo) + lo + rng.choice([-1e-11, 0.0, 1e-11], size=(500, 3)),
+    ])
+    seen = set()
+    for fld in (small_field, inflated):
+        for q in pts:
+            want, got = _outcome(_loop_sample, fld, q), _outcome(sample, fld, q)
+            if isinstance(want[0], type):
+                assert got == want
+                seen.add(want[0])
+                continue
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), f"value differs at {q.tolist()}"
+            assert got[1].dtype == np.float64 and got[1].tobytes() == want[1].tobytes(), f"gradient differs at {q.tolist()}"
+            seen.add("ok")
+    assert seen == {"ok", OutOfBoundsError, InsideObstacleError}
+
+
+@pytest.mark.parametrize("q, error", [
+    ([100.0, math.nan, 0.0], OutOfBoundsError),  # x is checked before y
+    ([math.nan, 100.0, 0.0], ValueError),
+    ([0.0, math.inf, math.nan], ValueError),
+    ([0.0, 0.0, -math.inf], ValueError),
+    ([0.0, -9.0, math.nan], OutOfBoundsError),
+    ([1e308, 0.0, 0.0], OutOfBoundsError),  # finite, but its grid coordinate overflows
+])
+def test_sample_raises_per_axis_in_order(small_field, q, error):
+    with pytest.raises(ValueError) as exc_info:
+        sample(small_field, np.array(q))
+    assert type(exc_info.value) is error
+    assert (type(exc_info.value), str(exc_info.value)) == _outcome(_loop_sample, small_field, np.array(q))
+
+
+def test_sample_batch_flags_non_finite_rows_out_of_bounds(small_field):
+    pts = np.array([
+        [0.0, 0.0, 0.5],
+        [math.nan, 0.0, 0.5],
+        [0.0, math.inf, 0.5],
+        [0.0, 0.0, -math.inf],
+        [math.nan, math.nan, math.nan],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, grads, status = sample_batch(small_field, pts)
+    assert status.tolist() == [SAMPLE_OK] + [SAMPLE_OOB] * 4
+    assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:])) and np.all(np.isnan(grads[1:]))
+    d, grad = sample(small_field, pts[0])
+    assert vals[0] == pytest.approx(d, abs=1e-12)
+
+
+def _roll_gradients(values: np.ndarray, res: float) -> np.ndarray:
+    """Per-axis np.roll neighbours with masked wrap-around and nested np.where."""
+    v = values.astype(np.float64)
+    valid = v != -1.0
+    grads = np.zeros(values.shape + (3,), dtype=np.float64)
+    for axis in range(3):
+        vl = np.roll(v, 1, axis=axis)
+        vr = np.roll(v, -1, axis=axis)
+        has_l = np.roll(valid, 1, axis=axis).copy()
+        has_r = np.roll(valid, -1, axis=axis).copy()
+        sl_first = [slice(None)] * 3
+        sl_first[axis] = slice(0, 1)
+        sl_last = [slice(None)] * 3
+        sl_last[axis] = slice(-1, None)
+        has_l[tuple(sl_first)] = False
+        has_r[tuple(sl_last)] = False
+        central = (vr - vl) / (2.0 * res)
+        fwd = (vr - v) / res
+        bwd = (v - vl) / res
+        g = np.where(has_l & has_r, central, np.where(has_r, fwd, np.where(has_l, bwd, 0.0)))
+        grads[..., axis] = np.where(valid, g, 0.0)
+    return grads.astype(np.float32)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_node_gradients_are_bit_identical_on_default_maps(default_env):
+    for fld in (default_env.nominal_field, default_env.inflated_field):
+        _assert_same_bits(fld.gradients, _roll_gradients(fld.values, fld.spec.resolution))
+
+
+def test_node_gradients_are_bit_identical_with_border_blobs():
+    rng = np.random.default_rng(17)
+    for shape in [(2, 2, 2), (2, 5, 3), (7, 2, 4), (6, 5, 9), (12, 11, 10)]:
+        for trial in range(20):
+            values = rng.uniform(0.0, 3.0, size=shape).astype(np.float32)
+            # Clearance-like values: repeats and exact zeros as well.
+            values[rng.random(shape) < 0.1] = 0.0
+            values[rng.random(shape) < 0.1] = values.flat[0]
+            # -1 blobs: small boxes, most of them stretched to a low or high border.
+            for _ in range(rng.integers(0, 4)):
+                lo = rng.integers(0, shape)
+                hi = np.minimum(lo + rng.integers(1, 4, size=3), shape)
+                axis = rng.integers(0, 3)
+                side = rng.random()
+                if side < 0.4:
+                    lo[axis] = 0
+                elif side < 0.8:
+                    hi[axis] = shape[axis]
+                values[tuple(slice(a, b) for a, b in zip(lo, hi))] = -1.0
+            res = float(rng.choice([0.1, 0.25, 0.3]))
+            _assert_same_bits(_node_gradients(values, res), _roll_gradients(values, res))

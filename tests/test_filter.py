@@ -9,7 +9,9 @@ from gatesafe.barrier import BarrierConstraint, BarrierEval, SafetyParams, admis
 from gatesafe.field import GridSpec, build_field, inflate_field
 from gatesafe.qp import (
     FILTER_STATUS_ORDER,
+    FilterDecision,
     FilterStatus,
+    _circle_rows,
     filter_action,
     filter_action_batch,
     safest_action_field,
@@ -356,3 +358,86 @@ def test_safest_action_field_validation(default_gate):
         safest_action_field(f, params, speed=5.0, plane="xy", offset=0.0)
     with pytest.raises(ValueError, match="offset"):
         safest_action_field(f, params, speed=1.0, plane="yz", offset=9.0)
+
+
+def _linalg_filter_action(u_nom, con, params):
+    """filter_action with np.linalg.norm and @, plus the name of the branch taken."""
+    u_nom = np.asarray(u_nom, dtype=float)
+    a = np.asarray(con.a, dtype=float)
+    b = float(con.b)
+    alpha = float(params.alpha)
+    na2 = float(a @ a)
+    if na2 <= 1e-300:
+        nu = float(np.linalg.norm(u_nom))
+        if b <= 0.0:
+            u = u_nom if nu <= alpha else u_nom * (alpha / nu)
+            dec = FilterDecision(u, FilterStatus.DEGENERATE_SAFE, -b, float(np.linalg.norm(u_nom - u)))
+            return dec, "degenerate_safe"
+        return FilterDecision(np.zeros(3), FilterStatus.INFEASIBLE_FALLBACK, -b, nu, True), "degenerate_stuck"
+    na = math.sqrt(na2)
+    if alpha * na < b:
+        u = a * (alpha / na)
+        dec = FilterDecision(u, FilterStatus.INFEASIBLE_FALLBACK, alpha * na - b, float(np.linalg.norm(u_nom - u)))
+        return dec, "infeasible"
+    au = float(a @ u_nom)
+    nu = float(np.linalg.norm(u_nom))
+    if au >= b and nu <= alpha:
+        return FilterDecision(u_nom.copy(), FilterStatus.UNCHANGED, au - b, 0.0), "unchanged"
+    if b <= -alpha * na:
+        u = u_nom * (alpha / nu)
+        dec = FilterDecision(u, FilterStatus.PROJECTED, float(a @ u) - b, float(np.linalg.norm(u_nom - u)))
+        return dec, "ball_inside_halfspace"
+    if au < b:
+        u = u_nom + ((b - au) / na2) * a
+        if float(np.linalg.norm(u)) <= alpha * (1.0 + 1e-12):
+            dec = FilterDecision(u, FilterStatus.PROJECTED, float(a @ u) - b, float(np.linalg.norm(u_nom - u)))
+            return dec, "plane_foot"
+    if nu > alpha:
+        u = u_nom * (alpha / nu)
+        m = float(a @ u) - b
+        if m >= -1e-12 * max(1.0, abs(b)):
+            return FilterDecision(u, FilterStatus.PROJECTED, m, float(np.linalg.norm(u_nom - u))), "ball_clip"
+    u = _circle_rows(u_nom[None, :], a[None, :], np.array([b]), alpha, np.array([na2]))[0]
+    dec = FilterDecision(u, FilterStatus.PROJECTED, float(a @ u) - b, float(np.linalg.norm(u_nom - u)))
+    return dec, "circle"
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_filter_action_is_bit_identical_to_linalg_reference():
+    rng = np.random.default_rng(19)
+    n = 10_000
+    U = rng.normal(scale=2.5, size=(n, 3)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1), p=[0.05, 0.9, 0.05])
+    A = rng.normal(scale=2.0, size=(n, 3)) * rng.choice([1e-170, 1e-3, 1.0, 1e3], size=(n, 1), p=[0.05, 0.05, 0.85, 0.05])
+    B = rng.normal(scale=3.0, size=n) + rng.choice([0.0, 2.0, -2.0], size=n)
+    # Nominal actions clipped to the norm bound the way nominal_policy clips them.
+    clip = rng.random(n) < 0.3
+    U[clip] *= (3.0 / np.linalg.norm(U[clip], axis=1))[:, None]
+    # Right-hand sides at and past -alpha |a| (the whole ball satisfies the halfspace).
+    edge = rng.random(n) < 0.05
+    B[edge] = -3.0 * np.linalg.norm(A[edge], axis=1) * rng.choice([1.0, 1.5], size=edge.sum())
+    branches = {}
+    for u, a, b in zip(U, A, B):
+        con = make_con(a, b)
+        want, branch = _linalg_filter_action(u, con, PARAMS)
+        got = filter_action(u, con, PARAMS)
+        branches[branch] = branches.get(branch, 0) + 1
+        assert got.status is want.status, branch
+        assert got.u_star.dtype == np.float64 and got.u_star.tobytes() == want.u_star.tobytes(), branch
+        assert type(got.margin) is float and _bits(got.margin) == _bits(want.margin), branch
+        assert type(got.deviation) is float and _bits(got.deviation) == _bits(want.deviation), branch
+        assert got.no_improving_direction is want.no_improving_direction
+    assert set(branches) == {
+        "degenerate_safe", "degenerate_stuck", "infeasible", "unchanged",
+        "ball_inside_halfspace", "plane_foot", "ball_clip", "circle",
+    }, branches
+
+
+def test_safest_action_field_rejects_non_finite_offset(default_gate):
+    spec = GridSpec(origin=np.array([-1.5, -2.0, -2.0]), resolution=0.1, dims=(31, 41, 41))
+    f = build_field(default_gate, spec)
+    for offset in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            safest_action_field(f, SafetyParams(R=0.3), speed=1.0, plane="yz", offset=offset)

@@ -15,6 +15,7 @@ from gatesafe.geometry import (
     GateGeometry,
     Pose,
     Region,
+    _norm,
     classify_point,
     exact_distance,
     exact_distance_batch,
@@ -365,3 +366,37 @@ def test_segment_hits_frame_is_bit_identical_to_reference(default_gate):
         assert got == want, f"{p0.tolist()} -> {p1.tolist()}"
         hits += got
     assert 0.05 * len(segs) < hits < 0.95 * len(segs), "sanity: both outcomes occur"
+
+
+def test_norm_helper_is_bit_identical_to_linalg_norm():
+    rng = np.random.default_rng(41)
+    vecs = rng.normal(size=(10_000, 6)) * rng.choice([0.0, 1e-160, 1e-3, 1.0, 1e3, 1e150], size=(10_000, 1))
+    vecs[rng.random(vecs.shape) < 0.05] = -0.0
+    for v in vecs:
+        for part in (v[:3], v[3:], v[::2], v[::-2]):  # contiguous and strided views
+            got = _norm(part)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(np.linalg.norm(part)).tobytes()
+
+
+def test_world_to_gate_is_bit_identical_to_matmul_reference():
+    rng = np.random.default_rng(43)
+    for _ in range(10_000):
+        yaw = float(rng.choice([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)]))
+        pose = Pose(position=rng.uniform(-100.0, 100.0, size=3), yaw=yaw)
+        x = pose.position + rng.normal(scale=float(rng.choice([0.01, 1.0, 30.0])), size=3)
+        c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
+        want = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ (x - pose.position)
+        assert world_to_gate(x, pose).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]])
+def test_non_finite_points_are_rejected(default_gate, bad):
+    pose = Pose(position=np.zeros(3), yaw=0.3)
+    with pytest.raises(ValueError, match="finite"):
+        world_to_gate(np.array(bad), pose)
+    with pytest.raises(ValueError, match="finite"):
+        segment_hits_frame(np.array(bad), np.zeros(3), default_gate)
+    with pytest.raises(ValueError, match="finite"):
+        segment_hits_frame(np.zeros(3), np.array(bad), default_gate)
+    with pytest.raises(ValueError, match="3-vector"):
+        segment_hits_frame(np.zeros(2), np.zeros(3), default_gate)

@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from gatesafe.barrier import SafetyParams
-from gatesafe.geometry import Pose, world_to_gate
+from gatesafe.barrier import SafetyParams, assemble_constraint, eval_barrier_world
+from gatesafe.field import InsideObstacleError, OutOfBoundsError
+from gatesafe.geometry import Pose, exact_distance_batch, segment_hits_frame, world_to_gate
+from gatesafe.qp import FILTER_STATUS_ORDER, filter_action
 from gatesafe.sim import (
     MODES,
+    PASS_MARGIN,
     STEP_FALLBACK,
     STEP_IN_OBSTACLE,
     STEP_OFF_MAP,
+    STEP_PROJECTED,
+    STEP_UNCHANGED,
     SetupError,
     SimEnv,
     SimState,
@@ -346,3 +351,140 @@ def test_unclean_trial_flags(default_env):
     assert r.log.status[0] == STEP_IN_OBSTACLE
     assert r.in_obstacle_steps >= 1 and r.fallback_steps == 0
     assert not r.clean
+
+
+def _array_nominal_policy(state, estimate, gain, alpha, pass_offset):
+    """nominal_policy on numpy arrays with np.linalg.norm, plus whether it clipped."""
+    c, s = math.cos(estimate.yaw), math.sin(estimate.yaw)
+    target = estimate.position + pass_offset * np.array([c, s, 0.0])
+    u = gain * (target - state.x)
+    n = float(np.linalg.norm(u))
+    if n > alpha:
+        u *= alpha / n
+    return u, n > alpha
+
+
+def test_nominal_policy_is_bit_identical_to_array_reference():
+    rng = np.random.default_rng(31)
+    clipped = set()
+    for _ in range(10_000):
+        yaw = float(rng.choice([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)]))
+        pos = rng.uniform(-20.0, 20.0, size=3) * (rng.random(3) < 0.8)
+        pos[rng.random(3) < 0.1] = -0.0
+        x = pos + rng.normal(scale=rng.choice([0.01, 1.0, 8.0]), size=3)
+        x[rng.random(3) < 0.1] = rng.choice([0.0, -0.0])
+        args = (
+            SimState(x=x), Pose(position=pos, yaw=yaw),
+            float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.1, 5.0)), float(rng.choice([0.0, 0.5, 3.0])),
+        )
+        want, clip = _array_nominal_policy(*args)
+        got = nominal_policy(*args)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), args
+        clipped.add(clip)
+    assert clipped == {True, False}
+
+
+def _per_step_draw_trial(env, track, mode, seed, spawn=None):
+    """The trial loop with one rng.uniform call per estimate and per step.
+
+    Returns (safe, gates_passed, gate_index, StepLog columns t, x, u, q, h,
+    status, deviation) with q holding one more row (the final position)
+    when the trial ended safely.
+    """
+    fld = {"filtered": env.nominal_field, "filtered_uncertainty": env.inflated_field}.get(mode)
+    params = env.params
+    if spawn is None:
+        spawn = track.gate_poses[0].position - np.array([track.spacing, 0.0, 0.0])
+    rng = np.random.default_rng(seed)
+    state = SimState(x=np.asarray(spawn, dtype=float).copy())
+    total = track.total_gates
+    rows = {k: [] for k in ("t", "x", "u", "q", "h", "status", "deviation")}
+    pose = virtual_gate_pose(track, 0)
+    q = world_to_gate(state.x, pose)
+    estimate = observe_gate(state, track, params.dv, rng)
+    prev_pose = None
+    exit_window = env.gate.half_depth + (params.alpha + float(np.max(params.dw))) * env.dt * 2.0
+    safe = True
+    steps = 0
+    while steps < env.max_steps and state.gate_index < total:
+        u = nominal_policy(state, estimate, env.gain, params.alpha, env.pass_offset)
+        status, h_val, dev = STEP_UNCHANGED, math.nan, 0.0
+        if fld is not None:
+            try:
+                ev = eval_barrier_world(fld, state.x, estimate, params)
+            except OutOfBoundsError:
+                status = STEP_OFF_MAP
+            except InsideObstacleError:
+                status = STEP_IN_OBSTACLE
+            else:
+                h_val = ev.h
+                dec = filter_action(u, assemble_constraint(ev, params), params)
+                u, dev, status = dec.u_star, dec.deviation, FILTER_STATUS_ORDER.index(dec.status)
+        w = rng.uniform(-1.0, 1.0, size=3) * params.dw
+        x_new = step_dynamics(state.x, u, w, env.dt)
+        for k, v in zip(rows, (state.t, state.x, u, q, h_val, status, dev)):
+            rows[k].append(v)
+        steps += 1
+        q_new = world_to_gate(x_new, pose)
+        hit = segment_hits_frame(q, q_new, env.gate)
+        if not hit and prev_pose is not None:
+            qp0 = world_to_gate(state.x, prev_pose)
+            if qp0[0] <= exit_window:
+                hit = segment_hits_frame(qp0, world_to_gate(x_new, prev_pose), env.gate)
+            else:
+                prev_pose = None
+        if hit:
+            safe = False
+            break
+        if q[0] < 0.0 <= q_new[0]:
+            frac = -q[0] / (q_new[0] - q[0])
+            cross = q + frac * (q_new - q)
+            if max(abs(cross[1]), abs(cross[2])) < env.gate.inner_half - PASS_MARGIN:
+                state.gates_passed += 1
+            prev_pose = pose
+            state.gate_index += 1
+            if state.gate_index < total:
+                pose = virtual_gate_pose(track, state.gate_index)
+                q_new = world_to_gate(x_new, pose)
+                estimate = observe_gate(state, track, params.dv, rng)
+        state.x = x_new
+        state.t += env.dt
+        q = q_new
+    if safe:
+        rows["q"].append(q)
+    return safe, state.gates_passed, state.gate_index, {k: np.array(v) for k, v in rows.items()}
+
+
+def test_run_trial_matches_per_step_draw_loop(default_env):
+    track = generate_track(num_gates=3, difficulty=1.0, laps=1, seed=1234)
+    noisy = SafetyParams(dw=np.full(3, 0.1), dv=np.full(3, 0.25))
+    cases = [(default_env, None), (SimEnv(
+        gate=default_env.gate,
+        nominal_field=default_env.nominal_field,
+        inflated_field=default_env.inflated_field,
+        params=noisy,
+        max_steps=150,
+    ), None), (default_env, np.array([-2.0, 1.4, 0.0]))]
+    endings = set()
+    crossings = 0
+    for env, spawn in cases:
+        for mode in MODES:
+            r = run_trial(env, track, mode, seed=99, spawn=spawn)
+            safe, passed, gate_index, ref = _per_step_draw_trial(env, track, mode, 99, spawn)
+            assert (r.safe, r.gates_passed, r.steps) == (safe, passed, len(ref["t"]))
+            assert r.timed_out == (safe and gate_index < track.total_gates)
+            log = r.log
+            for name in ("t", "x", "u", "h", "deviation"):
+                got, want = getattr(log, name), ref[name]
+                assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes(), (mode, name)
+            assert log.status.tolist() == ref["status"].tolist()
+            d = exact_distance_batch(ref["q"], env.gate)
+            assert log.d_true.tobytes() == d[: r.steps].tobytes()
+            assert r.min_distance == (float(d.min()) if safe else 0.0)
+            endings.add("timeout" if r.timed_out else "done" if safe else "collision")
+            if mode != "baseline" and safe:
+                assert STEP_PROJECTED in log.status and STEP_OFF_MAP in log.status, mode
+            crossings = max(crossings, gate_index)
+    # Estimates drawn after gate advances sit between noise draws in the stream.
+    assert crossings == track.total_gates
+    assert endings == {"done", "timeout", "collision"}

@@ -106,6 +106,12 @@ def _cmd_build_map(args) -> int:
     return 0
 
 
+# One field row: positions as repr (exact float64 round-trip, so consumers
+# re-sampling the map at a row's coordinates land in the same grid cell),
+# directions as report._g (format ".10g"), then the 0/1 unsafe flag.
+_FIELD_ROW = "{!r},{!r},{!r},{:.10g},{:.10g},{:.10g},{:d}"
+
+
 def _cmd_field(args) -> int:
     cfg = _load_cfg(args.config)
     f = load_field(args.map)
@@ -117,23 +123,12 @@ def _cmd_field(args) -> int:
         offset=args.offset,
         angular_samples=args.samples,
     )
-    positions = fld.positions.reshape(-1, 3)
-    directions = fld.directions.reshape(-1, 3)
-    unsafe_flags = fld.unsafe.reshape(-1)
-    lines = ["x,y,z,ux,uy,uz,unsafe_flag"]
-    # Positions use repr (exact float64 round-trip) so consumers re-sampling
-    # the map at a row's coordinates land in the same grid cell.
-    for pos, direction, unsafe in zip(positions, directions, unsafe_flags):
-        lines.append(
-            ",".join(
-                [repr(float(pos[0])), repr(float(pos[1])), repr(float(pos[2])),
-                 _g(direction[0]), _g(direction[1]), _g(direction[2]),
-                 "1" if unsafe else "0"]
-            )
-        )
+    unsafe = fld.unsafe.reshape(-1).astype(int).tolist()
+    columns = [c.tolist() for c in (*fld.positions.reshape(-1, 3).T, *fld.directions.reshape(-1, 3).T)]
+    rows = map(_FIELD_ROW.format, *columns, unsafe)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {args.out}: {positions.shape[0]} samples, {int(np.sum(unsafe_flags))} unsafe")
+        fh.write("\n".join(["x,y,z,ux,uy,uz,unsafe_flag", *rows]) + "\n")
+    print(f"wrote {args.out}: {len(unsafe)} samples, {sum(unsafe)} unsafe")
     return 0
 
 

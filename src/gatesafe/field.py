@@ -6,9 +6,10 @@ plus finite-difference gradients. Queries between nodes are answered by
 trilinear interpolation of both values and gradients.
 
 Worst-case inflation replaces each node value with the minimum over a
-(2k+1)^3 neighborhood, which realizes "minimum clearance over all gate
-translations within +/-eps per axis" quantized to whole cells. Inflated
-values never exceed nominal ones, and any -1 inside the window wins.
+(2kx+1) x (2ky+1) x (2kz+1) box of nodes, taken as one separable window
+minimum per axis with border nodes repeated; it realizes "minimum clearance
+over all gate translations within +/-eps per axis" quantized to whole cells.
+Inflated values never exceed nominal ones, and any -1 inside the window wins.
 
 File format (all little-endian)::
 
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import GateGeometry, exact_distance_batch
 
@@ -217,8 +217,13 @@ def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
             f"eps {eps.tolist()} is not a whole number of cells at resolution "
             f"{f.spec.resolution:g}; round up explicitly (see quantize_inflation)"
         )
-    size = tuple(int(2 * ki + 1) for ki in k)
-    values = ndimage.minimum_filter(f.values, size=size, mode="nearest")
+    # Separable box minimum: one window pass per axis over an edge-padded copy.
+    values = f.values.copy()  # a new array even when no axis is inflated
+    for axis, ka in enumerate(int(ki) for ki in k):
+        if ka:
+            padded = np.pad(values, [(ka, ka) if a == axis else (0, 0) for a in range(3)], mode="edge")
+            for s in range(2 * ka + 1):
+                np.minimum(values, padded[(slice(None),) * axis + (slice(s, s + values.shape[axis]),)], out=values)
     return DistanceField(
         spec=f.spec,
         values=values,

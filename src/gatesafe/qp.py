@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.optimize
 
 from .barrier import BarrierConstraint, SafetyParams
 from .field import DistanceField, sample_batch, SAMPLE_OK
@@ -271,10 +270,11 @@ def verify_kkt(
     Checks primal feasibility, then stationarity with nonnegative multipliers
     restricted to the active constraints (complementary slackness holds by
     construction: inactive constraints get multiplier exactly zero). The
-    multipliers come from a nonnegative least-squares fit, so dual feasibility
-    is enforced rather than assumed; the stationarity residual must fall
-    within ``tol`` scaled by the instance magnitude. Not applicable to
-    infeasible fallbacks.
+    multipliers come from a nonnegative least-squares fit found by
+    enumerating the active sets of the (at most two) active constraints, so
+    dual feasibility is enforced rather than assumed; the stationarity
+    residual must fall within ``tol`` scaled by the instance magnitude. Not
+    applicable to infeasible fallbacks.
     """
     if decision.status is FilterStatus.INFEASIBLE_FALLBACK:
         raise ValueError("KKT certification applies to feasible decisions only")
@@ -303,9 +303,28 @@ def verify_kkt(
     rhs = u_nom - u
     if not cols:
         return float(np.linalg.norm(rhs)) <= tol_s
-    M = np.stack(cols, axis=1)
-    _, rnorm = scipy.optimize.nnls(M, rhs)
-    return rnorm <= tol_s
+    return _nnls_residual(np.stack(cols, axis=1), rhs) <= tol_s
+
+
+def _nnls_residual(M: np.ndarray, rhs: np.ndarray) -> float:
+    """min |M x - rhs| over x >= 0 for a few columns, by enumerating active sets.
+
+    Some optimum is the least-squares fit on a subset of the columns with
+    nonnegative coefficients (Lawson and Hanson), so the minimum is the
+    smallest residual of such fits, or |rhs| for x = 0.
+    """
+    n = M.shape[1]
+    full = (1 << n) - 1
+    best = float(np.linalg.norm(rhs))
+    for mask in range(full, 0, -1):
+        sub = M[:, [j for j in range(n) if mask >> j & 1]]
+        x = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+        if np.all(x >= 0.0):
+            r = float(np.linalg.norm(sub @ x - rhs))
+            if mask == full:
+                return r  # the unconstrained fit is nonnegative: nothing does better
+            best = min(best, r)
+    return best
 
 
 @dataclass

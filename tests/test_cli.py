@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -394,3 +396,14 @@ def test_trajectory_rows_match_per_field_formatting(default_env):
     records.append(TrialRecord(level=0.5, track_index=1, mode="filtered", seed=5, result=dataclasses.replace(base, log=log)))
     for rec in records:
         assert _trajectory_rows(rec) == _joined_trajectory_rows(rec)
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter: this test process may have imported scipy already.
+    import gatesafe
+
+    src = os.path.dirname(os.path.dirname(gatesafe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gatesafe, gatesafe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,8 +2,8 @@
 
 Oracles:
 - node values against the exact closed-form distance (and -1 sentinels),
-- inflation against a hand-rolled window minimum AND a dense set of gate
-  translations,
+- inflation against a hand-rolled window minimum, scipy's minimum_filter
+  (bit for bit) AND a dense set of gate translations,
 - interpolation against the exact distance with the res*sqrt(3)/2 bound.
 """
 import math
@@ -142,21 +142,43 @@ def test_sampled_gradient_matches_finite_differences(default_gate, small_field, 
 # ---------------------------------------------------------------------------
 
 def test_inflation_matches_window_minimum_oracle(small_field):
-    inflated = inflate_field(small_field, np.array([0.2, 0.2, 0.2]))
+    # Cubic, non-cubic and zero-width windows.
     v = small_field.values
-    expected = np.full_like(v, np.inf)
     nx, ny, nz = v.shape
-    for ox in range(-2, 3):
-        for oy in range(-2, 3):
-            for oz in range(-2, 3):
-                sx = slice(max(0, -ox), min(nx, nx - ox))
-                sy = slice(max(0, -oy), min(ny, ny - oy))
-                sz = slice(max(0, -oz), min(nz, nz - oz))
-                tx = slice(max(0, ox), min(nx, nx + ox))
-                ty = slice(max(0, oy), min(ny, ny + oy))
-                tz = slice(max(0, oz), min(nz, nz + oz))
-                expected[sx, sy, sz] = np.minimum(expected[sx, sy, sz], v[tx, ty, tz])
-    np.testing.assert_array_equal(inflated.values, expected)
+    for eps in ([0.2, 0.2, 0.2], [0.1, 0.0, 0.3], [0.0, 0.3, 0.1]):
+        inflated = inflate_field(small_field, np.array(eps))
+        kx, ky, kz = (round(e / 0.1) for e in eps)
+        expected = np.full_like(v, np.inf)
+        for ox in range(-kx, kx + 1):
+            for oy in range(-ky, ky + 1):
+                for oz in range(-kz, kz + 1):
+                    sx = slice(max(0, -ox), min(nx, nx - ox))
+                    sy = slice(max(0, -oy), min(ny, ny - oy))
+                    sz = slice(max(0, -oz), min(nz, nz - oz))
+                    tx = slice(max(0, ox), min(nx, nx + ox))
+                    ty = slice(max(0, oy), min(ny, ny + oy))
+                    tz = slice(max(0, oz), min(nz, nz + oz))
+                    expected[sx, sy, sz] = np.minimum(expected[sx, sy, sz], v[tx, ty, tz])
+        np.testing.assert_array_equal(inflated.values, expected, err_msg=f"eps {eps}")
+
+
+def test_inflation_is_bit_identical_to_scipy_minimum_filter(small_field):
+    from scipy import ndimage
+
+    v = small_field.values
+    assert np.any(v == -1.0), "the map must hold inside-solid sentinels"
+    # Windows wider than the grid on some axes as well.
+    for k in [(2, 2, 2), (1, 0, 3), (5, 1, 2), (0, 0, 1), (20, 25, 30)]:
+        got = inflate_field(small_field, 0.1 * np.array(k)).values
+        want = ndimage.minimum_filter(v, size=tuple(2 * ki + 1 for ki in k), mode="nearest")
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), f"half-widths {k}"
+
+
+def test_zero_inflation_returns_a_new_array(small_field):
+    inflated = inflate_field(small_field, np.zeros(3))
+    np.testing.assert_array_equal(inflated.values, small_field.values)
+    assert not np.shares_memory(inflated.values, small_field.values)
 
 
 def test_inflation_is_pointwise_conservative(small_field):

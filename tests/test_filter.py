@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gatesafe import qp
 from gatesafe.barrier import BarrierConstraint, BarrierEval, SafetyParams, admissible, assemble_constraint
 from gatesafe.field import GridSpec, build_field, inflate_field
 from gatesafe.qp import (
@@ -126,6 +127,75 @@ def test_kkt_fuzz(rng):
             if not verify_kkt(u, con, PARAMS, dec):
                 bad += 1
     assert bad == 0, f"{bad} decisions failed KKT certification"
+
+
+def _decision(u_star, con):
+    u_star = np.asarray(u_star, dtype=float)
+    return FilterDecision(u_star, FilterStatus.PROJECTED, float(con.a @ u_star) - con.b, 0.0)
+
+
+def test_kkt_rejects_feasible_suboptimal_actions():
+    con = make_con([4.0, 0.0, 0.0], -5.6)
+    u_nom = np.array([-3.0, 0.0, 0.0])
+    assert verify_kkt(u_nom, con, PARAMS, _decision([-1.4, 0.0, 0.0], con))
+    # Strictly inside both sets, but away from u_nom: no constraint is active.
+    assert not verify_kkt(u_nom, con, PARAMS, _decision([-1.0, 0.0, 0.0], con))
+    # On the plane, but not its foot from u_nom.
+    assert not verify_kkt(u_nom, con, PARAMS, _decision([-1.4, 0.5, 0.0], con))
+
+
+def test_kkt_rejects_negative_multipliers():
+    # u_nom strictly satisfies a.u >= b; projecting it onto the plane anyway
+    # makes u_nom - u = -lambda a hold only with lambda = -1.
+    con = make_con([1.0, 0.0, 0.0], -1.0)
+    assert not verify_kkt(np.zeros(3), con, PARAMS, _decision([-1.0, 0.0, 0.0], con))
+    # Pushing an action inside the ball out onto the sphere needs mu < 0.
+    con = make_con([0.0, 0.0, 1.0], -10.0)
+    assert not verify_kkt(np.array([1.0, 0.0, 0.0]), con, PARAMS, _decision([3.0, 0.0, 0.0], con))
+
+
+def _scipy_nnls_residual(M, rhs):
+    from scipy.optimize import nnls
+
+    return float(nnls(M, rhs)[1])
+
+
+def test_nnls_residual_matches_scipy_nnls():
+    rng = np.random.default_rng(29)
+    verdicts = {True: 0, False: 0}
+    for i in range(10_000):
+        k = 1 + i % 3
+        M = rng.normal(size=(3, k)) * rng.choice([1e-3, 1.0, 1e3])
+        if k > 1 and rng.random() < 0.3:
+            M[:, 1] = M[:, 0] * rng.choice([-2.0, 0.5, 1.0])  # collinear columns
+        x = rng.normal(size=k)
+        if rng.random() < 0.5:
+            x = np.abs(x)
+        rhs = M @ x + rng.normal(scale=rng.choice([0.0, 1e-9, 1e-3]), size=3)
+        tol = 1e-7 * (1.0 + float(np.abs(M).sum() + np.abs(rhs).sum()))
+        got, want = qp._nnls_residual(M, rhs), _scipy_nnls_residual(M, rhs)
+        assert abs(got - want) <= 1e-9 * (1.0 + float(np.linalg.norm(rhs))), (M, rhs)
+        assert (got <= tol) == (want <= tol), (M, rhs)
+        verdicts[bool(got <= tol)] += 1
+    assert min(verdicts.values()) > 2000, verdicts
+
+
+def test_kkt_verdicts_match_scipy_nnls_on_acceptance_instances(monkeypatch):
+    from test_acceptance import _qp_instances
+
+    # The first fifth of acceptance test 3's instances.
+    U, A, B, alpha = (x[:20_000] for x in _qp_instances(100_000, seed=303))
+    verdicts = []
+    for u, a, b, al in zip(U, A, B, alpha):
+        params = SafetyParams(alpha=float(al))
+        con = BarrierConstraint(a=a, b=float(b), feasible_direction_exists=bool(al * np.linalg.norm(a) >= b))
+        dec = filter_action(u, con, params)
+        if dec.status is FilterStatus.PROJECTED:
+            verdicts.append((u, con, params, dec, verify_kkt(u, con, params, dec)))
+    assert len(verdicts) > 5_000
+    monkeypatch.setattr(qp, "_nnls_residual", _scipy_nnls_residual)
+    for u, con, params, dec, verdict in verdicts:
+        assert verify_kkt(u, con, params, dec) == verdict
 
 
 def test_idempotence(rng):

@@ -32,7 +32,7 @@ from .field import (
     save_field,
 )
 from .qp import safest_action_field
-from .report import ReportError, _g, write_report
+from .report import ReportError, _g, write_report, write_trial_tables
 from .sim import MODES, STEP_LABELS, TrialRecord, run_experiment
 
 
@@ -132,44 +132,6 @@ def _cmd_field(args) -> int:
     return 0
 
 
-_METRICS_HEADER = (
-    "level,track,mode,seed,safe,success_pct,min_distance,gates_passed,total_gates,"
-    "steps,timed_out,clean,fallback_steps,off_map_steps,in_obstacle_steps"
-)
-
-
-def _bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
-def _metrics_rows(records: list[TrialRecord]) -> list[str]:
-    rows = [_METRICS_HEADER]
-    for rec in records:
-        r = rec.result
-        rows.append(
-            ",".join(
-                [
-                    _g(rec.level),
-                    str(rec.track_index),
-                    rec.mode,
-                    str(rec.seed),
-                    _bool(r.safe),
-                    _g(100.0 * r.success_rate),
-                    _g(r.min_distance),
-                    str(r.gates_passed),
-                    str(r.total_gates),
-                    str(r.steps),
-                    _bool(r.timed_out),
-                    _bool(r.clean),
-                    str(r.fallback_steps),
-                    str(r.off_map_steps),
-                    str(r.in_obstacle_steps),
-                ]
-            )
-        )
-    return rows
-
-
 # One trajectory row: report._g (format ".10g") on every float field.
 _TRAJECTORY_ROW = "{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{},{:.10g}"
 
@@ -186,16 +148,7 @@ def _write_run_outputs(out_dir: str, cfg: Config, records: list[TrialRecord]) ->
     os.makedirs(out_dir, exist_ok=True)
     dump_manifest(cfg, os.path.join(out_dir, "manifest.yaml"))
 
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(_metrics_rows(records)) + "\n")
-
-    md_rows = ["level,mode,track,min_distance"]
-    for rec in records:
-        md_rows.append(
-            ",".join([_g(rec.level), rec.mode, str(rec.track_index), _g(rec.result.min_distance)])
-        )
-    with open(os.path.join(out_dir, "min_distances.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(md_rows) + "\n")
+    write_trial_tables(out_dir, records)
 
     traj_dir = os.path.join(out_dir, "trajectories")
     os.makedirs(traj_dir, exist_ok=True)

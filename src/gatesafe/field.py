@@ -404,8 +404,14 @@ def load_field(path: str | Path) -> DistanceField:
         .transpose(2, 1, 0, 3)
         .copy()
     )
-    spec = GridSpec(origin=np.array([ox, oy, oz], dtype=float), resolution=float(res), dims=(nx, ny, nz))
-    return DistanceField(spec=spec, values=values, gradients=gradients, inflated_by=np.array([ex, ey, ez], dtype=float))
+    try:
+        spec = GridSpec(origin=np.array([ox, oy, oz], dtype=float), resolution=float(res), dims=(nx, ny, nz))
+    except ValueError as exc:
+        raise MapFormatError(f"{path}: bad grid header: {exc}") from exc
+    inflated_by = np.array([ex, ey, ez], dtype=float)
+    if not (np.all(np.isfinite(inflated_by)) and np.all(inflated_by >= 0.0)):
+        raise MapFormatError(f"{path}: inflation must be finite and >= 0 per axis, got {inflated_by}")
+    return DistanceField(spec=spec, values=values, gradients=gradients, inflated_by=inflated_by)
 
 
 def default_grid_spec(resolution: float = 0.1) -> GridSpec:

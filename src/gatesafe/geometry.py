@@ -1,4 +1,4 @@
-"""Square racing-gate obstacle: exact distances, region tests, frame transforms.
+"""Square racing-gate obstacle: exact distances, segment tests, frame transforms.
 
 Conventions
 -----------
@@ -21,20 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
-
-# Absolute tolerance for classifying a point as lying on the frame surface.
-BOUNDARY_TOL = 1e-9
-
-
-class Region(Enum):
-    """Where a point sits relative to the solid frame."""
-
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
 
 
 @dataclass
@@ -99,27 +87,31 @@ class GateGeometry:
         return lo, hi
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pose:
     """Rigid gate pose: world position of the opening center plus yaw [rad].
 
     Yaw is rotation about world +z and is normalized to (-pi, pi] on
-    construction. Gates never pitch or roll.
+    construction, which also builds the world-to-gate rotation. Gates never
+    pitch or roll.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
+    to_gate: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float)
-        if self.position.shape != (3,):
-            raise ValueError(f"position must be a 3-vector, got shape {self.position.shape}")
-        if not np.all(np.isfinite(self.position)) or not math.isfinite(self.yaw):
+        position = np.asarray(self.position, dtype=float)
+        if position.shape != (3,):
+            raise ValueError(f"position must be a 3-vector, got shape {position.shape}")
+        if not np.all(np.isfinite(position)) or not math.isfinite(self.yaw):
             raise ValueError("pose must be finite")
         yaw = math.remainder(float(self.yaw), math.tau)
         if yaw <= -math.pi:  # remainder can return exactly -pi
             yaw = math.pi
-        self.yaw = yaw
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "yaw", yaw)
+        object.__setattr__(self, "to_gate", _rot_z(-yaw))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -148,18 +140,6 @@ def _check_point(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     _point_coords(q)
     return q
-
-
-def classify_point(q: np.ndarray, gate: GateGeometry) -> Region:
-    """Classify a gate-frame point as INSIDE, BOUNDARY, or OUTSIDE the solid.
-
-    INSIDE means strictly interior to the frame material. BOUNDARY means on
-    the surface within ``BOUNDARY_TOL``. Non-finite input raises ValueError.
-    """
-    d = exact_distance(q, gate)
-    if d == -1.0:
-        return Region.INSIDE
-    return Region.BOUNDARY if d <= BOUNDARY_TOL else Region.OUTSIDE
 
 
 def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:
@@ -206,11 +186,7 @@ def _rot_z(yaw: float) -> np.ndarray:
 def world_to_gate(x: np.ndarray, pose: Pose) -> np.ndarray:
     """Map a world point into the gate's local frame."""
     x = _check_point(x)
-    # The rotation is kept on the pose per yaw object, not per yaw value:
-    # +0.0 and -0.0 give matrices that differ in the sign of a zero.
-    if getattr(pose, "_to_gate", (None,))[0] is not pose.yaw:
-        pose._to_gate = (pose.yaw, _rot_z(-pose.yaw))
-    return pose._to_gate[1].dot(x - pose.position)
+    return pose.to_gate.dot(x - pose.position)
 
 
 def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:

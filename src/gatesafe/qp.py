@@ -7,12 +7,11 @@ Solves, in closed form by case analysis::
 
 Cases:
 - constraint satisfied and inside the ball: keep the action;
-- halfspace violated: project onto the hyperplane, accept if inside the ball;
-- ball violated (alone, or with a plane foot outside the ball): rescale onto
-  the sphere, accept if the halfspace still holds;
-- both boundaries active: the optimum lies on the circle where the plane cuts
-  the sphere, at the circle point nearest u_nom's component orthogonal to a
-  (closed form);
+- otherwise project onto the first feasible of: the foot on the hyperplane
+  (halfspace violated); u_nom rescaled onto the sphere (ball violated, which
+  covers a ball wholly inside the halfspace: the foot then lies outside it);
+  the point of the circle where the plane cuts the sphere nearest u_nom's
+  component orthogonal to a (both boundaries active, closed form);
 - no action in the ball can satisfy the constraint: fall back to the
   best-effort action alpha * a / |a| (maximizes the constraint margin);
 - a = 0 degenerates: b <= 0 means every direction is admissible (keep the
@@ -100,46 +99,22 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
     if au >= b and nu <= alpha:
         return FilterDecision(u_star=u_nom.copy(), status=FilterStatus.UNCHANGED, margin=au - b, deviation=0.0)
 
-    if b <= -alpha * na:
-        # The whole norm ball satisfies the halfspace, so only the norm bound
-        # can bind: clip onto the ball (nu > alpha here, else unchanged above).
-        u = u_nom * (alpha / nu)
-        return FilterDecision(
-            u_star=u,
-            status=FilterStatus.PROJECTED,
-            margin=float(a.dot(u)) - b,
-            deviation=_norm(u_nom - u),
-        )
-
+    u = None
     if au < b:
-        # Halfspace violated; project onto its boundary plane.
-        u = u_nom + ((b - au) / na2) * a
-        if _norm(u) <= alpha * (1.0 + 1e-12):
-            return FilterDecision(
-                u_star=u,
-                status=FilterStatus.PROJECTED,
-                margin=float(a.dot(u)) - b,
-                deviation=_norm(u_nom - u),
-            )
-    if nu > alpha:
-        # Clip onto the ball and keep it if the halfspace still holds (a
-        # projection onto one set that lands in the other is globally
-        # optimal). Reached with au >= b only when the ball alone is violated.
-        u = u_nom * (alpha / nu)
-        m = float(a.dot(u)) - b
-        if m >= -1e-12 * max(1.0, abs(b)):
-            return FilterDecision(
-                u_star=u, status=FilterStatus.PROJECTED, margin=m, deviation=_norm(u_nom - u)
-            )
-
-    # Both single-set projections failed, so both boundaries are active.
-    u = _circle_rows(u_nom[None, :], a[None, :], np.array([b]), alpha, np.array([na2]))[0]
-    return FilterDecision(
-        u_star=u,
-        status=FilterStatus.PROJECTED,
-        margin=float(a.dot(u)) - b,
-        deviation=_norm(u_nom - u),
-    )
+        # Halfspace violated: the plane foot, kept when it lies in the ball.
+        foot = u_nom + ((b - au) / na2) * a
+        if _norm(foot) <= alpha * (1.0 + 1e-12):
+            u = foot
+    if u is None and nu > alpha:
+        # Ball violated: the clip onto the sphere, kept when the halfspace still
+        # holds (a projection onto one set landing in the other is optimal).
+        clip = u_nom * (alpha / nu)
+        if float(a.dot(clip)) - b >= -1e-12 * max(1.0, abs(b)):
+            u = clip
+    if u is None:
+        # Both single-set projections failed, so both boundaries are active.
+        u = _circle_rows(u_nom[None, :], a[None, :], np.array([b]), alpha, np.array([na2]))[0]
+    return FilterDecision(u, FilterStatus.PROJECTED, float(a.dot(u)) - b, _norm(u_nom - u))
 
 
 def filter_action_batch(
@@ -186,12 +161,7 @@ def filter_action_batch(
     out[ok] = U[ok]
     status[ok] = _STATUS_CODE[FilterStatus.UNCHANGED]
 
-    # Ball entirely inside the halfspace: only the norm bound can bind.
-    contained = solvable & ~ok & (B <= -alpha * na)
-    if np.any(contained):
-        out[contained] = U[contained] * (alpha / nu[contained])[:, None]
-        status[contained] = _STATUS_CODE[FilterStatus.PROJECTED]
-    todo = solvable & ~ok & ~contained
+    todo = solvable & ~ok
 
     # Halfspace violation: the plane foot, when it lies in the ball.
     half_v = todo & (au < B)

@@ -1,11 +1,12 @@
-"""Aggregate trial metrics into per-(level, mode) summary tables.
+"""Per-trial metrics tables, and their per-(level, mode) summary tables.
 
-Consumes the ``metrics.csv`` written by an experiment run and produces a
-machine-readable ``summary.csv`` plus an aligned ``summary.txt``. For each
-(difficulty level, mode) group it reports the safety rate, the mean gate
-success percentage, and boxplot statistics of the per-trial minimum
-obstacle distance: median, quartiles, Tukey whiskers at 1.5 IQR, and
-outliers beyond the whiskers.
+Owns the ``metrics.csv`` schema: one column table both writes the file (and
+its ``min_distances.csv`` excerpt) for an experiment run and reads it back.
+Summarizing produces a machine-readable ``summary.csv`` plus an aligned
+``summary.txt``. For each (difficulty level, mode) group it reports the
+safety rate, the mean gate success percentage, and boxplot statistics of
+the per-trial minimum obstacle distance: median, quartiles, Tukey whiskers
+at 1.5 IQR, and outliers beyond the whiskers.
 
 Missing and ill-formed inputs raise distinct exception types so callers can
 tell "wrong directory" apart from "corrupted file".
@@ -18,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MODES
-
-#: Columns a metrics.csv must provide (extra columns are tolerated).
-REQUIRED_COLUMNS = ("level", "track", "mode", "safe", "success_pct", "min_distance")
+from .sim import MODES, TrialRecord
 
 
 class ReportError(RuntimeError):
@@ -100,6 +98,52 @@ def _parse_float(raw: str, column: str, line: int) -> float:
         raise MalformedInputError(f"metrics.csv line {line}: column {column!r} is not a number: {raw!r}") from exc
 
 
+def _parse_text(raw: str, column: str, line: int) -> str:
+    return raw
+
+
+def _bool(v: bool) -> str:
+    return "true" if v else "false"
+
+
+def _g(x: float) -> str:
+    return format(float(x), ".10g")
+
+
+#: The metrics.csv schema, one row per trial: column name, the cell text for a
+#: TrialRecord, and the parser load_metrics applies (None: not read back).
+METRICS_COLUMNS = (
+    ("level", lambda rec: _g(rec.level), _parse_float),
+    ("track", lambda rec: str(rec.track_index), _parse_text),
+    ("mode", lambda rec: rec.mode, _parse_text),
+    ("seed", lambda rec: str(rec.seed), None),
+    ("safe", lambda rec: _bool(rec.result.safe), _parse_bool),
+    ("success_pct", lambda rec: _g(100.0 * rec.result.success_rate), _parse_float),
+    ("min_distance", lambda rec: _g(rec.result.min_distance), _parse_float),
+    ("gates_passed", lambda rec: str(rec.result.gates_passed), None),
+    ("total_gates", lambda rec: str(rec.result.total_gates), None),
+    ("steps", lambda rec: str(rec.result.steps), None),
+    ("timed_out", lambda rec: _bool(rec.result.timed_out), None),
+    ("clean", lambda rec: _bool(rec.result.clean), None),
+    ("fallback_steps", lambda rec: str(rec.result.fallback_steps), None),
+    ("off_map_steps", lambda rec: str(rec.result.off_map_steps), None),
+    ("in_obstacle_steps", lambda rec: str(rec.result.in_obstacle_steps), None),
+)
+#: Columns a metrics.csv must provide (extra columns are tolerated).
+REQUIRED_COLUMNS = tuple(name for name, _, parse in METRICS_COLUMNS if parse is not None)
+#: The min_distances.csv excerpt of metrics.csv.
+MIN_DISTANCE_COLUMNS = ("level", "mode", "track", "min_distance")
+
+
+def write_trial_tables(out_dir: str, records: list[TrialRecord]) -> None:
+    """Write <out_dir>/metrics.csv and its min_distances.csv excerpt."""
+    formats = {name: fmt for name, fmt, _ in METRICS_COLUMNS}
+    for name, columns in (("metrics.csv", tuple(formats)), ("min_distances.csv", MIN_DISTANCE_COLUMNS)):
+        rows = [",".join(columns)] + [",".join(formats[c](rec) for c in columns) for rec in records]
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(rows) + "\n")
+
+
 def load_metrics(path: str) -> list[dict]:
     """Read and type-check a metrics.csv into a list of row dicts."""
     if not os.path.exists(path):
@@ -111,20 +155,12 @@ def load_metrics(path: str) -> list[dict]:
         missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise MalformedInputError(f"metrics file {path} is missing columns: {', '.join(missing)}")
+        parsers = [(name, parse) for name, _, parse in METRICS_COLUMNS if parse is not None]
         rows = []
         for i, raw in enumerate(reader, start=2):
             if any(raw.get(c) is None for c in REQUIRED_COLUMNS):
                 raise MalformedInputError(f"metrics.csv line {i}: short row")
-            rows.append(
-                {
-                    "level": _parse_float(raw["level"], "level", i),
-                    "track": raw["track"],
-                    "mode": raw["mode"],
-                    "safe": _parse_bool(raw["safe"], "safe", i),
-                    "success_pct": _parse_float(raw["success_pct"], "success_pct", i),
-                    "min_distance": _parse_float(raw["min_distance"], "min_distance", i),
-                }
-            )
+            rows.append({name: parse(raw[name], name, i) for name, parse in parsers})
     if not rows:
         raise MalformedInputError(f"metrics file {path} has a header but no data rows")
     return rows
@@ -162,10 +198,6 @@ _CSV_HEADER = (
     "level,mode,trials,safety_rate,mean_success_pct,"
     "md_median,md_q25,md_q75,md_whisker_lo,md_whisker_hi,md_outlier_count,md_outliers"
 )
-
-
-def _g(x: float) -> str:
-    return format(float(x), ".10g")
 
 
 def format_summary_csv(summaries: list[GroupSummary]) -> str:

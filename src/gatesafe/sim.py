@@ -149,8 +149,10 @@ class SimEnv:
             raise ValueError(f"dt must lie in (0, 1), got {self.dt}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
-        if self.gain <= 0.0:
+        if not (math.isfinite(self.gain) and self.gain > 0.0):
             raise ValueError(f"gain must be positive, got {self.gain}")
+        if not (math.isfinite(self.pass_offset) and self.pass_offset >= 0.0):
+            raise ValueError(f"pass_offset must be finite and >= 0, got {self.pass_offset}")
 
 
 def generate_track(

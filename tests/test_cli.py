@@ -3,8 +3,10 @@ import csv
 import dataclasses
 import math
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -102,6 +104,20 @@ def test_field_missing_map_is_runtime_error(tmp_path):
     rc = run_cli(["field", "--map", tmp_path / "nope.esdf", "--plane", "yz",
                   "--offset", "0", "--speed", "2.0", "--out", tmp_path / "f.csv"])
     assert rc == 2
+
+
+def test_field_map_with_bad_header_geometry_is_runtime_error(map_path, tmp_path, capsys):
+    # Resolution 0 in an otherwise valid map (CRC recomputed): corrupt input.
+    raw = bytearray(map_path.read_bytes()[:-4])
+    res_at = struct.calcsize("<4sII3I3d")  # magic, version, flags, dims, origin
+    struct.pack_into("<d", raw, res_at, 0.0)
+    bad = tmp_path / "zero_res.esdf"
+    bad.write_bytes(bytes(raw) + (zlib.crc32(raw) & 0xFFFFFFFF).to_bytes(4, "little"))
+    rc = run_cli(["field", "--map", bad, "--plane", "yz", "--offset", "0",
+                  "--speed", "2.0", "--out", tmp_path / "f.csv"])
+    assert rc == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 # ---------------------------------------------------------------------- run

@@ -1,8 +1,15 @@
 """Strict-config loading: defaults, dotted-path rejection, manifests."""
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from gatesafe.barrier import SafetyParams
 from gatesafe.config import Config, ConfigError, dump_manifest, load_config, parse_config
+from gatesafe.field import default_grid_spec
+from gatesafe.geometry import GateGeometry
+from gatesafe.sim import SimEnv, generate_track, nominal_policy, run_experiment
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -99,6 +106,45 @@ def test_run_modes_validated():
         parse_config({"run": {"modes": ["baseline", "warp_drive"]}})
     with pytest.raises(ConfigError, match=r"run\.levels"):
         parse_config({"run": {"levels": []}})
+
+
+def _signature_defaults(fn, *names):
+    params = inspect.signature(fn).parameters
+    return tuple(params[name].default for name in names)
+
+
+def test_section_defaults_equal_the_library_defaults_they_feed():
+    # Each default lives twice, in a config section and in the library call
+    # it feeds; neither copy may drift from the other.
+    cfg = Config()
+    gate = GateGeometry()
+    assert (cfg.geometry.inner_size, cfg.geometry.bar_thickness) == (gate.inner_size, gate.bar_thickness)
+    params = SafetyParams()
+    assert (cfg.safety.R, cfg.safety.gamma, cfg.safety.alpha) == (params.R, params.gamma, params.alpha)
+    assert cfg.noise.dw == tuple(params.dw.tolist()) and cfg.noise.dv == tuple(params.dv.tolist())
+
+    env_defaults = {f.name: f.default for f in dataclasses.fields(SimEnv) if f.default is not dataclasses.MISSING}
+    assert env_defaults == {
+        "dt": cfg.sim.dt,
+        "max_steps": cfg.sim.max_steps,
+        "gain": cfg.policy.gain,
+        "pass_offset": cfg.policy.pass_offset,
+    }
+
+    spec, library_spec = cfg.grid_spec(), default_grid_spec()
+    assert spec.origin.tolist() == library_spec.origin.tolist()
+    assert (spec.resolution, spec.dims) == (library_spec.resolution, library_spec.dims)
+
+    assert _signature_defaults(generate_track, "num_gates", "spacing", "laps") == (
+        cfg.track.num_gates, cfg.track.spacing, cfg.sim.laps,
+    )
+    assert _signature_defaults(
+        run_experiment, "levels", "tracks_per_level", "modes", "num_gates", "spacing", "laps", "seed_base"
+    ) == (
+        cfg.run.levels, cfg.run.tracks, cfg.run.modes, cfg.track.num_gates, cfg.track.spacing,
+        cfg.sim.laps, cfg.run.seed_base,
+    )
+    assert _signature_defaults(nominal_policy, "pass_offset") == (cfg.policy.pass_offset,)
 
 
 def test_sim_dt_range():

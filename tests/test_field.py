@@ -27,6 +27,7 @@ from gatesafe.field import (
     SAMPLE_OOB,
     TruncatedMapError,
     UnsupportedVersionError,
+    _HEADER,
     _node_gradients,
     build_field,
     default_grid_spec,
@@ -409,6 +410,43 @@ def test_load_rejects_map_without_gradient_block(small_field, tmp_path):
     path.write_bytes(payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
     with pytest.raises(MapFormatError, match="gradient"):
         load_field(path)
+
+
+def _map_with_header(path, dims, origin, res, inflation) -> None:
+    """A map file with the given header geometry, zero payload and a valid CRC."""
+    n = math.prod(dims)
+    payload = _HEADER.pack(b"ESDF", 2, 1, *dims, *origin, res, *inflation) + bytes(16 * n)
+    path.write_bytes(payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+@pytest.mark.parametrize(
+    "dims, origin, res, inflation, message",
+    [
+        ((1, 4, 4), (0.0, 0.0, 0.0), 0.1, (0.0, 0.0, 0.0), "dims"),
+        ((0, 4, 4), (0.0, 0.0, 0.0), 0.1, (0.0, 0.0, 0.0), "dims"),
+        ((4, 4, 4), (0.0, 0.0, 0.0), 0.0, (0.0, 0.0, 0.0), "resolution"),
+        ((4, 4, 4), (0.0, 0.0, 0.0), -0.1, (0.0, 0.0, 0.0), "resolution"),
+        ((4, 4, 4), (math.nan, 0.0, 0.0), 0.1, (0.0, 0.0, 0.0), "origin"),
+        ((4, 4, 4), (0.0, 0.0, 0.0), 0.1, (math.nan, -1.0, 0.0), "inflation"),
+        ((4, 4, 4), (0.0, 0.0, 0.0), 0.1, (0.0, -0.1, 0.0), "inflation"),
+        ((4, 4, 4), (0.0, 0.0, 0.0), 0.1, (0.0, 0.0, math.inf), "inflation"),
+    ],
+    ids=["nx=1", "nx=0", "res=0", "res<0", "nan-origin", "nan-inflation", "negative-inflation", "inf-inflation"],
+)
+def test_load_rejects_bad_header_geometry_with_valid_crc(tmp_path, dims, origin, res, inflation, message):
+    path = tmp_path / "geometry.esdf"
+    _map_with_header(path, dims, origin, res, inflation)
+    with pytest.raises(MapFormatError, match=message) as info:
+        load_field(path)
+    assert str(path) in str(info.value)
+
+
+def test_hand_built_map_with_sound_header_loads(tmp_path):
+    path = tmp_path / "sound.esdf"
+    _map_with_header(path, (2, 3, 4), (-1.0, -2.0, -3.0), 0.5, (0.0, 0.5, 0.0))
+    f = load_field(path)
+    assert f.spec.dims == (2, 3, 4) and f.spec.resolution == 0.5
+    assert f.inflated_by.tolist() == [0.0, 0.5, 0.0]
 
 
 def _reference_sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,9 +1,10 @@
-"""Gate geometry: classification, exact distance, frame transforms.
+"""Gate geometry: exact distance and its classification, frame transforms.
 
 The exact-distance oracle here is brute force: sample the frame surface
 densely and take the minimum point-to-sample distance. The closed-form
 min-over-boxes distance must agree from below within the sampling pitch.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -14,9 +15,7 @@ from hypothesis import strategies as st
 from gatesafe.geometry import (
     GateGeometry,
     Pose,
-    Region,
     _norm,
-    classify_point,
     exact_distance,
     exact_distance_batch,
     gate_to_world,
@@ -62,40 +61,40 @@ def test_distance_matches_surface_sampling_oracle(default_gate, rng):
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Classification: exactly -1.0 strictly inside, 0 <= d <= 1e-9 on the surface
 # ---------------------------------------------------------------------------
 
 def test_classify_opening_center_is_outside(default_gate):
-    assert classify_point(np.zeros(3), default_gate) is Region.OUTSIDE
+    assert exact_distance(np.zeros(3), default_gate) > 1e-9
 
 
 def test_classify_point_in_bar_is_inside(default_gate):
     # Midline of the right bar: |y| in [0.75, 1.0] at z = 0.
-    assert classify_point(np.array([0.0, 0.875, 0.0]), default_gate) is Region.INSIDE
+    assert exact_distance(np.array([0.0, 0.875, 0.0]), default_gate) == -1.0
 
 
 def test_classify_outer_face_is_boundary(default_gate):
-    assert classify_point(np.array([0.125, 1.0, 0.0]), default_gate) is Region.BOUNDARY
+    assert 0.0 <= exact_distance(np.array([0.125, 1.0, 0.0]), default_gate) <= 1e-9
 
 
 def test_classify_respects_boundary_tolerance(default_gate):
     just_out = np.array([0.0, 0.75 - 5e-10, 0.0])
-    assert classify_point(just_out, default_gate) is Region.BOUNDARY
+    assert 0.0 <= exact_distance(just_out, default_gate) <= 1e-9
     clearly_out = np.array([0.0, 0.75 - 1e-6, 0.0])
-    assert classify_point(clearly_out, default_gate) is Region.OUTSIDE
+    assert exact_distance(clearly_out, default_gate) > 1e-9
 
 
 def test_classify_rejects_nonfinite(default_gate):
     with pytest.raises(ValueError):
-        classify_point(np.array([np.nan, 0.0, 0.0]), default_gate)
+        exact_distance(np.array([np.nan, 0.0, 0.0]), default_gate)
     with pytest.raises(ValueError):
-        classify_point(np.array([np.inf, 0.0, 0.0]), default_gate)
+        exact_distance(np.array([np.inf, 0.0, 0.0]), default_gate)
 
 
 def test_bar_interface_points_are_inside(default_gate):
     # Where two bars meet inside the material (|y| and |z| both past the
     # opening), the point is interior to the solid, not on a boundary.
-    assert classify_point(np.array([0.0, 0.875, 0.8]), default_gate) is Region.INSIDE
+    assert exact_distance(np.array([0.0, 0.875, 0.8]), default_gate) == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +119,14 @@ def test_distance_on_surface_is_zero(default_gate):
 
 
 def test_distance_region_consistency(default_gate, rng):
+    # The batch kernel and the scalar entry point agree, and every value is
+    # the inside sentinel or a clearance >= 0.
     pts = rng.uniform([-1.5, -1.5, -1.5], [1.5, 1.5, 1.5], size=(2000, 3))
     d = exact_distance_batch(pts, default_gate)
+    assert np.any(d == -1.0) and np.any(d > 0.0)
     for q, dq in zip(pts, d):
-        region = classify_point(q, default_gate)
-        if region is Region.INSIDE:
-            assert dq == -1.0
-        elif region is Region.BOUNDARY:
-            assert abs(dq) <= 1e-9
-        else:
-            assert dq > 0.0
+        assert exact_distance(q, default_gate) == dq
+        assert dq == -1.0 or dq >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +329,8 @@ def test_distance_batch_is_bit_identical_to_reference(default_gate):
     want = _reference_distance_batch(pts, default_gate)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.any(want == -1.0) and np.any(want == 0.0)
-    regions = [classify_point(q, default_gate) for q in pts[::7]]
-    for region, dq in zip(regions, want[::7]):
-        assert (region is Region.INSIDE) == (dq == -1.0)
+    for q, dq in zip(pts[::7], want[::7]):
+        assert exact_distance(q, default_gate) == dq
 
 
 def test_segment_hits_frame_is_bit_identical_to_reference(default_gate):
@@ -387,6 +383,14 @@ def test_world_to_gate_is_bit_identical_to_matmul_reference():
         c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
         want = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ (x - pose.position)
         assert world_to_gate(x, pose).tobytes() == want.tobytes()
+
+
+def test_pose_is_immutable():
+    pose = Pose(position=np.array([1.0, 2.0, 3.0]), yaw=0.5)
+    for name, value in (("position", np.zeros(3)), ("yaw", 0.0), ("to_gate", np.eye(3))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pose, name, value)
+    assert pose.yaw == 0.5 and pose.position.tolist() == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]])

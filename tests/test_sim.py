@@ -278,6 +278,33 @@ def test_trial_without_inflated_field(default_env):
     assert r.safe
 
 
+@pytest.mark.parametrize(
+    "knob, value",
+    [("gain", math.nan), ("gain", math.inf), ("gain", 0.0),
+     ("pass_offset", math.nan), ("pass_offset", math.inf), ("pass_offset", -0.5)],
+)
+def test_sim_env_rejects_knobs_the_config_rejects(default_env, knob, value):
+    with pytest.raises(ValueError, match=knob):
+        SimEnv(
+            gate=default_env.gate,
+            nominal_field=default_env.nominal_field,
+            inflated_field=None,
+            params=default_env.params,
+            **{knob: value},
+        )
+
+
+def test_sim_env_accepts_zero_pass_offset(default_env):
+    env = SimEnv(
+        gate=default_env.gate,
+        nominal_field=default_env.nominal_field,
+        inflated_field=None,
+        params=default_env.params,
+        pass_offset=0.0,
+    )
+    assert env.pass_offset == 0.0
+
+
 def test_run_experiment_grid_shape(default_env):
     records = run_experiment(
         default_env,

@@ -25,7 +25,6 @@ from .barrier import (
     SafetyParams,
     admissible,
     assemble_constraint,
-    eval_barrier,
     eval_barrier_world,
 )
 from .field import (
@@ -74,7 +73,6 @@ from .sim import (
     TrialResult,
     generate_track,
     nominal_policy,
-    observe_gate,
     run_experiment,
     run_trial,
     step_dynamics,
@@ -133,7 +131,6 @@ __all__ = [
     "build_field",
     "default_grid_spec",
     "dump_manifest",
-    "eval_barrier",
     "eval_barrier_world",
     "exact_distance",
     "exact_distance_batch",
@@ -146,7 +143,6 @@ __all__ = [
     "load_field",
     "load_metrics",
     "nominal_policy",
-    "observe_gate",
     "parse_config",
     "quantize_inflation",
     "run_experiment",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import DistanceField, sample
-from .geometry import Pose, _norm, world_to_gate
+from .geometry import Pose, world_to_gate
 
 ADMISSIBLE_TOL = 1e-9
 
@@ -64,32 +64,22 @@ class BarrierEval:
 class BarrierConstraint:
     """Linear admissibility constraint a . u >= b on the action.
 
-    feasible_direction_exists records whether any action in the alpha-ball
-    can satisfy the constraint (alpha * |a| >= b, with a = 0 degenerating to
-    the action-independent condition 0 >= b).
+    Whether any action in the alpha-ball can satisfy it (alpha * |a| >= b)
+    is decided by the QP kernels, which fall back when none can.
     """
 
     a: np.ndarray
     b: float
-    feasible_direction_exists: bool
-
-
-def eval_barrier(f: DistanceField, q: np.ndarray, params: SafetyParams) -> BarrierEval:
-    """Sample the field at a gate-frame point and form the barrier value.
-
-    Propagates the field's out-of-bounds / inside-obstacle errors.
-    """
-    d, grad = sample(f, q)
-    return BarrierEval(d=d, grad=grad, h=d * d - params.R * params.R)
 
 
 def eval_barrier_world(
     f: DistanceField, x_world: np.ndarray, gate_pose: Pose, params: SafetyParams
 ) -> BarrierEval:
-    """Like :func:`eval_barrier` but for a world-frame robot position.
+    """Sample the field at a world-frame robot position and form the barrier value.
 
     The gradient is rotated back into the world frame so the constraint acts
-    on world-frame actions.
+    on world-frame actions; ``Pose()`` makes the world frame the gate frame.
+    Propagates the field's out-of-bounds / inside-obstacle errors.
     """
     d, grad = sample(f, world_to_gate(x_world, gate_pose))
     c, s = math.cos(gate_pose.yaw), math.sin(gate_pose.yaw)
@@ -103,8 +93,7 @@ def assemble_constraint(ev: BarrierEval, params: SafetyParams) -> BarrierConstra
     a = 2.0 * ev.d * ev.grad
     c_robust = 2.0 * ev.d * float(np.abs(ev.grad).dot(params.dw))
     b = float(-params.gamma * ev.h + c_robust)
-    feasible = params.alpha * _norm(a) >= b
-    return BarrierConstraint(a=a, b=b, feasible_direction_exists=feasible)
+    return BarrierConstraint(a=a, b=b)
 
 
 def admissible(u: np.ndarray, con: BarrierConstraint, params: SafetyParams) -> bool:

@@ -92,8 +92,8 @@ class Pose:
     """Rigid gate pose: world position of the opening center plus yaw [rad].
 
     Yaw is rotation about world +z and is normalized to (-pi, pi] on
-    construction, which also builds the world-to-gate rotation. Gates never
-    pitch or roll.
+    construction, which also copies the position and builds the
+    world-to-gate rotation. Gates never pitch or roll.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -101,7 +101,7 @@ class Pose:
     to_gate: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        position = np.asarray(self.position, dtype=float)
+        position = np.array(self.position, dtype=float)
         if position.shape != (3,):
             raise ValueError(f"position must be a 3-vector, got shape {position.shape}")
         if not np.all(np.isfinite(position)) or not math.isfinite(self.yaw):

@@ -46,16 +46,15 @@ class FilterStatus(Enum):
 class FilterDecision:
     """Filtered action plus bookkeeping about how it was obtained.
 
-    margin is a . u_star - b; deviation is |u_nom - u_star|.
-    no_improving_direction flags the fully degenerate case (a = 0 with b > 0)
-    where no action affects the constraint.
+    margin is a . u_star - b; deviation is |u_nom - u_star|. The fully
+    degenerate case (a = 0 with b > 0), where no action affects the
+    constraint, is the INFEASIBLE_FALLBACK with u_star = 0.
     """
 
     u_star: np.ndarray
     status: FilterStatus
     margin: float
     deviation: float
-    no_improving_direction: bool = False
 
 
 def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParams) -> FilterDecision:
@@ -81,7 +80,6 @@ def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParam
             status=FilterStatus.INFEASIBLE_FALLBACK,
             margin=-b,
             deviation=nu,
-            no_improving_direction=True,
         )
 
     na = math.sqrt(na2)
@@ -301,19 +299,15 @@ def _nnls_residual(M: np.ndarray, rhs: np.ndarray) -> float:
 class PlaneActionField:
     """Safest sampled action per grid node on one axis-aligned plane.
 
-    directions holds the chosen action (norm = speed) per node and zeros where
-    unsafe; unsafe marks nodes where every sampled direction violates the
-    constraint (nodes inside/too close to the solid count as unsafe).
+    positions holds each node's gate-frame point; directions the chosen
+    action (norm = speed) per node and zeros where unsafe; unsafe marks nodes
+    where every sampled direction violates the constraint (nodes inside/too
+    close to the solid count as unsafe). All three share the node grid shape.
     """
 
-    plane: str
-    offset: float
-    coords_u: np.ndarray
-    coords_v: np.ndarray
     positions: np.ndarray
     directions: np.ndarray
     unsafe: np.ndarray
-    margins: np.ndarray
 
 
 def safest_action_field(
@@ -347,9 +341,7 @@ def safest_action_field(
     if offset < lo - 1e-9 or offset > hi + 1e-9:
         raise ValueError(f"offset {offset} outside grid extent [{lo:g}, {hi:g}] on axis {'xyz'[fixed]}")
 
-    cu = f.spec.axis_nodes(au)
-    cv = f.spec.axis_nodes(av)
-    uu, vv = np.meshgrid(cu, cv, indexing="ij")
+    uu, vv = np.meshgrid(f.spec.axis_nodes(au), f.spec.axis_nodes(av), indexing="ij")
     pts = np.zeros(uu.shape + (3,))
     pts[..., au] = uu
     pts[..., av] = vv
@@ -379,12 +371,7 @@ def safest_action_field(
 
     shape = uu.shape
     return PlaneActionField(
-        plane=plane,
-        offset=float(offset),
-        coords_u=cu,
-        coords_v=cv,
         positions=pts,
         directions=directions.reshape(shape + (3,)),
         unsafe=unsafe.reshape(shape),
-        margins=best_margin.reshape(shape),
     )

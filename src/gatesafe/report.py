@@ -14,6 +14,7 @@ tell "wrong directory" apart from "corrupted file".
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -93,9 +94,12 @@ def _parse_bool(raw: str, column: str, line: int) -> bool:
 
 def _parse_float(raw: str, column: str, line: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise MalformedInputError(f"metrics.csv line {line}: column {column!r} is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise MalformedInputError(f"metrics.csv line {line}: column {column!r} is not finite: {raw!r}")
+    return value
 
 
 def _parse_text(raw: str, column: str, line: int) -> str:

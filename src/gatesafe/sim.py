@@ -62,16 +62,12 @@ class SetupError(RuntimeError):
 class TrackSpec:
     """One lap of gates; laps repeat the row shifted a track length along +x.
 
-    Consecutive-gate offsets satisfy |dy| <= difficulty and |dz| <= difficulty
-    within the lap (the lap seam may exceed it: the next lap's first gate
-    returns to the original lateral position).
+    gate_poses holds the lap's num_gates poses, gate k at x = k * spacing.
     """
 
     num_gates: int
     spacing: float
-    difficulty: float
     laps: int
-    seed: int
     gate_poses: list[Pose]
 
     @property
@@ -166,7 +162,8 @@ def generate_track(
 
     Gate 0 sits at the origin facing +x; every later gate offsets from its
     predecessor by uniform draws in [-difficulty, difficulty] on y and z and
-    yaws to face the incoming segment.
+    yaws to face the incoming segment. The lap seam may exceed that bound:
+    the next lap's first gate returns to gate 0's lateral position.
     """
     if num_gates < 1:
         raise ValueError(f"num_gates must be positive, got {num_gates}")
@@ -185,14 +182,7 @@ def generate_track(
         z += dz
         yaw = math.atan2(dy, spacing)
         poses.append(Pose(position=np.array([k * spacing, y, z]), yaw=yaw))
-    return TrackSpec(
-        num_gates=num_gates,
-        spacing=spacing,
-        difficulty=difficulty,
-        laps=laps,
-        seed=seed,
-        gate_poses=poses,
-    )
+    return TrackSpec(num_gates=num_gates, spacing=spacing, laps=laps, gate_poses=poses)
 
 
 def virtual_gate_pose(track: TrackSpec, index: int) -> Pose:
@@ -203,11 +193,6 @@ def virtual_gate_pose(track: TrackSpec, index: int) -> Pose:
     base = track.gate_poses[k]
     shift = np.array([lap * track.lap_length, 0.0, 0.0])
     return Pose(position=base.position + shift, yaw=base.yaw)
-
-
-def observe_gate(state: SimState, track: TrackSpec, dv: np.ndarray, rng: np.random.Generator) -> Pose:
-    """Noisy estimate of the current gate pose: per-axis uniform position error."""
-    return _estimate(virtual_gate_pose(track, state.gate_index), rng.uniform(-1.0, 1.0, size=3), dv)
 
 
 def _estimate(true: Pose, draw: np.ndarray, dv: np.ndarray) -> Pose:

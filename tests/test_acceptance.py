@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from gatesafe.barrier import BarrierConstraint, SafetyParams, assemble_constraint, eval_barrier
+from gatesafe.barrier import BarrierConstraint, SafetyParams, assemble_constraint, eval_barrier_world
 from gatesafe.cli import main as cli_main
 from gatesafe.field import (
     SAMPLE_OK,
@@ -24,7 +24,7 @@ from gatesafe.field import (
     quantize_inflation,
     sample_batch,
 )
-from gatesafe.geometry import exact_distance_batch
+from gatesafe.geometry import Pose, exact_distance_batch
 from gatesafe.qp import FilterStatus, filter_action, filter_action_batch, verify_kkt
 from gatesafe.sim import (
     STEP_DEGENERATE,
@@ -203,9 +203,7 @@ def test_03_qp_exactness_and_latency():
     code_fallback = FilterStatus.INFEASIBLE_FALLBACK
     for i in range(n):
         params = SafetyParams(alpha=float(alpha[i]))
-        con = BarrierConstraint(
-            a=A[i], b=float(B[i]), feasible_direction_exists=float(alpha[i]) * float(np.linalg.norm(A[i])) >= B[i]
-        )
+        con = BarrierConstraint(a=A[i], b=float(B[i]))
         t0 = time.perf_counter()
         dec = filter_action(U[i], con, params)
         dt = time.perf_counter() - t0
@@ -274,7 +272,7 @@ def test_04_robust_constraint_soundness(default_gate, timed_nominal):
     for q in pts:
         if states >= 1000:
             break
-        ev = eval_barrier(f, q, params)
+        ev = eval_barrier_world(f, q, Pose(), params)
         con = assemble_constraint(ev, params)
         na2 = float(con.a @ con.a)
         if na2 < 1e-6:

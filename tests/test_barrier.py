@@ -10,11 +10,11 @@ from gatesafe.barrier import (
     SafetyParams,
     admissible,
     assemble_constraint,
-    eval_barrier,
     eval_barrier_world,
 )
-from gatesafe.field import GridSpec, build_field, inflate_field
+from gatesafe.field import GridSpec, build_field, inflate_field, sample
 from gatesafe.geometry import GateGeometry, Pose
+from gatesafe.qp import FilterStatus, filter_action
 
 
 def test_constraint_worked_example():
@@ -28,7 +28,7 @@ def test_constraint_worked_example():
     con = assemble_constraint(ev, params)
     assert np.allclose(con.a, [4.0, 0.0, 0.0]), f"a = {con.a}, expected (4,0,0)"
     assert con.b == pytest.approx(-5.6, abs=1e-12), f"b = {con.b}, expected -5.6"
-    assert con.feasible_direction_exists
+    assert filter_action(np.zeros(3), con, params).status is not FilterStatus.INFEASIBLE_FALLBACK
 
 
 def test_constraint_without_disturbance():
@@ -59,11 +59,15 @@ def test_degenerate_gradient():
     params = SafetyParams(R=0.5, gamma=4.0)
     safe = assemble_constraint(BarrierEval(d=2.0, grad=np.zeros(3), h=2.0**2 - 0.25), params)
     assert np.all(safe.a == 0.0) and safe.b < 0.0
-    assert safe.feasible_direction_exists, "a=0 with b<=0 is vacuously feasible"
+    assert filter_action(np.zeros(3), safe, params).status is FilterStatus.DEGENERATE_SAFE, (
+        "a=0 with b<=0 is vacuously feasible"
+    )
 
     stuck = assemble_constraint(BarrierEval(d=0.2, grad=np.zeros(3), h=0.04 - 0.25), params)
     assert np.all(stuck.a == 0.0) and stuck.b > 0.0
-    assert not stuck.feasible_direction_exists, "a=0 with b>0 admits no action"
+    assert filter_action(np.zeros(3), stuck, params).status is FilterStatus.INFEASIBLE_FALLBACK, (
+        "a=0 with b>0 admits no action"
+    )
 
 
 def test_admissible_examples():
@@ -92,7 +96,7 @@ def test_robustness_soundness_sampled_disturbances(rng):
         g = g / norm * rng.uniform(0.3, 1.0)
         ev = BarrierEval(d=d, grad=g, h=d * d - params.R**2)
         con = assemble_constraint(ev, params)
-        if not con.feasible_direction_exists:
+        if filter_action(np.zeros(3), con, params).status is FilterStatus.INFEASIBLE_FALLBACK:
             continue
         # Take the boundary action along a (worst admissible action).
         na = np.linalg.norm(con.a)
@@ -117,9 +121,7 @@ def test_eval_barrier_matches_field_sample(default_gate):
     f = build_field(default_gate, spec)
     params = SafetyParams(R=0.3)
     q = np.array([0.31, 0.22, -0.17])
-    ev = eval_barrier(f, q, params)
-    from gatesafe.field import sample
-
+    ev = eval_barrier_world(f, q, Pose(), params)
     d, grad = sample(f, q)
     assert ev.d == d
     assert np.array_equal(ev.grad, grad)
@@ -136,7 +138,7 @@ def test_eval_barrier_world_rotates_gradient(default_gate):
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     x_world = pose.position + rot @ q
 
-    ev_local = eval_barrier(f, q, params)
+    ev_local = eval_barrier_world(f, q, Pose(), params)
     ev_world = eval_barrier_world(f, x_world, pose, params)
     assert ev_world.d == pytest.approx(ev_local.d, abs=1e-12)
     assert ev_world.h == pytest.approx(ev_local.h, abs=1e-12)
@@ -170,8 +172,8 @@ def test_inflated_field_is_more_conservative(default_gate, rng):
     for _ in range(2000):
         q = rng.uniform([-1.3, -1.8, -1.8], [1.3, 1.8, 1.8])
         try:
-            ev_n = eval_barrier(nominal, q, params)
-            ev_i = eval_barrier(inflated, q, params)
+            ev_n = eval_barrier_world(nominal, q, Pose(), params)
+            ev_i = eval_barrier_world(inflated, q, Pose(), params)
         except ValueError:
             continue
         assert ev_i.h <= ev_n.h + 1e-6, f"inflated barrier larger than nominal at {q}"
@@ -198,14 +200,13 @@ def _matmul_eval_barrier_world(f, x_world, pose, params):
     """eval_barrier_world with the gate transform as R @ (x - p) and numpy-scalar rotation."""
     c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
     q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ (x_world - pose.position)
-    ev = eval_barrier(f, q, params)
+    d, (gx, gy, gz) = sample(f, q)
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    gx, gy, gz = ev.grad
-    return BarrierEval(d=ev.d, grad=np.array([c * gx - s * gy, s * gx + c * gy, gz]), h=ev.h)
+    return BarrierEval(d=d, grad=np.array([c * gx - s * gy, s * gx + c * gy, gz]), h=d * d - params.R * params.R)
 
 
 def _linalg_assemble_constraint(ev, params):
-    """assemble_constraint with @ and np.linalg.norm: (a, b, feasible)."""
+    """assemble_constraint with @, plus alpha |a| >= b with np.linalg.norm: (a, b, feasible)."""
     a = 2.0 * ev.d * ev.grad
     c_robust = 2.0 * ev.d * float(np.abs(ev.grad) @ params.dw)
     b = float(-params.gamma * ev.h + c_robust)
@@ -261,6 +262,6 @@ def test_assemble_constraint_is_bit_identical_to_linalg_reference():
         con = assemble_constraint(ev, params)
         assert con.a.tobytes() == a.tobytes()
         assert type(con.b) is float and _bits(con.b) == _bits(b)
-        assert con.feasible_direction_exists == ok
+        assert (filter_action(np.zeros(3), con, params).status is FilterStatus.INFEASIBLE_FALLBACK) == (not ok)
         feasible.add(ok)
     assert feasible == {True, False}

@@ -351,6 +351,19 @@ def test_report_rejects_unparsable_rows(tmp_path):
         write_report(str(bad_dir))
 
 
+@pytest.mark.parametrize("column, value", [
+    ("min_distance", "nan"), ("min_distance", "inf"), ("success_pct", "nan"), ("level", "-inf"),
+])
+def test_report_rejects_non_finite_numbers(tmp_path, capsys, column, value):
+    row = {"level": "0", "track": "0", "mode": "baseline", "safe": "true", "success_pct": "50", "min_distance": "0.1"}
+    row[column] = value
+    (tmp_path / "metrics.csv").write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(MalformedInputError, match=f"line 2: column '{column}' is not finite"):
+        write_report(str(tmp_path))
+    assert run_cli(["report", "--run", tmp_path]) == 2, "a corrupt metrics.csv is a runtime failure"
+    assert column in capsys.readouterr().err
+
+
 def test_report_handles_all_zero_min_distances(tmp_path):
     run = tmp_path / "zeros"
     run.mkdir()

@@ -20,9 +20,8 @@ from gatesafe.qp import (
 )
 
 
-def make_con(a, b, alpha=3.0):
-    a = np.asarray(a, dtype=float)
-    return BarrierConstraint(a=a, b=float(b), feasible_direction_exists=alpha * np.linalg.norm(a) >= b)
+def make_con(a, b):
+    return BarrierConstraint(a=np.asarray(a, dtype=float), b=float(b))
 
 
 PARAMS = SafetyParams(R=1.0, gamma=2.0, alpha=3.0, dw=np.full(3, 0.1))
@@ -80,7 +79,7 @@ def test_infeasible_best_effort():
     assert dec.status is FilterStatus.INFEASIBLE_FALLBACK
     assert np.allclose(dec.u_star, [3.0, 0.0, 0.0]), "fallback maximizes a.u"
     assert dec.margin == pytest.approx(3.0 - 10.0)
-    assert not dec.no_improving_direction
+    assert np.any(dec.u_star != 0.0), "a != 0 always has an improving direction"
     with pytest.raises(ValueError):
         verify_kkt(np.array([0.0, 1.0, 0.0]), con, PARAMS, dec)
 
@@ -101,8 +100,8 @@ def test_degenerate_safe_keeps_action():
 def test_degenerate_stuck_flags_no_direction():
     con = make_con([0.0, 0.0, 0.0], 0.5)
     dec = filter_action(np.array([1.0, 0.0, 0.0]), con, PARAMS)
+    assert np.all(con.a == 0.0)
     assert dec.status is FilterStatus.INFEASIBLE_FALLBACK
-    assert dec.no_improving_direction
     assert np.array_equal(dec.u_star, np.zeros(3))
 
 
@@ -188,7 +187,7 @@ def test_kkt_verdicts_match_scipy_nnls_on_acceptance_instances(monkeypatch):
     verdicts = []
     for u, a, b, al in zip(U, A, B, alpha):
         params = SafetyParams(alpha=float(al))
-        con = BarrierConstraint(a=a, b=float(b), feasible_direction_exists=bool(al * np.linalg.norm(a) >= b))
+        con = BarrierConstraint(a=a, b=float(b))
         dec = filter_action(u, con, params)
         if dec.status is FilterStatus.PROJECTED:
             verdicts.append((u, con, params, dec, verify_kkt(u, con, params, dec)))
@@ -215,7 +214,7 @@ def test_projection_is_nonexpansive(rng):
         a = rng.normal(size=3)
         b = float(rng.normal(scale=2.0))
         con = make_con(a, b)
-        if not con.feasible_direction_exists:
+        if filter_action(np.zeros(3), con, PARAMS).status is FilterStatus.INFEASIBLE_FALLBACK:
             continue
         u1 = rng.normal(scale=3.0, size=3)
         u2 = u1 + rng.normal(scale=0.2, size=3)
@@ -232,7 +231,7 @@ def test_minimal_deviation_vs_sampling_oracle(rng):
         a = rng.normal(size=3)
         b = float(rng.normal(scale=2.0))
         con = make_con(a, b)
-        if not con.feasible_direction_exists:
+        if filter_action(np.zeros(3), con, PARAMS).status is FilterStatus.INFEASIBLE_FALLBACK:
             continue
         u_nom = rng.normal(scale=3.0, size=3)
         dec = filter_action(u_nom, con, PARAMS)
@@ -345,6 +344,27 @@ def test_batch_matches_scalar(rng):
         assert devs[i] == pytest.approx(dec.deviation, abs=1e-7)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 3.0])
+def test_fallback_exactly_when_no_action_in_the_ball_meets_the_constraint(alpha):
+    """Both kernels fall back iff alpha |a| < b, including a = 0 with b <= 0 and b > 0."""
+    rng = np.random.default_rng(37)
+    U, A, B = _random_instances(rng, 4000)
+    zero = rng.random(4000) < 0.15
+    A[zero] = 0.0
+    B[zero & (rng.random(4000) < 0.2)] = 0.0
+    want = alpha * np.linalg.norm(A, axis=1) < B
+    params = SafetyParams(alpha=alpha)
+    scalar = np.array([
+        filter_action(u, make_con(a, b), params).status is FilterStatus.INFEASIBLE_FALLBACK
+        for u, a, b in zip(U, A, B)
+    ])
+    codes = filter_action_batch(U, A, B, alpha)[1]
+    batch = codes == FILTER_STATUS_ORDER.index(FilterStatus.INFEASIBLE_FALLBACK)
+    assert np.array_equal(scalar, want) and np.array_equal(batch, want)
+    for rows in (zero & (B <= 0.0), zero & (B > 0.0), ~zero & want, ~zero & ~want):
+        assert rows.sum() > 50, "every side of the rule must be exercised"
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     ux=st.floats(-4, 4), uy=st.floats(-4, 4), uz=st.floats(-4, 4),
@@ -443,7 +463,7 @@ def _linalg_filter_action(u_nom, con, params):
             u = u_nom if nu <= alpha else u_nom * (alpha / nu)
             dec = FilterDecision(u, FilterStatus.DEGENERATE_SAFE, -b, float(np.linalg.norm(u_nom - u)))
             return dec, "degenerate_safe"
-        return FilterDecision(np.zeros(3), FilterStatus.INFEASIBLE_FALLBACK, -b, nu, True), "degenerate_stuck"
+        return FilterDecision(np.zeros(3), FilterStatus.INFEASIBLE_FALLBACK, -b, nu), "degenerate_stuck"
     na = math.sqrt(na2)
     if alpha * na < b:
         u = a * (alpha / na)
@@ -498,7 +518,6 @@ def test_filter_action_is_bit_identical_to_linalg_reference():
         assert got.u_star.dtype == np.float64 and got.u_star.tobytes() == want.u_star.tobytes(), branch
         assert type(got.margin) is float and _bits(got.margin) == _bits(want.margin), branch
         assert type(got.deviation) is float and _bits(got.deviation) == _bits(want.deviation), branch
-        assert got.no_improving_direction is want.no_improving_direction
     assert set(branches) == {
         "degenerate_safe", "degenerate_stuck", "infeasible", "unchanged",
         "ball_inside_halfspace", "plane_foot", "ball_clip", "circle",

@@ -393,6 +393,14 @@ def test_pose_is_immutable():
     assert pose.yaw == 0.5 and pose.position.tolist() == [1.0, 2.0, 3.0]
 
 
+def test_pose_does_not_alias_the_callers_position():
+    p = np.array([1.0, 0.0, 0.0])
+    pose = Pose(position=p)
+    p[0] = 5.0
+    assert pose.position.tolist() == [1.0, 0.0, 0.0]
+    assert world_to_gate(np.zeros(3), pose).tolist() == [-1.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]])
 def test_non_finite_points_are_rejected(default_gate, bad):
     pose = Pose(position=np.zeros(3), yaw=0.3)

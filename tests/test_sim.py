@@ -20,8 +20,8 @@ from gatesafe.sim import (
     SimEnv,
     SimState,
     generate_track,
+    _estimate,
     nominal_policy,
-    observe_gate,
     run_experiment,
     run_trial,
     step_dynamics,
@@ -92,20 +92,19 @@ def test_virtual_gate_pose_lap_shift():
         virtual_gate_pose(track, -1)
 
 
-def test_observe_gate_error_support():
+def test_gate_estimate_error_support():
     track = generate_track(difficulty=1.0, seed=2)
-    state = SimState(x=np.zeros(3), gate_index=3)
     dv = np.array([0.25, 0.25, 0.25])
     rng = np.random.default_rng(0)
     true = virtual_gate_pose(track, 3)
     for _ in range(500):
-        est = observe_gate(state, track, dv, rng)
+        est = _estimate(true, rng.uniform(-1.0, 1.0, size=3), dv)
         err = est.position - true.position
         assert np.all(np.abs(err) <= dv), f"estimate error {err} outside support"
         assert est.yaw == true.yaw
     # True gate is always inside the inflation box around the estimate.
     for _ in range(500):
-        est = observe_gate(state, track, dv, rng)
+        est = _estimate(true, rng.uniform(-1.0, 1.0, size=3), dv)
         assert np.all(np.abs(true.position - est.position) <= dv)
 
 
@@ -428,7 +427,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     rows = {k: [] for k in ("t", "x", "u", "q", "h", "status", "deviation")}
     pose = virtual_gate_pose(track, 0)
     q = world_to_gate(state.x, pose)
-    estimate = observe_gate(state, track, params.dv, rng)
+    estimate = Pose(position=pose.position + rng.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
     prev_pose = None
     exit_window = env.gate.half_depth + (params.alpha + float(np.max(params.dw))) * env.dt * 2.0
     safe = True
@@ -473,7 +472,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
             if state.gate_index < total:
                 pose = virtual_gate_pose(track, state.gate_index)
                 q_new = world_to_gate(x_new, pose)
-                estimate = observe_gate(state, track, params.dv, rng)
+                estimate = Pose(position=pose.position + rng.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
         state.x = x_new
         state.t += env.dt
         q = q_new

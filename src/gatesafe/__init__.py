@@ -14,7 +14,7 @@ barrier    Safety margin h = d^2 - R^2 and its robust linear constraint.
 qp         Minimal-deviation projection, optimality checks, action fields.
 sim        Tracks, noisy closed-loop trials, and the experiment grid.
 config     Strict YAML configuration and run manifests.
-report     Per-(level, mode) summary statistics from run metrics.
+report     Run tables: metrics, trajectories and per-(level, mode) summaries.
 cli        Command-line entry points (build-map, field, run, report).
 """
 

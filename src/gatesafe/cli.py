@@ -11,7 +11,10 @@ Exit codes: 0 on success, 1 for usage or configuration errors, 2 for
 runtime failures (missing or corrupt inputs, failed trials setup).
 
 All outputs are plain CSV/YAML text with fixed float formatting, so a rerun
-with the same manifest produces byte-identical files.
+with the same manifest produces byte-identical files. The run tables
+(metrics, trajectories, summaries) and their schemas belong to
+:mod:`gatesafe.report`; this module writes only the manifest and the field
+export.
 """
 from __future__ import annotations
 
@@ -32,8 +35,8 @@ from .field import (
     save_field,
 )
 from .qp import safest_action_field
-from .report import ReportError, _g, write_report, write_trial_tables
-from .sim import MODES, STEP_LABELS, TrialRecord, run_experiment
+from .report import ReportError, write_report, write_trial_tables
+from .sim import MODES, run_experiment
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -63,19 +66,6 @@ def _csv_floats(text: str) -> list[float]:
         return [float(tok) for tok in _csv_items(text)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _inflate_arg(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected ex,ey,ez (three values), got {text!r}")
-    try:
-        eps = np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected three numbers, got {text!r}") from exc
-    if np.any(eps < 0):
-        raise argparse.ArgumentTypeError(f"inflation must be >= 0 per axis, got {text!r}")
-    return eps
 
 
 def _load_cfg(path: str | None) -> Config:
@@ -132,32 +122,6 @@ def _cmd_field(args) -> int:
     return 0
 
 
-# One trajectory row: report._g (format ".10g") on every float field.
-_TRAJECTORY_ROW = "{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{},{:.10g}"
-
-
-def _trajectory_rows(rec: TrialRecord) -> list[str]:
-    log = rec.result.log
-    columns = [c.tolist() for c in (log.t, *log.x.T, log.d_true, log.h)]
-    labels = [STEP_LABELS[s] for s in log.status.tolist()]
-    rows = map(_TRAJECTORY_ROW.format, *columns, labels, log.deviation.tolist())
-    return ["t,x,y,z,d,h,status,deviation", *rows]
-
-
-def _write_run_outputs(out_dir: str, cfg: Config, records: list[TrialRecord]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    dump_manifest(cfg, os.path.join(out_dir, "manifest.yaml"))
-
-    write_trial_tables(out_dir, records)
-
-    traj_dir = os.path.join(out_dir, "trajectories")
-    os.makedirs(traj_dir, exist_ok=True)
-    for rec in records:
-        name = f"L{_g(rec.level)}_T{rec.track_index:02d}_{rec.mode}.csv"
-        with open(os.path.join(traj_dir, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(_trajectory_rows(rec)) + "\n")
-
-
 def _cmd_run(args) -> int:
     data = _load_cfg(args.config).to_dict()
     for key in ("levels", "tracks", "modes"):
@@ -183,7 +147,9 @@ def _cmd_run(args) -> int:
         laps=cfg.sim.laps,
         seed_base=run.seed_base,
     )
-    _write_run_outputs(args.out, cfg, records)
+    os.makedirs(args.out, exist_ok=True)
+    dump_manifest(cfg, os.path.join(args.out, "manifest.yaml"))
+    write_trial_tables(args.out, records)
     unsafe = sum(1 for rec in records if not rec.result.safe)
     print(f"wrote {len(records)} trials to {args.out} ({unsafe} unsafe)")
     return 0
@@ -204,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-map", help="precompute and save a clearance map")
     p.add_argument("--config", help="YAML config (defaults used when omitted)")
     p.add_argument("--out", required=True, help="output map path")
-    p.add_argument("--inflate", type=_inflate_arg, metavar="ex,ey,ez",
+    p.add_argument("--inflate", type=_csv_floats, metavar="ex,ey,ez",
                    help="per-axis inflation [m], rounded up to whole cells")
     p.set_defaults(func=_cmd_build_map)
 

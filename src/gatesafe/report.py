@@ -1,12 +1,13 @@
-"""Per-trial metrics tables, and their per-(level, mode) summary tables.
+"""Every table of an experiment run: per-trial tables and per-(level, mode) summaries.
 
-Owns the ``metrics.csv`` schema: one column table both writes the file (and
-its ``min_distances.csv`` excerpt) for an experiment run and reads it back.
-Summarizing produces a machine-readable ``summary.csv`` plus an aligned
-``summary.txt``. For each (difficulty level, mode) group it reports the
-safety rate, the mean gate success percentage, and boxplot statistics of
-the per-trial minimum obstacle distance: median, quartiles, Tukey whiskers
-at 1.5 IQR, and outliers beyond the whiskers.
+Owns the schema of every table a run writes. One column table both writes
+``metrics.csv`` (and its ``min_distances.csv`` excerpt) and reads it back,
+and the run's per-trial trajectories are written beside it. Summarizing
+produces a machine-readable ``summary.csv`` plus an aligned ``summary.txt``,
+both rendered from one column table. For each (difficulty level, mode) group
+it reports the safety rate, the mean gate success percentage, and boxplot
+statistics of the per-trial minimum obstacle distance: median, quartiles,
+Tukey whiskers at 1.5 IQR, and outliers beyond the whiskers.
 
 Missing and ill-formed inputs raise distinct exception types so callers can
 tell "wrong directory" apart from "corrupted file".
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MODES, TrialRecord
+from .sim import MODES, STEP_LABELS, TrialRecord
 
 
 class ReportError(RuntimeError):
@@ -139,13 +140,39 @@ REQUIRED_COLUMNS = tuple(name for name, _, parse in METRICS_COLUMNS if parse is 
 MIN_DISTANCE_COLUMNS = ("level", "mode", "track", "min_distance")
 
 
+#: One trajectory row per executed step, a file per trial under trajectories/:
+#: _g (format ".10g") on every float field.
+_TRAJECTORY_ROW = "{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{},{:.10g}"
+
+
+def _trajectory_rows(rec: TrialRecord) -> list[str]:
+    log = rec.result.log
+    columns = [c.tolist() for c in (log.t, *log.x.T, log.d_true, log.h)]
+    labels = [STEP_LABELS[s] for s in log.status.tolist()]
+    rows = map(_TRAJECTORY_ROW.format, *columns, labels, log.deviation.tolist())
+    return ["t,x,y,z,d,h,status,deviation", *rows]
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def write_trial_tables(out_dir: str, records: list[TrialRecord]) -> None:
-    """Write <out_dir>/metrics.csv and its min_distances.csv excerpt."""
+    """Write a run's per-trial tables into <out_dir>.
+
+    metrics.csv, its min_distances.csv excerpt, and one
+    trajectories/L<level>_T<track>_<mode>.csv per trial.
+    """
     formats = {name: fmt for name, fmt, _ in METRICS_COLUMNS}
     for name, columns in (("metrics.csv", tuple(formats)), ("min_distances.csv", MIN_DISTANCE_COLUMNS)):
         rows = [",".join(columns)] + [",".join(formats[c](rec) for c in columns) for rec in records]
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write_text(os.path.join(out_dir, name), "\n".join(rows) + "\n")
+    traj_dir = os.path.join(out_dir, "trajectories")
+    os.makedirs(traj_dir, exist_ok=True)
+    for rec in records:
+        name = f"L{_g(rec.level)}_T{rec.track_index:02d}_{rec.mode}.csv"
+        _write_text(os.path.join(traj_dir, name), "\n".join(_trajectory_rows(rec)) + "\n")
 
 
 def load_metrics(path: str) -> list[dict]:
@@ -198,54 +225,42 @@ def summarize(rows: list[dict]) -> list[GroupSummary]:
     return summaries
 
 
-_CSV_HEADER = (
-    "level,mode,trials,safety_rate,mean_success_pct,"
-    "md_median,md_q25,md_q75,md_whisker_lo,md_whisker_hi,md_outlier_count,md_outliers"
+#: The summary schema, one row per (level, mode) group: the summary.csv column
+#: and its cell, then the summary.txt heading and cell, each padded to its
+#: column and followed by its separator (None: not in summary.txt).
+SUMMARY_COLUMNS = (
+    ("level", lambda s: _g(s.level), f"{'level':>5}  ", lambda s: f"{s.level:>5.2f}  "),
+    ("mode", lambda s: s.mode, f"{'mode':<20} ", lambda s: f"{s.mode:<20} "),
+    ("trials", lambda s: str(s.trials), f"{'trials':>6}  ", lambda s: f"{s.trials:>6d}  "),
+    ("safety_rate", lambda s: _g(s.safety_rate), f"{'safety':>6}  ", lambda s: f"{s.safety_rate:>6.2f}  "),
+    ("mean_success_pct", lambda s: _g(s.mean_success_pct), f"{'succ%':>6}  ",
+     lambda s: f"{s.mean_success_pct:>6.1f}  "),
+    ("md_median", lambda s: _g(s.min_distance.median), f"{'median':>7}  ",
+     lambda s: f"{s.min_distance.median:>7.3f}  "),
+    ("md_q25", lambda s: _g(s.min_distance.q25), f"{'q25':>7}  ", lambda s: f"{s.min_distance.q25:>7.3f}  "),
+    ("md_q75", lambda s: _g(s.min_distance.q75), f"{'q75':>7}  ", lambda s: f"{s.min_distance.q75:>7.3f}  "),
+    ("md_whisker_lo", lambda s: _g(s.min_distance.whisker_lo), f"{'w_lo':>7}  ",
+     lambda s: f"{s.min_distance.whisker_lo:>7.3f}  "),
+    ("md_whisker_hi", lambda s: _g(s.min_distance.whisker_hi), f"{'w_hi':>7}  ",
+     lambda s: f"{s.min_distance.whisker_hi:>7.3f}  "),
+    ("md_outlier_count", lambda s: str(len(s.min_distance.outliers)), None, None),
+    ("md_outliers", lambda s: "|".join(_g(v) for v in s.min_distance.outliers), "outliers",
+     lambda s: ", ".join(f"{v:.3f}" for v in s.min_distance.outliers) or "-"),
 )
 
 
 def format_summary_csv(summaries: list[GroupSummary]) -> str:
     """Render summaries as CSV text (outliers |-joined in the last column)."""
-    lines = [_CSV_HEADER]
-    for s in summaries:
-        md = s.min_distance
-        outliers = "|".join(_g(v) for v in md.outliers)
-        lines.append(
-            ",".join(
-                [
-                    _g(s.level),
-                    s.mode,
-                    str(s.trials),
-                    _g(s.safety_rate),
-                    _g(s.mean_success_pct),
-                    _g(md.median),
-                    _g(md.q25),
-                    _g(md.q75),
-                    _g(md.whisker_lo),
-                    _g(md.whisker_hi),
-                    str(len(md.outliers)),
-                    outliers,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [[name for name, _, _, _ in SUMMARY_COLUMNS]]
+    rows += [[cell(s) for _, cell, _, _ in SUMMARY_COLUMNS] for s in summaries]
+    return "\n".join(",".join(row) for row in rows) + "\n"
 
 
 def format_summary_text(summaries: list[GroupSummary]) -> str:
     """Render summaries as an aligned fixed-width table."""
-    header = (
-        f"{'level':>5}  {'mode':<20} {'trials':>6}  {'safety':>6}  {'succ%':>6}  "
-        f"{'median':>7}  {'q25':>7}  {'q75':>7}  {'w_lo':>7}  {'w_hi':>7}  outliers"
-    )
-    rows = [header, "-" * len(header)]
-    for s in summaries:
-        md = s.min_distance
-        outliers = ", ".join(f"{v:.3f}" for v in md.outliers) if md.outliers else "-"
-        rows.append(
-            f"{s.level:>5.2f}  {s.mode:<20} {s.trials:>6d}  {s.safety_rate:>6.2f}  "
-            f"{s.mean_success_pct:>6.1f}  {md.median:>7.3f}  {md.q25:>7.3f}  {md.q75:>7.3f}  "
-            f"{md.whisker_lo:>7.3f}  {md.whisker_hi:>7.3f}  {outliers}"
-        )
+    columns = [(heading, cell) for _, _, heading, cell in SUMMARY_COLUMNS if heading is not None]
+    header = "".join(heading for heading, _ in columns)
+    rows = [header, "-" * len(header)] + ["".join(cell(s) for _, cell in columns) for s in summaries]
     return "\n".join(rows) + "\n"
 
 
@@ -264,8 +279,6 @@ def write_report(run_dir: str, out_dir: str | None = None) -> tuple[str, str]:
     os.makedirs(target, exist_ok=True)
     csv_path = os.path.join(target, "summary.csv")
     txt_path = os.path.join(target, "summary.txt")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_summary_csv(summaries))
-    with open(txt_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_summary_text(summaries))
+    _write_text(csv_path, format_summary_csv(summaries))
+    _write_text(txt_path, format_summary_text(summaries))
     return csv_path, txt_path

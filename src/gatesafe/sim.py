@@ -95,7 +95,6 @@ class StepLog:
 
     t: np.ndarray
     x: np.ndarray
-    u: np.ndarray
     d_true: np.ndarray
     h: np.ndarray
     status: np.ndarray
@@ -291,7 +290,6 @@ def run_trial(
 
     t_log = np.empty(cap)
     x_log = np.empty((cap, 3))
-    u_log = np.empty((cap, 3))
     q_log = np.empty((cap + 1, 3))  # gate-frame position; one extra row for the final one
     h_log = np.full(cap, np.nan)
     st_log = np.zeros(cap, dtype=np.int8)
@@ -329,7 +327,6 @@ def run_trial(
 
         t_log[steps] = state.t
         x_log[steps] = state.x
-        u_log[steps] = u
         q_log[steps] = q
         h_log[steps] = h_val
         st_log[steps] = status
@@ -390,7 +387,6 @@ def run_trial(
         log=StepLog(
             t=t_log[sl].copy(),
             x=x_log[sl].copy(),
-            u=u_log[sl].copy(),
             d_true=d[:steps],
             h=h_log[sl].copy(),
             status=st_log[sl].copy(),

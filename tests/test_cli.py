@@ -11,18 +11,22 @@ import zlib
 import numpy as np
 import pytest
 
-from gatesafe.cli import _trajectory_rows, main as cli_main
+from gatesafe.cli import main as cli_main
 from gatesafe.field import load_field
 from gatesafe.report import (
+    GroupSummary,
     MalformedInputError,
     MissingInputError,
     _g,
+    _trajectory_rows,
     box_stats,
+    format_summary_csv,
+    format_summary_text,
     load_metrics,
     summarize,
     write_report,
 )
-from gatesafe.sim import STEP_LABELS, StepLog, TrialRecord, generate_track, run_trial
+from gatesafe.sim import MODES, STEP_LABELS, StepLog, TrialRecord, generate_track, run_trial
 
 
 def run_cli(argv):
@@ -71,6 +75,10 @@ def test_build_map_inflation_rounds_up_to_whole_cells(tmp_path):
 def test_build_map_rejects_malformed_inflate(tmp_path):
     rc = run_cli(["build-map", "--out", tmp_path / "x.esdf", "--inflate", "0.1,0.2"])
     assert rc == 1, "two-component inflation must be a usage error"
+    for i, inflate in enumerate(("0.1,0.2,0.3,0.4", "0.1,-0.2,0.3", "nan,0,0", "0,inf,0", "0,0,-inf", "a,b,c")):
+        out = tmp_path / f"bad_{i}.esdf"
+        assert run_cli(["build-map", "--out", out, "--inflate", inflate]) == 1, inflate
+        assert not out.exists(), inflate
 
 
 # -------------------------------------------------------------------- field
@@ -364,6 +372,66 @@ def test_report_rejects_non_finite_numbers(tmp_path, capsys, column, value):
     assert column in capsys.readouterr().err
 
 
+def _reference_summary_csv(summaries):
+    """format_summary_csv as written out cell by cell before SUMMARY_COLUMNS."""
+    lines = [
+        "level,mode,trials,safety_rate,mean_success_pct,"
+        "md_median,md_q25,md_q75,md_whisker_lo,md_whisker_hi,md_outlier_count,md_outliers"
+    ]
+    for s in summaries:
+        md = s.min_distance
+        outliers = "|".join(_g(v) for v in md.outliers)
+        lines.append(",".join([
+            _g(s.level), s.mode, str(s.trials), _g(s.safety_rate), _g(s.mean_success_pct),
+            _g(md.median), _g(md.q25), _g(md.q75), _g(md.whisker_lo), _g(md.whisker_hi),
+            str(len(md.outliers)), outliers,
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_summary_text(summaries):
+    """format_summary_text as written out in two f-strings before SUMMARY_COLUMNS."""
+    header = (
+        f"{'level':>5}  {'mode':<20} {'trials':>6}  {'safety':>6}  {'succ%':>6}  "
+        f"{'median':>7}  {'q25':>7}  {'q75':>7}  {'w_lo':>7}  {'w_hi':>7}  outliers"
+    )
+    rows = [header, "-" * len(header)]
+    for s in summaries:
+        md = s.min_distance
+        outliers = ", ".join(f"{v:.3f}" for v in md.outliers) if md.outliers else "-"
+        rows.append(
+            f"{s.level:>5.2f}  {s.mode:<20} {s.trials:>6d}  {s.safety_rate:>6.2f}  "
+            f"{s.mean_success_pct:>6.1f}  {md.median:>7.3f}  {md.q25:>7.3f}  {md.q75:>7.3f}  "
+            f"{md.whisker_lo:>7.3f}  {md.whisker_hi:>7.3f}  {outliers}"
+        )
+    return "\n".join(rows) + "\n"
+
+
+def test_summary_tables_match_cell_by_cell_reference():
+    def group(level, mode, values, safety=0.75, success=62.5):
+        return GroupSummary(level=level, mode=mode, trials=len(values), safety_rate=safety,
+                            mean_success_pct=success, min_distance=box_stats(values))
+
+    spread = [0.41, 0.42, 0.43, 0.44, 0.45, 0.46, 0.47, 0.48]
+    cases = [
+        [],
+        [group(0.0, "baseline", [0.3, 0.31, 0.32, 0.35])],
+        [
+            group(0.0, "baseline", [0.3, 0.31, 0.32, 0.35]),
+            group(0.125, "filtered", spread + [0.0, 2.5, 3.75], safety=1.0, success=100.0),
+            group(1.5, "filtered_uncertainty", [1.0 / 3.0], safety=0.0, success=0.0),
+            group(10.0, "a_twenty_char_mode__", spread + [9.123456789, -1.0]),
+            group(10.0, "not_a_mode", [0.1 + 0.2, 1e-12, 123456.789], safety=2.0 / 3.0, success=33.33333333333),
+            group(12.5, "a_mode_longer_than_twenty_chars", [5e-324, 0.0]),
+        ],
+    ]
+    assert len("a_twenty_char_mode__") == 20 and "not_a_mode" not in MODES
+    assert len(cases[2][1].min_distance.outliers) == 3, "several outliers"
+    for summaries in cases:
+        assert format_summary_csv(summaries) == _reference_summary_csv(summaries)
+        assert format_summary_text(summaries) == _reference_summary_text(summaries)
+
+
 def test_report_handles_all_zero_min_distances(tmp_path):
     run = tmp_path / "zeros"
     run.mkdir()
@@ -415,7 +483,6 @@ def test_trajectory_rows_match_per_field_formatting(default_env):
     log = StepLog(
         t=special,
         x=np.stack([special, special[::-1], rng.normal(size=n)], axis=1),
-        u=np.zeros((n, 3)),
         d_true=np.roll(special, 3),
         h=np.roll(special, 7),
         status=(np.arange(n) % len(STEP_LABELS)).astype(np.int8),

@@ -172,7 +172,6 @@ def test_trial_bitwise_determinism(default_env):
     assert a.safe == b.safe and a.success_rate == b.success_rate
     assert a.min_distance == b.min_distance
     assert np.array_equal(a.log.x, b.log.x), "trajectories must be bitwise identical"
-    assert np.array_equal(a.log.u, b.log.u)
     assert np.array_equal(a.log.h, b.log.h, equal_nan=True)
     assert np.array_equal(a.log.status, b.log.status)
 
@@ -413,7 +412,7 @@ def test_nominal_policy_is_bit_identical_to_array_reference():
 def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     """The trial loop with one rng.uniform call per estimate and per step.
 
-    Returns (safe, gates_passed, gate_index, StepLog columns t, x, u, q, h,
+    Returns (safe, gates_passed, gate_index, StepLog columns t, x, q, h,
     status, deviation) with q holding one more row (the final position)
     when the trial ended safely.
     """
@@ -424,7 +423,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     rng = np.random.default_rng(seed)
     state = SimState(x=np.asarray(spawn, dtype=float).copy())
     total = track.total_gates
-    rows = {k: [] for k in ("t", "x", "u", "q", "h", "status", "deviation")}
+    rows = {k: [] for k in ("t", "x", "q", "h", "status", "deviation")}
     pose = virtual_gate_pose(track, 0)
     q = world_to_gate(state.x, pose)
     estimate = Pose(position=pose.position + rng.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
@@ -448,7 +447,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
                 u, dev, status = dec.u_star, dec.deviation, FILTER_STATUS_ORDER.index(dec.status)
         w = rng.uniform(-1.0, 1.0, size=3) * params.dw
         x_new = step_dynamics(state.x, u, w, env.dt)
-        for k, v in zip(rows, (state.t, state.x, u, q, h_val, status, dev)):
+        for k, v in zip(rows, (state.t, state.x, q, h_val, status, dev)):
             rows[k].append(v)
         steps += 1
         q_new = world_to_gate(x_new, pose)
@@ -500,7 +499,7 @@ def test_run_trial_matches_per_step_draw_loop(default_env):
             assert (r.safe, r.gates_passed, r.steps) == (safe, passed, len(ref["t"]))
             assert r.timed_out == (safe and gate_index < track.total_gates)
             log = r.log
-            for name in ("t", "x", "u", "h", "deviation"):
+            for name in ("t", "x", "h", "deviation"):
                 got, want = getattr(log, name), ref[name]
                 assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes(), (mode, name)
             assert log.status.tolist() == ref["status"].tolist()

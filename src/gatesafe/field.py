@@ -292,54 +292,76 @@ SAMPLE_OOB = 1
 SAMPLE_IN_OBSTACLE = 2
 
 
+# Rows per pass of sample_batch: bounds its temporaries (about 1 kB a row).
+_SAMPLE_BLOCK = 8192
+
+
 def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`sample` with per-point status codes instead of raises.
 
     Returns (values, gradients, status); entries with nonzero status carry
     NaN values. A point with a non-finite coordinate is out of bounds.
+
+    Every value and gradient is bit-identical to :func:`sample`'s: corner k
+    is (i + dx, j + dy, l + dz) with k = 4 dx + 2 dy + dz, its weight is
+    (wx * wy) * wz, and each sum starts at 0.0 and adds corners 0..7 in
+    order. The rows are processed in blocks of ``_SAMPLE_BLOCK``, so the
+    temporaries stay bounded at any N.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array, got {pts.shape}")
     n = pts.shape[0]
-    res = f.spec.resolution
-    dims = np.array(f.spec.dims)
-    rel = (pts - f.spec.origin[None, :]) / res
-    # A non-finite coordinate fails both comparisons, so its row is out of bounds.
-    oob = ~np.all((rel >= -1e-9) & (rel <= (dims - 1)[None, :] + 1e-9), axis=1)
-    # Move out-of-bounds rows to a valid cell so the cast and gather below are safe.
-    rel[oob] = 0.0
-
-    idx = np.clip(np.floor(rel).astype(int), 0, (dims - 2)[None, :])
-    frac = np.clip(rel - idx, 0.0, 1.0)
-
-    i, j, l = idx[:, 0], idx[:, 1], idx[:, 2]
-    tx, ty, tz = frac[:, 0], frac[:, 1], frac[:, 2]
-    v = f.values
-    g = f.gradients
-    vals = np.zeros(n)
-    grads = np.zeros((n, 3))
-    corner_min = np.full(n, np.inf)
-    for dx in (0, 1):
-        wx = tx if dx else (1.0 - tx)
-        for dy in (0, 1):
-            wy = ty if dy else (1.0 - ty)
-            for dz in (0, 1):
-                wz = tz if dz else (1.0 - tz)
-                w = wx * wy * wz
-                cv = v[i + dx, j + dy, l + dz].astype(np.float64)
-                corner_min = np.minimum(corner_min, cv)
-                vals += w * cv
-                grads += w[:, None] * g[i + dx, j + dy, l + dz].astype(np.float64)
-    in_obs = corner_min == INSIDE_SENTINEL
-
-    status = np.zeros(n, dtype=np.int8)
-    status[in_obs] = SAMPLE_IN_OBSTACLE
-    status[oob] = SAMPLE_OOB
-    bad = status != SAMPLE_OK
-    vals[bad] = np.nan
-    grads[bad] = np.nan
+    vals = np.empty(n)
+    grads = np.empty((n, 3))
+    status = np.empty(n, dtype=np.int8)
+    for s in range(0, n, _SAMPLE_BLOCK):
+        e = min(s + _SAMPLE_BLOCK, n)
+        vg, status[s:e] = _sample_block(f, pts[s:e])
+        vals[s:e] = vg[:, 0]
+        grads[s:e] = vg[:, 1:]
     return vals, grads, status
+
+
+def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block of :func:`sample_batch`: an (N, 4) value-and-gradient array and status."""
+    nx, ny, nz = f.spec.dims
+    rel = (pts - f.spec.origin) / f.spec.resolution
+    # A non-finite coordinate fails both comparisons, so its row is out of bounds.
+    hi = (nx - 1 + 1e-9, ny - 1 + 1e-9, nz - 1 + 1e-9)
+    inside = np.logical_and.reduce((rel >= -1e-9) & (rel <= hi), axis=1)
+    # Clamping to the node range keeps each in-bounds row's cell and leaves its
+    # fraction in [0, 1]; fmax/fmin also map NaN to a node, so the cast and
+    # gather below are safe.
+    np.fmin(np.fmax(rel, 0.0, out=rel), (nx - 1, ny - 1, nz - 1), out=rel)
+    cell = np.fmin(np.floor(rel), (nx - 2, ny - 2, nz - 2))
+    frac = rel - cell
+    # Corner-major gather: row k holds corner k of every point.
+    sx = ny * nz
+    corners = np.array([[0], [1], [nz], [nz + 1], [sx], [sx + 1], [sx + nz], [sx + nz + 1]])
+    flat = cell.astype(np.intp) @ (sx, nz, 1) + corners
+    cv = np.take(f.values, flat)
+    in_obs = np.minimum.reduce(cv, axis=0) == INSIDE_SENTINEL
+
+    t = np.empty((2, 3, pts.shape[0]))
+    np.subtract(1.0, frac.T, out=t[0])
+    t[1] = frac.T
+    w = (t[:, None, None, 0] * t[None, :, None, 1]) * t[None, None, :, 2]
+    # Values and gradients share one (8, N, 4) array: a leading-axis reduce
+    # over it adds the corners one by one, while a lone (8,) column (N = 1)
+    # would be summed pairwise.
+    vg = np.empty((8, pts.shape[0], 4))
+    vg[:, :, 0] = cv
+    vg[:, :, 1:] = np.take(f.gradients.reshape(-1, 3), flat, axis=0)
+    vg *= w.reshape(8, -1, 1)
+    vg = np.add.reduce(vg, axis=0, initial=0.0)
+
+    status = np.where(in_obs, np.int8(SAMPLE_IN_OBSTACLE), np.int8(SAMPLE_OK))
+    status = np.where(inside, status, np.int8(SAMPLE_OOB))
+    bad = ~inside | in_obs
+    if bad.any():
+        vg[bad] = np.nan
+    return vg, status
 
 
 def save_field(f: DistanceField, path: str | Path) -> None:

@@ -123,13 +123,25 @@ def filter_action_batch(
     Returns (u_star (N,3), status codes (N,), margins (N,), deviations (N,)).
     Status codes index into FILTER_STATUS_ORDER. Both paths run the same case
     analysis and the same closed-form circle step, so they agree to rounding.
+
+    Each row takes the first case that applies: degenerate (``|a|^2 <=
+    1e-300``), infeasible (``alpha |a| < b``), unchanged, plane foot (``a.u <
+    b`` and the foot lies in the ball), ball clip (``|u| > alpha`` and the
+    clip meets the halfspace), else the circle. The foot and the clip are
+    computed for every row and chosen with ``np.where``; the other cases run
+    only on the rows that take them.
+
+    Raises ValueError unless ``alpha`` is finite and positive, ``U`` and
+    ``A`` are (N, 3) and ``B`` is (N,).
     """
     U = np.asarray(U, dtype=float)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n = U.shape[0]
-    out = np.empty_like(U)
-    status = np.empty(n, dtype=np.int8)
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if U.ndim != 2 or U.shape[1] != 3 or A.shape != U.shape or B.shape != U.shape[:1]:
+        raise ValueError(f"expected U, A of shape (N, 3) and B of shape (N,), got {U.shape}, {A.shape}, {B.shape}")
 
     na2 = np.einsum("ij,ij->i", A, A)
     na = np.sqrt(na2)
@@ -137,56 +149,41 @@ def filter_action_batch(
     au = np.einsum("ij,ij->i", A, U)
 
     degenerate = na2 <= _DEGENERATE_NORM
-    deg_safe = degenerate & (B <= 0.0)
-    deg_stuck = degenerate & (B > 0.0)
     infeasible = ~degenerate & (alpha * na < B)
     solvable = ~(degenerate | infeasible)
+    ok = (au >= B) & (nu <= alpha)
+    half = solvable & (au < B)
 
-    # Degenerate-safe: clip to the ball.
-    scale = np.where(nu > alpha, alpha / np.where(nu == 0.0, 1.0, nu), 1.0)
-    out[deg_safe] = U[deg_safe] * scale[deg_safe, None]
-    status[deg_safe] = _STATUS_CODE[FilterStatus.DEGENERATE_SAFE]
-    out[deg_stuck] = 0.0
-    status[deg_stuck] = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
+    # Halfspace violated: the plane foot, kept when it lies in the ball. Rows
+    # that do not take it get lam = 0, so no row divides by zero or overflows.
+    lam = np.where(half, B - au, 0.0) / np.where(degenerate, 1.0, na2)
+    foot = U + lam[:, None] * A
+    use_foot = half & (np.linalg.norm(foot, axis=1) <= alpha * (1.0 + 1e-12))
+    # Ball violated: the clip onto the sphere, kept when the halfspace still
+    # holds. Rows inside the ball scale by alpha / alpha = 1 and stay U bit for
+    # bit, which is also the unchanged and the degenerate-safe result.
+    clip = U * (alpha / np.maximum(nu, alpha))[:, None]
+    clip_ok = (nu > alpha) & (np.einsum("ij,ij->i", A, clip) - B >= -1e-12 * np.maximum(1.0, np.abs(B)))
 
-    # Infeasible: best-effort along a.
-    if np.any(infeasible):
-        out[infeasible] = A[infeasible] * (alpha / na[infeasible])[:, None]
-        status[infeasible] = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
-
-    # Feasible and untouched.
-    ok = solvable & (au >= B) & (nu <= alpha)
-    out[ok] = U[ok]
-    status[ok] = _STATUS_CODE[FilterStatus.UNCHANGED]
-
-    todo = solvable & ~ok
-
-    # Halfspace violation: the plane foot, when it lies in the ball.
-    half_v = todo & (au < B)
-    if np.any(half_v):
-        lam = (B[half_v] - au[half_v]) / na2[half_v]
-        cand = U[half_v] + lam[:, None] * A[half_v]
-        good = np.linalg.norm(cand, axis=1) <= alpha * (1.0 + 1e-12)
-        idx = np.flatnonzero(half_v)[good]
-        out[idx] = cand[good]
-        status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
-        todo[idx] = False
-
-    # Ball clip, kept when the halfspace still holds.
-    clip_v = todo & (nu > alpha)
-    if np.any(clip_v):
-        cand = U[clip_v] * (alpha / nu[clip_v])[:, None]
-        m = np.einsum("ij,ij->i", A[clip_v], cand) - B[clip_v]
-        keep = m >= -1e-12 * np.maximum(1.0, np.abs(B[clip_v]))
-        idx = np.flatnonzero(clip_v)[keep]
-        out[idx] = cand[keep]
-        status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
-        todo[idx] = False
+    out = np.where(use_foot[:, None], foot, clip)
+    status = np.where(
+        ok, np.int8(_STATUS_CODE[FilterStatus.UNCHANGED]), np.int8(_STATUS_CODE[FilterStatus.PROJECTED])
+    )
 
     # Both boundaries active.
-    if np.any(todo):
-        out[todo] = _circle_rows(U[todo], A[todo], B[todo], alpha, na2[todo])
-        status[todo] = _STATUS_CODE[FilterStatus.PROJECTED]
+    circle = solvable & ~(ok | use_foot | clip_ok)
+    if circle.any():
+        out[circle] = _circle_rows(U[circle], A[circle], B[circle], alpha, na2[circle])
+    # Infeasible: best-effort along a.
+    if infeasible.any():
+        out[infeasible] = A[infeasible] * (alpha / na[infeasible])[:, None]
+        status[infeasible] = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
+    # Degenerate: b <= 0 keeps the clip to the ball; b > 0 gives no direction.
+    if degenerate.any():
+        stuck = degenerate & (B > 0.0)
+        out[stuck] = 0.0
+        status[degenerate] = _STATUS_CODE[FilterStatus.DEGENERATE_SAFE]
+        status[stuck] = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
 
     margins = np.einsum("ij,ij->i", A, out) - B
     deviations = np.linalg.norm(U - out, axis=1)
@@ -279,19 +276,28 @@ def _nnls_residual(M: np.ndarray, rhs: np.ndarray) -> float:
 
     Some optimum is the least-squares fit on a subset of the columns with
     nonnegative coefficients (Lawson and Hanson), so the minimum is the
-    smallest residual of such fits, or |rhs| for x = 0.
+    smallest residual of such fits, or |rhs| for x = 0. A single column m
+    has the closed form x = max(m.rhs, 0) / m.m (x = 0 for m = 0).
     """
     n = M.shape[1]
     full = (1 << n) - 1
     best = float(np.linalg.norm(rhs))
     for mask in range(full, 0, -1):
-        sub = M[:, [j for j in range(n) if mask >> j & 1]]
-        x = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-        if np.all(x >= 0.0):
+        cols = [j for j in range(n) if mask >> j & 1]
+        if len(cols) == 1:
+            m = M[:, cols[0]]
+            mm = float(m.dot(m))
+            x = max(float(m.dot(rhs)), 0.0) / mm if mm > 0.0 else 0.0
+            r = _norm(m * x - rhs)
+        else:
+            sub = M[:, cols]
+            x = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+            if not np.all(x >= 0.0):
+                continue
             r = float(np.linalg.norm(sub @ x - rhs))
-            if mask == full:
-                return r  # the unconstrained fit is nonnegative: nothing does better
-            best = min(best, r)
+        if mask == full:
+            return r  # the unconstrained fit is nonnegative: nothing does better
+        best = min(best, r)
     return best
 
 

@@ -27,7 +27,9 @@ from gatesafe.field import (
     SAMPLE_OOB,
     TruncatedMapError,
     UnsupportedVersionError,
+    INSIDE_SENTINEL,
     _HEADER,
+    _SAMPLE_BLOCK,
     _node_gradients,
     build_field,
     default_grid_spec,
@@ -604,6 +606,94 @@ def test_sample_batch_flags_non_finite_rows_out_of_bounds(small_field):
     assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:])) and np.all(np.isnan(grads[1:]))
     d, grad = sample(small_field, pts[0])
     assert vals[0] == pytest.approx(d, abs=1e-12)
+
+
+def _per_corner_sample_batch(f: DistanceField, pts: np.ndarray):
+    """sample_batch as one pass per corner: fancy-index gathers, sums in corner order."""
+    pts = np.asarray(pts, dtype=float)
+    n = pts.shape[0]
+    res = f.spec.resolution
+    dims = np.array(f.spec.dims)
+    rel = (pts - f.spec.origin[None, :]) / res
+    oob = ~np.all((rel >= -1e-9) & (rel <= (dims - 1)[None, :] + 1e-9), axis=1)
+    rel[oob] = 0.0
+
+    idx = np.clip(np.floor(rel).astype(int), 0, (dims - 2)[None, :])
+    frac = np.clip(rel - idx, 0.0, 1.0)
+
+    i, j, l = idx[:, 0], idx[:, 1], idx[:, 2]
+    tx, ty, tz = frac[:, 0], frac[:, 1], frac[:, 2]
+    v = f.values
+    g = f.gradients
+    vals = np.zeros(n)
+    grads = np.zeros((n, 3))
+    corner_min = np.full(n, np.inf)
+    for dx in (0, 1):
+        wx = tx if dx else (1.0 - tx)
+        for dy in (0, 1):
+            wy = ty if dy else (1.0 - ty)
+            for dz in (0, 1):
+                wz = tz if dz else (1.0 - tz)
+                w = wx * wy * wz
+                cv = v[i + dx, j + dy, l + dz].astype(np.float64)
+                corner_min = np.minimum(corner_min, cv)
+                vals += w * cv
+                grads += w[:, None] * g[i + dx, j + dy, l + dz].astype(np.float64)
+    in_obs = corner_min == INSIDE_SENTINEL
+
+    status = np.zeros(n, dtype=np.int8)
+    status[in_obs] = SAMPLE_IN_OBSTACLE
+    status[oob] = SAMPLE_OOB
+    bad = status != SAMPLE_OK
+    vals[bad] = np.nan
+    grads[bad] = np.nan
+    return vals, grads, status
+
+
+def _query_mix(rng, spec, n: int) -> np.ndarray:
+    """Grid-wide points plus cells at the frame, nodes, upper faces and non-finite rows."""
+    lo, hi, res = spec.origin, spec.max_corner, spec.resolution
+    pts = rng.uniform(lo - 0.05, hi + 0.05, size=(n, 3))
+    kind = rng.integers(0, 6, size=n)
+    near = kind == 1  # cells touching the solid and their neighbours
+    pts[near] = rng.uniform(-1.0, 1.0, size=(near.sum(), 3)) * [0.5, 1.5, 1.5]
+    node = kind == 2
+    pts[node] = lo + res * rng.integers(0, np.array(spec.dims), size=(node.sum(), 3))
+    face = np.flatnonzero(kind == 3)  # on an upper face, or a hair (inside the tolerance) past it
+    axis = rng.integers(0, 3, size=face.size)
+    pts[face, axis] = hi[axis] + rng.choice([0.0, 1e-11, -1e-11], size=face.size)
+    bad = np.flatnonzero(kind == 4)
+    pts[bad, rng.integers(0, 3, size=bad.size)] = rng.choice([math.nan, math.inf, -math.inf], size=bad.size)
+    return pts
+
+
+def test_sample_batch_is_bit_identical_to_per_corner_reference(small_field, default_env):
+    rng = np.random.default_rng(41)
+    fields = (small_field, default_env.nominal_field, default_env.inflated_field)
+    seen = set()
+    for n in (0, 1, 7, 120, _SAMPLE_BLOCK + 1, 10_000):
+        for trial in range(40 if n < 10 else 2):
+            fld = fields[trial % 3]
+            pts = _query_mix(rng, fld.spec, n)
+            want = _per_corner_sample_batch(fld, pts)
+            got = sample_batch(fld, pts)
+            for g, w in zip(got[:2], want[:2]):
+                assert g.dtype == w.dtype == np.float64 and g.shape == w.shape
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (n, trial)
+            assert got[2].dtype == np.int8 and got[2].shape == (n,) and np.array_equal(got[2], want[2])
+            seen.update(want[2].tolist())
+    assert seen == {SAMPLE_OK, SAMPLE_OOB, SAMPLE_IN_OBSTACLE}
+
+
+def test_sample_batch_single_rows_match_scalar_sample_bit_for_bit(small_field):
+    # A batch of one row sums its eight corners in order as well.
+    rng = np.random.default_rng(43)
+    for q in _query_mix(rng, small_field.spec, 3000):
+        vals, grads, status = sample_batch(small_field, q[None, :])
+        if status[0] != SAMPLE_OK:
+            continue
+        d, grad = sample(small_field, q)
+        assert np.float64(d).tobytes() == vals[0].tobytes() and grad.tobytes() == grads[0].tobytes()
 
 
 def _roll_gradients(values: np.ndarray, res: float) -> np.ndarray:

@@ -12,6 +12,8 @@ from gatesafe.qp import (
     FILTER_STATUS_ORDER,
     FilterDecision,
     FilterStatus,
+    _DEGENERATE_NORM,
+    _STATUS_CODE,
     _circle_rows,
     filter_action,
     filter_action_batch,
@@ -522,6 +524,150 @@ def test_filter_action_is_bit_identical_to_linalg_reference():
         "degenerate_safe", "degenerate_stuck", "infeasible", "unchanged",
         "ball_inside_halfspace", "plane_foot", "ball_clip", "circle",
     }, branches
+
+
+def _masked_filter_action_batch(U, A, B, alpha):
+    """filter_action_batch with one boolean-mask scatter per case."""
+    U = np.asarray(U, dtype=float)
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = U.shape[0]
+    out = np.empty_like(U)
+    status = np.empty(n, dtype=np.int8)
+
+    na2 = np.einsum("ij,ij->i", A, A)
+    na = np.sqrt(na2)
+    nu = np.linalg.norm(U, axis=1)
+    au = np.einsum("ij,ij->i", A, U)
+
+    degenerate = na2 <= _DEGENERATE_NORM
+    deg_safe = degenerate & (B <= 0.0)
+    deg_stuck = degenerate & (B > 0.0)
+    infeasible = ~degenerate & (alpha * na < B)
+    solvable = ~(degenerate | infeasible)
+
+    scale = np.where(nu > alpha, alpha / np.where(nu == 0.0, 1.0, nu), 1.0)
+    out[deg_safe] = U[deg_safe] * scale[deg_safe, None]
+    status[deg_safe] = _STATUS_CODE[FilterStatus.DEGENERATE_SAFE]
+    out[deg_stuck] = 0.0
+    status[deg_stuck] = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
+
+    if np.any(infeasible):
+        out[infeasible] = A[infeasible] * (alpha / na[infeasible])[:, None]
+        status[infeasible] = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
+
+    ok = solvable & (au >= B) & (nu <= alpha)
+    out[ok] = U[ok]
+    status[ok] = _STATUS_CODE[FilterStatus.UNCHANGED]
+
+    todo = solvable & ~ok
+
+    half_v = todo & (au < B)
+    if np.any(half_v):
+        lam = (B[half_v] - au[half_v]) / na2[half_v]
+        cand = U[half_v] + lam[:, None] * A[half_v]
+        good = np.linalg.norm(cand, axis=1) <= alpha * (1.0 + 1e-12)
+        idx = np.flatnonzero(half_v)[good]
+        out[idx] = cand[good]
+        status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
+        todo[idx] = False
+
+    clip_v = todo & (nu > alpha)
+    if np.any(clip_v):
+        cand = U[clip_v] * (alpha / nu[clip_v])[:, None]
+        m = np.einsum("ij,ij->i", A[clip_v], cand) - B[clip_v]
+        keep = m >= -1e-12 * np.maximum(1.0, np.abs(B[clip_v]))
+        idx = np.flatnonzero(clip_v)[keep]
+        out[idx] = cand[keep]
+        status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
+        todo[idx] = False
+
+    if np.any(todo):
+        out[todo] = _circle_rows(U[todo], A[todo], B[todo], alpha, na2[todo])
+        status[todo] = _STATUS_CODE[FilterStatus.PROJECTED]
+
+    margins = np.einsum("ij,ij->i", A, out) - B
+    deviations = np.linalg.norm(U - out, axis=1)
+    return out, status, margins, deviations
+
+
+def _branch_instances(rng, n: int, alpha: float):
+    """Rows for every case of the QP, at the edges of each case's test."""
+    U = rng.normal(scale=2.5, size=(n, 3)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1), p=[0.05, 0.9, 0.05])
+    A = rng.normal(scale=2.0, size=(n, 3)) * rng.choice(
+        [0.0, 1e-170, 1e-3, 1.0, 1e3], size=(n, 1), p=[0.02, 0.05, 0.05, 0.83, 0.05])
+    B = rng.normal(scale=3.0, size=n) + rng.choice([0.0, 2.0, -2.0], size=n)
+    kind = rng.integers(0, 8, size=n)
+    rows = kind == 1  # clipped to the norm bound the way nominal_policy clips them
+    U[rows] *= (alpha / np.linalg.norm(U[rows], axis=1))[:, None]
+    rows = kind == 2  # the whole ball inside the halfspace, and its edge
+    B[rows] = -alpha * np.linalg.norm(A[rows], axis=1) * rng.choice([1.0, 1.5], size=rows.sum())
+    U[kind == 3] = 0.0
+    rows = kind == 4  # |a|^2 just above the degenerate bound
+    A[rows] = np.sqrt(1.01 * _DEGENERATE_NORM / 2.0) * np.array([1.0, -1.0, 0.0])
+    B[rows] = rng.choice([0.0, 1e-151, -1.0, 1e9], size=rows.sum())
+    rows = kind == 5  # nearly antiparallel, far outside, b at alpha |a|: the circle's parallel tie-break
+    A[rows] = rng.normal(scale=2.0, size=(rows.sum(), 3))
+    na = np.linalg.norm(A[rows], axis=1)
+    U[rows] = -A[rows] / na[:, None] * rng.choice([1e6, 1e9], size=(rows.sum(), 1))
+    B[rows] = alpha * na
+    return U, A, B
+
+
+def test_filter_action_batch_is_bit_identical_to_masked_reference():
+    rng = np.random.default_rng(47)
+    branches = set()
+    for n in (0, 1, 7, 120, 20_000):
+        for trial in range(60 if n < 10 else 3):
+            alpha = (0.5, 3.0)[trial % 2]
+            U, A, B = _branch_instances(rng, n, alpha)
+            want = _masked_filter_action_batch(U, A, B, alpha)
+            got = filter_action_batch(U, A, B, alpha)
+            for name, g, w in zip(("u_star", "status", "margins", "deviations"), got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape, name
+                bits = np.uint8 if g.dtype == np.int8 else np.uint64
+                assert np.array_equal(g.view(bits), w.view(bits)), (n, trial, name)
+            if n == 20_000:
+                params = SafetyParams(alpha=alpha)
+                for u, a, b in zip(U[:4000], A[:4000], B[:4000]):
+                    _, branch = _linalg_filter_action(u, make_con(a, b), params)
+                    if branch == "circle":
+                        perp = u - a * (float(a @ u) / float(a @ a))
+                        branch = "circle_parallel" if np.linalg.norm(perp) < 1e-12 else branch
+                    branches.add(branch)
+    assert branches == {
+        "degenerate_safe", "degenerate_stuck", "infeasible", "unchanged",
+        "ball_inside_halfspace", "plane_foot", "ball_clip", "circle", "circle_parallel",
+    }, branches
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_filter_action_batch_rejects_bad_alpha(alpha):
+    U, A, B = np.ones((2, 3)), np.ones((2, 3)), np.zeros(2)
+    with pytest.raises(ValueError, match="alpha"):
+        filter_action_batch(U, A, B, alpha)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((4, 3), (4, 3), ()),      # scalar B
+    ((4, 3), (4, 3), (4, 1)),
+    ((4, 3), (4, 3), (3,)),
+    ((4, 3), (3, 3), (4,)),
+    ((4, 3), (4,), (4,)),
+    ((4, 2), (4, 2), (4,)),
+    ((3,), (3,), ()),
+])
+def test_filter_action_batch_rejects_mismatched_shapes(shapes):
+    U, A, B = (np.ones(s) for s in shapes)
+    with pytest.raises(ValueError, match="shape"):
+        filter_action_batch(U, A, B, 3.0)
+
+
+def test_filter_action_batch_of_no_rows_returns_empty_arrays():
+    out, status, margins, deviations = filter_action_batch(np.empty((0, 3)), np.empty((0, 3)), np.empty(0), 3.0)
+    assert out.shape == (0, 3) and out.dtype == np.float64
+    assert status.shape == (0,) and status.dtype == np.int8
+    assert margins.shape == deviations.shape == (0,)
 
 
 def test_safest_action_field_rejects_non_finite_offset(default_gate):

@@ -164,12 +164,13 @@ class Config:
         res = self.map.resolution
         dims = []
         for key, (lo, hi) in (("x", self.map.x), ("y", self.map.y), ("z", self.map.z)):
-            n = (hi - lo) / res
-            if abs(n - round(n)) > 1e-6:
+            n = (hi - lo) / res  # inf when the extent or the cell count overflows
+            cells = round(n) if math.isfinite(n) else 0
+            if cells < 1 or abs(n - cells) > 1e-6:
                 raise ConfigError(
-                    f"map.{key} extent {hi - lo:g} is not a whole number of {res:g} m cells"
+                    f"map.{key} extent {hi - lo:g} is not a whole number (>= 1) of {res:g} m cells"
                 )
-            dims.append(int(round(n)) + 1)
+            dims.append(cells + 1)
         origin = np.array([self.map.x[0], self.map.y[0], self.map.z[0]])
         return GridSpec(origin=origin, resolution=res, dims=tuple(dims))
 
@@ -230,15 +231,8 @@ def parse_config(data: dict | None) -> Config:
         if not isinstance(body, dict):
             raise ConfigError(f"section {section!r} must be a mapping, got {type(body).__name__}")
         setattr(cfg, section, _parse_section(section, body))
-    # Cross-field checks that need the assembled config.
-    try:
-        cfg.gate()
-        cfg.grid_spec()
-        cfg.safety_params()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # The one rule that spans keys; the library's other checks hold per value.
+    cfg.grid_spec()
     return cfg
 
 

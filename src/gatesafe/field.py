@@ -52,22 +52,6 @@ class MapFormatError(Exception):
     """A map file does not conform to the on-disk format."""
 
 
-class BadMagicError(MapFormatError):
-    """The file does not start with the expected magic bytes."""
-
-
-class UnsupportedVersionError(MapFormatError):
-    """The file declares a format version this code does not understand."""
-
-
-class TruncatedMapError(MapFormatError):
-    """The file ends before the declared payload is complete."""
-
-
-class ChecksumMismatchError(MapFormatError):
-    """The stored CRC32 does not match the file contents."""
-
-
 class OutOfBoundsError(ValueError):
     """A query point lies outside the grid extent."""
 
@@ -326,7 +310,9 @@ def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One block of :func:`sample_batch`: an (N, 4) value-and-gradient array and status."""
     nx, ny, nz = f.spec.dims
-    rel = (pts - f.spec.origin) / f.spec.resolution
+    # A coordinate far outside the grid may overflow to inf; it is out of bounds.
+    with np.errstate(over="ignore"):
+        rel = (pts - f.spec.origin) / f.spec.resolution
     # A non-finite coordinate fails both comparisons, so its row is out of bounds.
     hi = (nx - 1 + 1e-9, ny - 1 + 1e-9, nz - 1 + 1e-9)
     inside = np.logical_and.reduce((rel >= -1e-9) & (rel <= hi), axis=1)
@@ -390,28 +376,28 @@ def load_field(path: str | Path) -> DistanceField:
     """Read a field written by :func:`save_field`, verifying the checksum."""
     raw = Path(path).read_bytes()
     if len(raw) < 4:
-        raise TruncatedMapError(f"{path}: file shorter than the magic header")
+        raise MapFormatError(f"{path}: file shorter than the magic header")
     if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
+        raise MapFormatError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < _HEADER.size:
-        raise TruncatedMapError(f"{path}: truncated header")
+        raise MapFormatError(f"{path}: truncated header")
     magic, version, flags, nx, ny, nz, ox, oy, oz, res, ex, ey, ez = _HEADER.unpack_from(raw, 0)
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
+        raise MapFormatError(f"{path}: unsupported format version {version}")
     if not flags & FLAG_GRADIENTS:
         raise MapFormatError(f"{path}: flags {flags:#x} lack the gradient block")
 
     n = nx * ny * nz
     size = _HEADER.size + 16 * n + 4  # values, gradients, crc
     if len(raw) < size:
-        raise TruncatedMapError(f"{path}: expected {size} bytes, found {len(raw)}")
+        raise MapFormatError(f"{path}: expected {size} bytes, found {len(raw)}")
     if len(raw) > size:
         raise MapFormatError(f"{path}: {len(raw) - size} trailing bytes after checksum")
 
     (stored_crc,) = struct.unpack_from("<I", raw, size - 4)
     crc = zlib.crc32(raw[: size - 4]) & 0xFFFFFFFF
     if crc != stored_crc:
-        raise ChecksumMismatchError(f"{path}: crc32 {crc:#010x} != stored {stored_crc:#010x}")
+        raise MapFormatError(f"{path}: crc32 {crc:#010x} != stored {stored_crc:#010x}")
 
     offset = _HEADER.size
     values = (

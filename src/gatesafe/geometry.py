@@ -126,20 +126,15 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _point_coords(q: np.ndarray) -> list[float]:
-    """The three coordinates of a finite float 3-vector, as Python floats."""
+def _finite_point(q) -> tuple[np.ndarray, list[float]]:
+    """A finite 3-vector as a float array and as its three Python floats."""
+    q = np.asarray(q, dtype=float)
     if q.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {q.shape}")
     x, y, z = coords = q.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"point must be finite, got {q}")
-    return coords
-
-
-def _check_point(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    _point_coords(q)
-    return q
+    return q, coords
 
 
 def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:
@@ -148,7 +143,7 @@ def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:
     Returns exactly -1.0 for points strictly inside the solid, 0.0 on the
     surface, and the positive clearance otherwise.
     """
-    return float(exact_distance_batch(_check_point(q)[None, :], gate)[0])
+    return float(exact_distance_batch(_finite_point(q)[0][None, :], gate)[0])
 
 
 def exact_distance_batch(points: np.ndarray, gate: GateGeometry) -> np.ndarray:
@@ -185,13 +180,13 @@ def _rot_z(yaw: float) -> np.ndarray:
 
 def world_to_gate(x: np.ndarray, pose: Pose) -> np.ndarray:
     """Map a world point into the gate's local frame."""
-    x = _check_point(x)
+    x = _finite_point(x)[0]
     return pose.to_gate.dot(x - pose.position)
 
 
 def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
     """Map a gate-frame point back to world coordinates."""
-    q = _check_point(q)
+    q = _finite_point(q)[0]
     return _rot_z(pose.yaw) @ q + pose.position
 
 
@@ -222,8 +217,8 @@ def segment_hits_frame(p0: np.ndarray, p1: np.ndarray, gate: GateGeometry) -> bo
     fl((lo - p0) / dk) is monotone in lo, so each bar's per-axis interval lies
     inside the outer box's and a miss there is a miss on all four bars.
     """
-    p0 = _point_coords(np.asarray(p0, dtype=float))
-    p1 = _point_coords(np.asarray(p1, dtype=float))
+    p0 = _finite_point(p0)[1]
+    p1 = _finite_point(p1)[1]
     d = [b - a for a, b in zip(p0, p1)]
     hd, ho = gate.half_depth, gate.outer_half
     if not _slab_hit(p0, d, [-hd, -ho, -ho], [hd, ho, ho]):

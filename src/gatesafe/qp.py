@@ -122,7 +122,10 @@ def filter_action_batch(
 
     Returns (u_star (N,3), status codes (N,), margins (N,), deviations (N,)).
     Status codes index into FILTER_STATUS_ORDER. Both paths run the same case
-    analysis and the same closed-form circle step, so they agree to rounding.
+    analysis and circle step, but this one reduces with ``np.linalg.norm`` and
+    ``einsum``, not BLAS ``dot``, so a row near a case boundary (``|u| =
+    alpha``, ``a.u = b``) may get another status than in :func:`filter_action`.
+    Rows in the same case agree to rounding.
 
     Each row takes the first case that applies: degenerate (``|a|^2 <=
     1e-300``), infeasible (``alpha |a| < b``), unchanged, plane foot (``a.u <
@@ -214,12 +217,7 @@ def _circle_rows(U, A, B, alpha, na2) -> np.ndarray:
     return c0 + perp * (r / pn)[:, None]
 
 
-FILTER_STATUS_ORDER = (
-    FilterStatus.UNCHANGED,
-    FilterStatus.PROJECTED,
-    FilterStatus.INFEASIBLE_FALLBACK,
-    FilterStatus.DEGENERATE_SAFE,
-)
+FILTER_STATUS_ORDER = tuple(FilterStatus)
 _STATUS_CODE = {s: i for i, s in enumerate(FILTER_STATUS_ORDER)}
 
 

@@ -16,8 +16,10 @@ Modes:
 - "filtered": actions are projected through the barrier constraint sampled
   from the nominal distance field at the *estimated* gate pose;
 - "filtered_uncertainty": same, but on the field inflated by the observation
-  error bound, so the certificate covers every pose consistent with the
-  estimate.
+  error bound. The inflation covers gate translations within +/-dv along the
+  gate's own axes, but the error is drawn per world axis: on a yawed gate its
+  gate-frame x and y parts reach dv (|cos yaw| + |sin yaw|), so the
+  certificate does not cover every pose consistent with the estimate.
 
 Far from the current gate the robot may leave the gate-local grid; those
 steps fly the nominal action unfiltered and are logged with their own status
@@ -37,18 +39,18 @@ from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
     GateGeometry, Pose, _norm, exact_distance_batch, segment_hits_frame, world_to_gate,
 )
-from .qp import _STATUS_CODE, FILTER_STATUS_ORDER, filter_action
+from .qp import _STATUS_CODE, FILTER_STATUS_ORDER, FilterStatus, filter_action
 
 MODES = ("baseline", "filtered", "filtered_uncertainty")
 
-# Per-step status codes: 0..3 mirror FILTER_STATUS_ORDER, then the two
-# pass-through conditions where the filter could not run.
-STEP_UNCHANGED = 0
-STEP_PROJECTED = 1
-STEP_FALLBACK = 2
-STEP_DEGENERATE = 3
-STEP_OFF_MAP = 4
-STEP_IN_OBSTACLE = 5
+# Per-step status codes: the filter's own codes, then the two pass-through
+# conditions where the filter could not run.
+STEP_UNCHANGED = _STATUS_CODE[FilterStatus.UNCHANGED]
+STEP_PROJECTED = _STATUS_CODE[FilterStatus.PROJECTED]
+STEP_FALLBACK = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
+STEP_DEGENERATE = _STATUS_CODE[FilterStatus.DEGENERATE_SAFE]
+STEP_OFF_MAP = len(FilterStatus)
+STEP_IN_OBSTACLE = len(FilterStatus) + 1
 STEP_LABELS = tuple(s.value for s in FILTER_STATUS_ORDER) + ("off_map", "in_obstacle")
 
 PASS_MARGIN = 0.01  # [m] crossing must clear the opening edge by this much

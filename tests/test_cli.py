@@ -221,6 +221,20 @@ def test_run_rejects_bad_config_values(tmp_path):
     assert run_cli(["run", "--config", typo, "--out", tmp_path / "r"]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, axis",
+    [("x: [0, 1.0e-9]", "x"), ("resolution: 1.0e-308", "x"), ("y: [-1.0e+308, 1.0e+308]", "y")],
+    ids=["zero-cells", "cell-count-overflow", "extent-overflow"],
+)
+def test_unusable_map_extent_is_config_error_and_writes_nothing(text, axis, tmp_path, capsys):
+    cfg = tmp_path / "map.yaml"
+    cfg.write_text(f"map: {{{text}}}\n")
+    for argv in (["run", "--tracks", "1", "--out", tmp_path / "r"], ["build-map", "--out", tmp_path / "m.esdf"]):
+        assert run_cli([*argv, "--config", cfg]) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: map.{axis} "), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.yaml"]
+
+
 def test_missing_subcommand_or_flag_is_usage_error(tmp_path):
     assert run_cli([]) == 1
     assert run_cli(["run"]) == 1, "--out is required"

@@ -7,7 +7,7 @@ import pytest
 
 from gatesafe.barrier import SafetyParams
 from gatesafe.config import Config, ConfigError, dump_manifest, load_config, parse_config
-from gatesafe.field import default_grid_spec
+from gatesafe.field import DistanceField, default_grid_spec
 from gatesafe.geometry import GateGeometry
 from gatesafe.sim import SimEnv, generate_track, nominal_policy, run_experiment
 
@@ -92,6 +92,38 @@ def test_extent_must_be_ordered_pair():
 def test_extent_must_be_whole_cells():
     with pytest.raises(ConfigError, match=r"map\.x"):
         parse_config({"map": {"x": [-6.0, 6.05]}})
+    # Zero cells, a cell count that overflows, an extent that overflows.
+    for body, axis in (
+        ({"z": [0.0, 1e-9]}, "z"),
+        ({"x": [0.0, 1e-9]}, "x"),
+        ({"resolution": 1e-308}, "x"),
+        ({"x": [-1e308, 1e308]}, "x"),
+    ):
+        with pytest.raises(ConfigError, match=rf"^map\.{axis} extent .* whole number"):
+            parse_config({"map": body})
+
+
+def test_boundary_values_that_the_config_accepts_build_every_library_object():
+    # parse_config runs no library constructor except grid_spec, so its own
+    # checks must admit nothing those constructors reject.
+    tiny = 5e-324
+    cfg = parse_config({
+        "geometry": {"inner_size": tiny, "bar_thickness": tiny},
+        "map": {"resolution": tiny, "x": [0.0, tiny], "y": [-tiny, 0.0], "z": [0.0, tiny]},
+        "safety": {"R": tiny, "gamma": tiny, "alpha": tiny},
+        "noise": {"dw": [0.0, 0.0, 0.0], "dv": [0, 0, 0]},
+        "sim": {"dt": tiny, "laps": 1, "max_steps": 1},
+        "track": {"num_gates": 1, "spacing": tiny},
+        "policy": {"gain": tiny, "pass_offset": 0},
+        "run": {"levels": [0], "tracks": 1, "seed_base": 0},
+    })
+    gate, params, spec = cfg.gate(), cfg.safety_params(), cfg.grid_spec()
+    assert (gate.inner_size, params.R, params.dv.tolist()) == (tiny, tiny, [0.0, 0.0, 0.0])
+    assert spec.dims == (2, 2, 2) and spec.resolution == tiny
+    field = DistanceField(spec, np.zeros(spec.dims, np.float32), np.zeros(spec.dims + (3,), np.float32))
+    env = cfg.sim_env(field, field)
+    assert (env.dt, env.max_steps, env.pass_offset) == (tiny, 1, 0.0)
+    generate_track(cfg.track.num_gates, cfg.track.spacing, cfg.run.levels[0], cfg.sim.laps, cfg.run.seed_base)
 
 
 def test_noise_needs_three_components():

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from gatesafe.field import (
-    BadMagicError,
-    ChecksumMismatchError,
     DistanceField,
     GridCoverageError,
     GridSpec,
@@ -25,8 +23,6 @@ from gatesafe.field import (
     SAMPLE_IN_OBSTACLE,
     SAMPLE_OK,
     SAMPLE_OOB,
-    TruncatedMapError,
-    UnsupportedVersionError,
     INSIDE_SENTINEL,
     _HEADER,
     _SAMPLE_BLOCK,
@@ -355,7 +351,7 @@ def test_load_rejects_bad_magic(small_field, tmp_path):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"JUNK"
     path.write_bytes(bytes(raw))
-    with pytest.raises(BadMagicError):
+    with pytest.raises(MapFormatError, match="bad magic b'JUNK'"):
         load_field(path)
 
 
@@ -365,7 +361,7 @@ def test_load_rejects_unsupported_version(small_field, tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4:8] = (999).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(UnsupportedVersionError):
+    with pytest.raises(MapFormatError, match="unsupported format version 999"):
         load_field(path)
 
 
@@ -375,7 +371,7 @@ def test_load_rejects_corrupted_payload(small_field, tmp_path):
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(ChecksumMismatchError):
+    with pytest.raises(MapFormatError, match="crc32 0x[0-9a-f]{8} != stored 0x[0-9a-f]{8}"):
         load_field(path)
 
 
@@ -384,10 +380,10 @@ def test_load_rejects_truncation(small_field, tmp_path):
     save_field(small_field, path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(TruncatedMapError):
+    with pytest.raises(MapFormatError, match=f"expected {len(raw)} bytes, found {len(raw) // 2}"):
         load_field(path)
     path.write_bytes(raw[:2])
-    with pytest.raises(TruncatedMapError):
+    with pytest.raises(MapFormatError, match="file shorter than the magic header"):
         load_field(path)
 
 
@@ -598,11 +594,13 @@ def test_sample_batch_flags_non_finite_rows_out_of_bounds(small_field):
         [0.0, math.inf, 0.5],
         [0.0, 0.0, -math.inf],
         [math.nan, math.nan, math.nan],
+        [1e308, 0.0, 0.5],  # finite, but the grid coordinate overflows
+        [0.0, -1e308, 0.5],
     ])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals, grads, status = sample_batch(small_field, pts)
-    assert status.tolist() == [SAMPLE_OK] + [SAMPLE_OOB] * 4
+    assert status.tolist() == [SAMPLE_OK] + [SAMPLE_OOB] * 6
     assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:])) and np.all(np.isnan(grads[1:]))
     d, grad = sample(small_field, pts[0])
     assert vals[0] == pytest.approx(d, abs=1e-12)
@@ -614,7 +612,8 @@ def _per_corner_sample_batch(f: DistanceField, pts: np.ndarray):
     n = pts.shape[0]
     res = f.spec.resolution
     dims = np.array(f.spec.dims)
-    rel = (pts - f.spec.origin[None, :]) / res
+    with np.errstate(over="ignore"):
+        rel = (pts - f.spec.origin[None, :]) / res
     oob = ~np.all((rel >= -1e-9) & (rel <= (dims - 1)[None, :] + 1e-9), axis=1)
     rel[oob] = 0.0
 
@@ -651,7 +650,7 @@ def _per_corner_sample_batch(f: DistanceField, pts: np.ndarray):
 
 
 def _query_mix(rng, spec, n: int) -> np.ndarray:
-    """Grid-wide points plus cells at the frame, nodes, upper faces and non-finite rows."""
+    """Grid-wide points plus cells at the frame, nodes, upper faces and non-finite or overflowing rows."""
     lo, hi, res = spec.origin, spec.max_corner, spec.resolution
     pts = rng.uniform(lo - 0.05, hi + 0.05, size=(n, 3))
     kind = rng.integers(0, 6, size=n)
@@ -663,7 +662,7 @@ def _query_mix(rng, spec, n: int) -> np.ndarray:
     axis = rng.integers(0, 3, size=face.size)
     pts[face, axis] = hi[axis] + rng.choice([0.0, 1e-11, -1e-11], size=face.size)
     bad = np.flatnonzero(kind == 4)
-    pts[bad, rng.integers(0, 3, size=bad.size)] = rng.choice([math.nan, math.inf, -math.inf], size=bad.size)
+    pts[bad, rng.integers(0, 3, size=bad.size)] = rng.choice([math.nan, math.inf, -math.inf, 1e308, -1e308], size=bad.size)
     return pts
 
 

@@ -29,7 +29,6 @@ from .barrier import (
 )
 from .field import (
     DistanceField,
-    GridCoverageError,
     GridSpec,
     InsideObstacleError,
     MapFormatError,
@@ -105,7 +104,6 @@ __all__ = [
     "FilterDecision",
     "FilterStatus",
     "GateGeometry",
-    "GridCoverageError",
     "GridSpec",
     "GroupSummary",
     "InsideObstacleError",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import DistanceField, sample
-from .geometry import Pose, world_to_gate
+from .geometry import Pose, _axis_bounds, world_to_gate
 
 ADMISSIBLE_TOL = 1e-9
 
@@ -41,14 +41,11 @@ class SafetyParams:
     dv: np.ndarray = field(default_factory=lambda: np.full(3, 0.25))
 
     def __post_init__(self) -> None:
-        self.dw = np.asarray(self.dw, dtype=float)
-        self.dv = np.asarray(self.dv, dtype=float)
         for name, val in (("R", self.R), ("gamma", self.gamma), ("alpha", self.alpha)):
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be positive, got {val}")
-        for name, vec in (("dw", self.dw), ("dv", self.dv)):
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)) or np.any(vec < 0.0):
-                raise ValueError(f"{name} must be three finite non-negative values, got {vec}")
+        self.dw = _axis_bounds(self.dw, "dw")
+        self.dv = _axis_bounds(self.dv, "dv")
 
 
 @dataclass
@@ -88,12 +85,21 @@ def eval_barrier_world(
     return BarrierEval(d=d, grad=world_grad, h=d * d - params.R * params.R)
 
 
+def _constraint(d, grad: np.ndarray, h, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
+    """The robust constraint's (a, b) for one sample or for N rows.
+
+    One sample takes floats d and h with grad of shape (3,); N rows take (N,)
+    arrays with grad (N, 3), where ``.dot`` equals ``@`` bit for bit (einsum does not).
+    """
+    a = ((2.0 * d) * grad.T).T
+    b = -params.gamma * h + 2.0 * d * np.abs(grad).dot(params.dw)
+    return a, b
+
+
 def assemble_constraint(ev: BarrierEval, params: SafetyParams) -> BarrierConstraint:
     """Build the disturbance-robust linear constraint from a barrier sample."""
-    a = 2.0 * ev.d * ev.grad
-    c_robust = 2.0 * ev.d * float(np.abs(ev.grad).dot(params.dw))
-    b = float(-params.gamma * ev.h + c_robust)
-    return BarrierConstraint(a=a, b=b)
+    a, b = _constraint(ev.d, ev.grad, ev.h, params)
+    return BarrierConstraint(a=a, b=float(b))
 
 
 def admissible(u: np.ndarray, con: BarrierConstraint, params: SafetyParams) -> bool:

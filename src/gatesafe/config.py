@@ -18,6 +18,7 @@ import yaml
 from .barrier import SafetyParams
 from .field import DistanceField, GridSpec
 from .geometry import GateGeometry
+from .report import _g
 from .sim import MODES, SimEnv
 
 
@@ -74,9 +75,18 @@ def _nonempty_list(path: str, value) -> None:
         raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
 
 
+def _distinct(path: str, names: list[str]) -> None:
+    if len(set(names)) < len(names):  # each level and mode names its own trajectory files
+        raise ConfigError(f"{path} repeats an entry of {names}: trajectory files would overwrite each other")
+
+
 def _levels(path: str, value) -> tuple[float, ...]:
     _nonempty_list(path, value)
-    return tuple(_number(path, v, minimum=0.0) for v in value)
+    levels = tuple(_number(path, v, minimum=0.0) for v in value)
+    if not all(math.isfinite(2.0 * v) for v in levels):  # generate_track draws from [-level, level]
+        raise ConfigError(f"{path} entries must keep 2 * level finite, got {list(levels)}")
+    _distinct(path, [_g(v) for v in levels])
+    return levels
 
 
 def _modes(path: str, value) -> tuple[str, ...]:
@@ -84,6 +94,7 @@ def _modes(path: str, value) -> tuple[str, ...]:
     for m in value:
         if m not in MODES:
             raise ConfigError(f"{path} entry {m!r} is not one of {list(MODES)}")
+    _distinct(path, list(value))
     return tuple(value)
 
 

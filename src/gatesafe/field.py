@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import GateGeometry, exact_distance_batch
+from .geometry import GateGeometry, _axis_bounds, exact_distance_batch
 
 MAGIC = b"ESDF"
 FORMAT_VERSION = 2
@@ -58,10 +58,6 @@ class OutOfBoundsError(ValueError):
 
 class InsideObstacleError(ValueError):
     """A query cell touches the solid; interpolation is undefined there."""
-
-
-class GridCoverageError(ValueError):
-    """The grid extent is too small for the gate plus required margins."""
 
 
 @dataclass
@@ -116,17 +112,17 @@ def build_field(
 ) -> DistanceField:
     """Evaluate the exact gate clearance at every grid node.
 
-    The grid must extend past the gate's outer bounds by ``safety_radius``
-    plus the planned per-axis ``inflation`` on every side; otherwise a
-    :class:`GridCoverageError` names the offending axis.
+    The grid must extend past the gate's outer bounds by ``safety_radius`` plus
+    the planned per-axis ``inflation`` (both finite and non-negative) on every
+    side; otherwise a ``ValueError`` names the offending axis.
     """
-    infl = np.zeros(3) if inflation is None else np.asarray(inflation, dtype=float)
+    infl = np.zeros(3) if inflation is None else _axis_bounds(inflation, "inflation")
     required = np.array([gate.half_depth, gate.outer_half, gate.outer_half])
-    required = required + float(safety_radius) + infl
+    required = required + _axis_bounds(np.full(3, safety_radius), "safety_radius") + infl
     for k, name in enumerate("xyz"):
         lo, hi = spec.origin[k], spec.max_corner[k]
         if lo > -required[k] or hi < required[k]:
-            raise GridCoverageError(
+            raise ValueError(
                 f"grid extent on axis '{name}' [{lo:g}, {hi:g}] does not cover the gate "
                 f"plus margins (need at least [-{required[k]:g}, {required[k]:g}])"
             )
@@ -175,9 +171,7 @@ def quantize_inflation(eps: np.ndarray, resolution: float) -> np.ndarray:
     :func:`inflate_field` insists on whole-cell inflations; this helper makes
     the conservative choice for callers holding an arbitrary bound.
     """
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (3,) or np.any(eps < 0.0) or not np.all(np.isfinite(eps)):
-        raise ValueError(f"eps must be three finite non-negative values, got {eps}")
+    eps = _axis_bounds(eps, "eps")
     cells = np.ceil(eps / resolution - 1e-9)
     return np.maximum(cells, 0.0) * resolution
 
@@ -191,9 +185,7 @@ def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
     """
     if np.any(f.inflated_by != 0.0):
         raise ValueError(f"field is already inflated by {f.inflated_by}; inflate a nominal field")
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (3,) or np.any(eps < 0.0) or not np.all(np.isfinite(eps)):
-        raise ValueError(f"eps must be three finite non-negative values, got {eps}")
+    eps = _axis_bounds(eps, "eps")
     cells = eps / f.spec.resolution
     k = np.rint(cells)
     if np.any(np.abs(cells - k) > 1e-6):
@@ -212,7 +204,7 @@ def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
         spec=f.spec,
         values=values,
         gradients=_node_gradients(values, f.spec.resolution),
-        inflated_by=eps.copy(),
+        inflated_by=eps,
     )
 
 
@@ -414,11 +406,9 @@ def load_field(path: str | Path) -> DistanceField:
     )
     try:
         spec = GridSpec(origin=np.array([ox, oy, oz], dtype=float), resolution=float(res), dims=(nx, ny, nz))
+        inflated_by = _axis_bounds((ex, ey, ez), "inflation")
     except ValueError as exc:
         raise MapFormatError(f"{path}: bad grid header: {exc}") from exc
-    inflated_by = np.array([ex, ey, ez], dtype=float)
-    if not (np.all(np.isfinite(inflated_by)) and np.all(inflated_by >= 0.0)):
-        raise MapFormatError(f"{path}: inflation must be finite and >= 0 per axis, got {inflated_by}")
     return DistanceField(spec=spec, values=values, gradients=gradients, inflated_by=inflated_by)
 
 

@@ -137,6 +137,14 @@ def _finite_point(q) -> tuple[np.ndarray, list[float]]:
     return q, coords
 
 
+def _axis_bounds(v, name: str) -> np.ndarray:
+    """Three finite non-negative per-axis values as a new float array."""
+    v = np.array(v, dtype=float)
+    if v.shape != (3,) or not np.all(np.isfinite(v)) or np.any(v < 0.0):
+        raise ValueError(f"{name} must be three finite non-negative values, got {v}")
+    return v
+
+
 def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:
     """Euclidean distance from a gate-frame point to the frame surface [m].
 

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import BarrierConstraint, SafetyParams
+from .barrier import BarrierConstraint, SafetyParams, _constraint
 from .field import DistanceField, sample_batch, SAMPLE_OK
 from .geometry import _norm
 
@@ -360,10 +360,7 @@ def safest_action_field(
     dirs[:, au] = np.cos(theta)
     dirs[:, av] = np.sin(theta)
 
-    a = 2.0 * d[:, None] * grad
-    c_robust = 2.0 * d * (np.abs(grad) @ params.dw)
-    b = -params.gamma * (d * d - params.R * params.R) + c_robust
-
+    a, b = _constraint(d, grad, d * d - params.R * params.R, params)
     margins = speed * (a @ dirs.T) - b[:, None]
     margins[~valid] = -np.inf
     best = np.argmax(margins, axis=1)

@@ -168,10 +168,10 @@ def generate_track(
     """
     if num_gates < 1:
         raise ValueError(f"num_gates must be positive, got {num_gates}")
-    if spacing <= 0.0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    if difficulty < 0.0:
-        raise ValueError(f"difficulty must be non-negative, got {difficulty}")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    if not (math.isfinite(2.0 * difficulty) and difficulty >= 0.0):
+        raise ValueError(f"difficulty must be non-negative with 2 * difficulty finite, got {difficulty}")
     if laps < 1:
         raise ValueError(f"laps must be positive, got {laps}")
     rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ from gatesafe.barrier import (
     ADMISSIBLE_TOL,
     BarrierEval,
     SafetyParams,
+    _constraint,
     admissible,
     assemble_constraint,
     eval_barrier_world,
@@ -265,3 +266,33 @@ def test_assemble_constraint_is_bit_identical_to_linalg_reference():
         assert (filter_action(np.zeros(3), con, params).status is FilterStatus.INFEASIBLE_FALLBACK) == (not ok)
         feasible.add(ok)
     assert feasible == {True, False}
+
+
+def inline_constraint_rows(d, grad, params):
+    """The constraint formula safest_action_field used to write inline: (A, B) per row."""
+    a = 2.0 * d[:, None] * grad
+    c_robust = 2.0 * d * (np.abs(grad) @ params.dw)
+    b = -params.gamma * (d * d - params.R * params.R) + c_robust
+    return a, b
+
+
+@pytest.mark.parametrize("n", [1, 7, 120, 10_000])
+def test_constraint_kernel_rows_are_bit_identical_to_the_inline_formula(n):
+    rng = np.random.default_rng(37 + n)
+    params = SafetyParams(R=0.3, gamma=4.0, dw=np.array([0.1, 0.2, 0.3]))
+    # Field-like clearances, plus clearances down into the subnormals, where
+    # 2 * (d * g) and (2 * d) * g round apart, plus the NaN rows sample_batch
+    # gives off the map.
+    d = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 6.0, n), 10.0 ** rng.uniform(-320.0, 1.0, n))
+    grad = rng.normal(size=(n, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    off_map = rng.random(n) < 0.05
+    d[off_map] = np.nan
+    grad[off_map] = np.nan
+    want_a, want_b = inline_constraint_rows(d, grad, params)
+    a, b = _constraint(d, grad, d * d - params.R * params.R, params)
+    assert a.shape == (n, 3) and b.shape == (n,)
+    assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+    if n == 1:
+        # The one-sample form, as assemble_constraint calls it, gives the same bits.
+        a1, b1 = _constraint(float(d[0]), grad[0], float(d[0] * d[0] - params.R * params.R), params)
+        assert a1.tobytes() == want_a[0].tobytes() and _bits(b1) == _bits(want_b[0])

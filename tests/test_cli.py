@@ -204,7 +204,14 @@ def test_run_rejects_unknown_mode(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value, path",
-    [("--levels", "-1", "run.levels"), ("--levels", "-1,2", "run.levels"), ("--tracks", "0", "run.tracks")],
+    [
+        ("--levels", "-1", "run.levels"),
+        ("--levels", "-1,2", "run.levels"),
+        ("--tracks", "0", "run.tracks"),
+        ("--levels", "0,0", "run.levels"),
+        ("--levels", "1e308", "run.levels"),
+        ("--modes", "baseline,baseline", "run.modes"),
+    ],
 )
 def test_run_rejects_out_of_range_override_naming_its_path(flag, value, path, tmp_path, capsys):
     assert run_cli(["run", flag, value, "--out", tmp_path / "r"]) == 1

@@ -1,6 +1,9 @@
 """Strict-config loading: defaults, dotted-path rejection, manifests."""
 import dataclasses
 import inspect
+import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -115,7 +118,7 @@ def test_boundary_values_that_the_config_accepts_build_every_library_object():
         "sim": {"dt": tiny, "laps": 1, "max_steps": 1},
         "track": {"num_gates": 1, "spacing": tiny},
         "policy": {"gain": tiny, "pass_offset": 0},
-        "run": {"levels": [0], "tracks": 1, "seed_base": 0},
+        "run": {"levels": [0, sys.float_info.max / 2.0], "tracks": 1, "seed_base": 0},
     })
     gate, params, spec = cfg.gate(), cfg.safety_params(), cfg.grid_spec()
     assert (gate.inner_size, params.R, params.dv.tolist()) == (tiny, tiny, [0.0, 0.0, 0.0])
@@ -123,7 +126,9 @@ def test_boundary_values_that_the_config_accepts_build_every_library_object():
     field = DistanceField(spec, np.zeros(spec.dims, np.float32), np.zeros(spec.dims + (3,), np.float32))
     env = cfg.sim_env(field, field)
     assert (env.dt, env.max_steps, env.pass_offset) == (tiny, 1, 0.0)
-    generate_track(cfg.track.num_gates, cfg.track.spacing, cfg.run.levels[0], cfg.sim.laps, cfg.run.seed_base)
+    for level in cfg.run.levels:
+        generate_track(cfg.track.num_gates, cfg.track.spacing, level, cfg.sim.laps, cfg.run.seed_base)
+        generate_track(2, cfg.track.spacing, level, cfg.sim.laps, cfg.run.seed_base)  # one draw over the range
 
 
 def test_noise_needs_three_components():
@@ -138,6 +143,28 @@ def test_run_modes_validated():
         parse_config({"run": {"modes": ["baseline", "warp_drive"]}})
     with pytest.raises(ConfigError, match=r"run\.levels"):
         parse_config({"run": {"levels": []}})
+
+
+@pytest.mark.parametrize(
+    "run, path",
+    [
+        ({"levels": [0, 0]}, "run.levels"),
+        ({"levels": [0.5, 1.0, 0.5]}, "run.levels"),
+        ({"levels": [0.1, 0.10000000001]}, "run.levels"),  # equal in the trajectory file name
+        ({"modes": ["baseline", "filtered", "baseline"]}, "run.modes"),
+    ],
+    ids=["level-twice", "level-apart", "level-same-name", "mode-twice"],
+)
+def test_run_rejects_entries_whose_trajectory_files_collide(run, path):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)} repeats"):
+        parse_config({"run": run})
+
+
+def test_run_levels_keep_the_track_draw_range_finite():
+    # sys.float_info.max / 2 is accepted: see the boundary-values test above.
+    for level in (math.nextafter(sys.float_info.max / 2.0, math.inf), 1.0e308, sys.float_info.max):
+        with pytest.raises(ConfigError, match=r"^run\.levels .*2 \* level"):
+            parse_config({"run": {"levels": [0.0, level]}})
 
 
 def _signature_defaults(fn, *names):

@@ -15,7 +15,6 @@ import pytest
 
 from gatesafe.field import (
     DistanceField,
-    GridCoverageError,
     GridSpec,
     InsideObstacleError,
     MapFormatError,
@@ -85,8 +84,28 @@ def test_default_grid_dims():
 
 def test_coverage_error_names_axis(default_gate):
     spec = GridSpec(origin=np.array([-1.5, -2.0, -0.5]), resolution=0.1, dims=(31, 41, 11))
-    with pytest.raises(GridCoverageError, match="axis 'z'"):
+    with pytest.raises(ValueError, match="axis 'z'"):
         build_field(default_gate, spec, safety_radius=0.3)
+
+
+@pytest.mark.parametrize(
+    "margins, name",
+    [
+        ({"inflation": [math.nan, 0.0, 0.0]}, "inflation"),
+        ({"inflation": [-5.0, 0.0, 0.0]}, "inflation"),
+        ({"safety_radius": math.nan}, "safety_radius"),
+        ({"safety_radius": -5.0}, "safety_radius"),
+    ],
+    ids=["nan-inflation", "negative-inflation", "nan-radius", "negative-radius"],
+)
+def test_build_field_rejects_margins_that_would_pass_the_coverage_check(default_gate, margins, name):
+    # A grid too small for R = 0.3 on y and z; a NaN or negative margin used
+    # to shrink or skip the coverage check and build the map anyway.
+    spec = GridSpec(origin=np.array([-1.0, -1.2, -1.2]), resolution=0.1, dims=(21, 25, 25))
+    with pytest.raises(ValueError, match="axis 'y'"):
+        build_field(default_gate, spec, safety_radius=0.3)
+    with pytest.raises(ValueError, match=f"^{name} must be three finite non-negative values"):
+        build_field(default_gate, spec, **margins)
 
 
 # ---------------------------------------------------------------------------

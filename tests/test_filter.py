@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gatesafe import qp
 from gatesafe.barrier import BarrierConstraint, BarrierEval, SafetyParams, admissible, assemble_constraint
-from gatesafe.field import GridSpec, build_field, inflate_field
+from gatesafe.field import SAMPLE_OK, GridSpec, build_field, inflate_field, sample_batch
 from gatesafe.qp import (
     FILTER_STATUS_ORDER,
     FilterDecision,
@@ -450,6 +450,42 @@ def test_safest_action_field_validation(default_gate):
         safest_action_field(f, params, speed=5.0, plane="xy", offset=0.0)
     with pytest.raises(ValueError, match="offset"):
         safest_action_field(f, params, speed=1.0, plane="yz", offset=9.0)
+
+
+def _inline_safest_action_field(f, params, speed, plane, offset, angular_samples=72):
+    """safest_action_field's body with the constraint formula written inline: (directions, unsafe)."""
+    au, av, fixed = (0, 1, 2) if plane == "xy" else (1, 2, 0)
+    uu, vv = np.meshgrid(f.spec.axis_nodes(au), f.spec.axis_nodes(av), indexing="ij")
+    pts = np.zeros(uu.shape + (3,))
+    pts[..., au] = uu
+    pts[..., av] = vv
+    pts[..., fixed] = offset
+    d, grad, code = sample_batch(f, pts.reshape(-1, 3))
+    theta = 2.0 * math.pi * np.arange(angular_samples) / angular_samples
+    dirs = np.zeros((angular_samples, 3))
+    dirs[:, au] = np.cos(theta)
+    dirs[:, av] = np.sin(theta)
+    a = 2.0 * d[:, None] * grad
+    c_robust = 2.0 * d * (np.abs(grad) @ params.dw)
+    b = -params.gamma * (d * d - params.R * params.R) + c_robust
+    margins = speed * (a @ dirs.T) - b[:, None]
+    margins[code != SAMPLE_OK] = -np.inf
+    best = np.argmax(margins, axis=1)
+    unsafe = (code != SAMPLE_OK) | (margins[np.arange(d.size), best] < 0.0)
+    directions = speed * dirs[best]
+    directions[unsafe] = 0.0
+    return directions.reshape(uu.shape + (3,)), unsafe.reshape(uu.shape)
+
+
+@pytest.mark.parametrize("plane, offset", [("yz", 0.0), ("xy", 0.0), ("xy", 0.3)])
+def test_safest_action_field_is_bit_identical_to_the_inline_formula(default_env, plane, offset):
+    for f in (default_env.nominal_field, default_env.inflated_field):
+        for speed in (0.5, 1.5, 2.0, default_env.params.alpha):
+            fld = safest_action_field(f, default_env.params, speed=speed, plane=plane, offset=offset)
+            directions, unsafe = _inline_safest_action_field(f, default_env.params, speed, plane, offset)
+            assert fld.directions.tobytes() == directions.tobytes(), (speed, f.inflated_by)
+            assert np.array_equal(fld.unsafe, unsafe), (speed, f.inflated_by)
+            assert 0 < unsafe.sum() < unsafe.size
 
 
 def _linalg_filter_action(u_nom, con, params):

@@ -1,5 +1,6 @@
 """Track generation, perception, policy, and closed-loop trial behavior."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def test_track_validation():
         generate_track(spacing=0.0)
     with pytest.raises(ValueError, match="laps"):
         generate_track(laps=0)
+    # numpy's uniform raises OverflowError, not ValueError, when its range overflows.
+    too_wide = math.nextafter(sys.float_info.max / 2.0, math.inf)
+    for name, value in [("difficulty", v) for v in (math.nan, math.inf, 1e308, too_wide)] + [
+        ("spacing", v) for v in (math.nan, math.inf)
+    ]:
+        with pytest.raises(ValueError, match=name):
+            generate_track(**{name: value})
 
 
 def test_virtual_gate_pose_lap_shift():

@@ -34,7 +34,6 @@ from .field import (
     MapFormatError,
     OutOfBoundsError,
     build_field,
-    default_grid_spec,
     inflate_field,
     load_field,
     quantize_inflation,
@@ -81,8 +80,6 @@ from .config import Config, ConfigError, dump_manifest, load_config, parse_confi
 from .report import (
     BoxStats,
     GroupSummary,
-    MalformedInputError,
-    MissingInputError,
     ReportError,
     box_stats,
     load_metrics,
@@ -108,9 +105,7 @@ __all__ = [
     "GroupSummary",
     "InsideObstacleError",
     "MODES",
-    "MalformedInputError",
     "MapFormatError",
-    "MissingInputError",
     "OutOfBoundsError",
     "PlaneActionField",
     "Pose",
@@ -127,7 +122,6 @@ __all__ = [
     "assemble_constraint",
     "box_stats",
     "build_field",
-    "default_grid_spec",
     "dump_manifest",
     "eval_barrier_world",
     "exact_distance",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import DistanceField, sample
-from .geometry import Pose, _axis_bounds, world_to_gate
+from .geometry import Pose, _axis_bounds, _positive, world_to_gate
 
 ADMISSIBLE_TOL = 1e-9
 
@@ -41,9 +41,9 @@ class SafetyParams:
     dv: np.ndarray = field(default_factory=lambda: np.full(3, 0.25))
 
     def __post_init__(self) -> None:
-        for name, val in (("R", self.R), ("gamma", self.gamma), ("alpha", self.alpha)):
-            if not (math.isfinite(val) and val > 0.0):
-                raise ValueError(f"{name} must be positive, got {val}")
+        self.R = _positive(self.R, "R")
+        self.gamma = _positive(self.gamma, "gamma")
+        self.alpha = _positive(self.alpha, "alpha")
         self.dw = _axis_bounds(self.dw, "dw")
         self.dv = _axis_bounds(self.dv, "dv")
 
@@ -69,6 +69,11 @@ class BarrierConstraint:
     b: float
 
 
+def _barrier_value(d, params: SafetyParams):
+    """h = d^2 - R^2 for a float clearance or an array of them."""
+    return d * d - params.R * params.R
+
+
 def eval_barrier_world(
     f: DistanceField, x_world: np.ndarray, gate_pose: Pose, params: SafetyParams
 ) -> BarrierEval:
@@ -82,7 +87,7 @@ def eval_barrier_world(
     c, s = math.cos(gate_pose.yaw), math.sin(gate_pose.yaw)
     gx, gy, gz = grad.tolist()
     world_grad = np.array([c * gx - s * gy, s * gx + c * gy, gz])
-    return BarrierEval(d=d, grad=world_grad, h=d * d - params.R * params.R)
+    return BarrierEval(d=d, grad=world_grad, h=_barrier_value(d, params))
 
 
 def _constraint(d, grad: np.ndarray, h, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """Strict nested configuration: validated defaults, dotted-path errors, manifests.
 
-Configuration is YAML with one section per module. Unknown keys are rejected
-naming the offending dotted path (a silent typo in a safety parameter is a
-safety bug), every value is range-checked at load, and the full effective
-configuration -- defaults included -- can be dumped back out as a manifest
-that reproduces the run with no hidden state.
+Configuration is YAML with one section per module. Unknown and repeated keys
+are rejected naming the offending dotted path (a silent typo in a safety
+parameter is a safety bug), every value is range-checked at load, and the
+full effective configuration -- defaults included -- can be dumped back out
+as a manifest that reproduces the run with no hidden state.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .barrier import SafetyParams
 from .field import DistanceField, GridSpec
 from .geometry import GateGeometry
 from .report import _g
-from .sim import MODES, SimEnv
+from .sim import MODES, SimEnv, _check_level
 
 
 class ConfigError(ValueError):
@@ -82,9 +82,9 @@ def _distinct(path: str, names: list[str]) -> None:
 
 def _levels(path: str, value) -> tuple[float, ...]:
     _nonempty_list(path, value)
-    levels = tuple(_number(path, v, minimum=0.0) for v in value)
-    if not all(math.isfinite(2.0 * v) for v in levels):  # generate_track draws from [-level, level]
-        raise ConfigError(f"{path} entries must keep 2 * level finite, got {list(levels)}")
+    levels = tuple(_number(path, v) for v in value)
+    for v in levels:
+        _check_level(v, path, ConfigError)
     _distinct(path, [_g(v) for v in levels])
     return levels
 
@@ -247,6 +247,31 @@ def parse_config(data: dict | None) -> Config:
     return cfg
 
 
+def _reject_repeated_keys(node, path: str, walked: set[int]) -> None:
+    """Raise ConfigError for a key given twice in one mapping of a YAML node tree.
+
+    PyYAML keeps only the last of two equal keys, so a section written twice
+    would silently drop every value set in its first copy. ``walked`` holds
+    the nodes already checked: an alias may make the tree recursive.
+    """
+    if id(node) in walked:
+        return
+    walked.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _reject_repeated_keys(item, f"{path}[{i}]", walked)
+    elif isinstance(node, yaml.MappingNode):
+        keys = set()
+        for key, value in node.value:
+            if not isinstance(key, yaml.ScalarNode):
+                continue  # unhashable: constructing the mapping rejects it
+            name = f"{path}.{key.value}" if path else key.value
+            if key.value in keys:
+                raise ConfigError(f"{name} is given twice (again on line {key.start_mark.line + 1})")
+            keys.add(key.value)
+            _reject_repeated_keys(value, name, walked)
+
+
 def load_config(path: str) -> Config:
     """Read, parse, and validate a YAML config file; empty file means defaults."""
     try:
@@ -255,7 +280,11 @@ def load_config(path: str) -> Config:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(raw)
+        # yaml.safe_load, with the node tree checked before it is constructed.
+        loader = yaml.SafeLoader(raw)
+        node = loader.get_single_node()
+        _reject_repeated_keys(node, "", set())
+        data = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return parse_config(data)

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import GateGeometry, _axis_bounds, exact_distance_batch
+from .geometry import GateGeometry, _axis_bounds, _positive, exact_distance_batch
 
 MAGIC = b"ESDF"
 FORMAT_VERSION = 2
@@ -72,8 +72,7 @@ class GridSpec:
         self.origin = np.asarray(self.origin, dtype=float)
         if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
             raise ValueError("origin must be a finite 3-vector")
-        if not (math.isfinite(self.resolution) and self.resolution > 0.0):
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        self.resolution = _positive(self.resolution, "resolution")
         self.dims = tuple(int(n) for n in self.dims)
         if len(self.dims) != 3 or any(n < 2 for n in self.dims):
             raise ValueError(f"dims must be three counts >= 2, got {self.dims}")
@@ -411,10 +410,3 @@ def load_field(path: str | Path) -> DistanceField:
         raise MapFormatError(f"{path}: bad grid header: {exc}") from exc
     return DistanceField(spec=spec, values=values, gradients=gradients, inflated_by=inflated_by)
 
-
-def default_grid_spec(resolution: float = 0.1) -> GridSpec:
-    """The stock gate-frame grid: x, y in [-6, 6], z in [-4, 4]."""
-    nx = int(round(12.0 / resolution)) + 1
-    ny = nx
-    nz = int(round(8.0 / resolution)) + 1
-    return GridSpec(origin=np.array([-6.0, -6.0, -4.0]), resolution=resolution, dims=(nx, ny, nz))

@@ -38,10 +38,8 @@ class GateGeometry:
     bar_thickness: float = 0.25
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.inner_size) and self.inner_size > 0.0):
-            raise ValueError(f"inner_size must be positive, got {self.inner_size}")
-        if not (math.isfinite(self.bar_thickness) and self.bar_thickness > 0.0):
-            raise ValueError(f"bar_thickness must be positive, got {self.bar_thickness}")
+        self.inner_size = _positive(self.inner_size, "inner_size")
+        self.bar_thickness = _positive(self.bar_thickness, "bar_thickness")
 
     @property
     def inner_half(self) -> float:
@@ -143,6 +141,13 @@ def _axis_bounds(v, name: str) -> np.ndarray:
     if v.shape != (3,) or not np.all(np.isfinite(v)) or np.any(v < 0.0):
         raise ValueError(f"{name} must be three finite non-negative values, got {v}")
     return v
+
+
+def _positive(v, name: str) -> float:
+    """A finite value > 0 as a Python float."""
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {v}")
+    return float(v)
 
 
 def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:

@@ -28,9 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import BarrierConstraint, SafetyParams, _constraint
+from .barrier import BarrierConstraint, SafetyParams, _barrier_value, _constraint
 from .field import DistanceField, sample_batch, SAMPLE_OK
-from .geometry import _norm
+from .geometry import _norm, _positive
 
 _DEGENERATE_NORM = 1e-300
 
@@ -140,9 +140,7 @@ def filter_action_batch(
     U = np.asarray(U, dtype=float)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    alpha = _positive(alpha, "alpha")
     if U.ndim != 2 or U.shape[1] != 3 or A.shape != U.shape or B.shape != U.shape[:1]:
         raise ValueError(f"expected U, A of shape (N, 3) and B of shape (N,), got {U.shape}, {A.shape}, {B.shape}")
 
@@ -360,7 +358,7 @@ def safest_action_field(
     dirs[:, au] = np.cos(theta)
     dirs[:, av] = np.sin(theta)
 
-    a, b = _constraint(d, grad, d * d - params.R * params.R, params)
+    a, b = _constraint(d, grad, _barrier_value(d, params), params)
     margins = speed * (a @ dirs.T) - b[:, None]
     margins[~valid] = -np.inf
     best = np.argmax(margins, axis=1)

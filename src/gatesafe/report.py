@@ -9,8 +9,8 @@ it reports the safety rate, the mean gate success percentage, and boxplot
 statistics of the per-trial minimum obstacle distance: median, quartiles,
 Tukey whiskers at 1.5 IQR, and outliers beyond the whiskers.
 
-Missing and ill-formed inputs raise distinct exception types so callers can
-tell "wrong directory" apart from "corrupted file".
+Missing and ill-formed inputs raise one exception type, :class:`ReportError`,
+whose message tells "wrong directory" apart from "corrupted file".
 """
 from __future__ import annotations
 
@@ -25,15 +25,7 @@ from .sim import MODES, STEP_LABELS, TrialRecord
 
 
 class ReportError(RuntimeError):
-    """Base class for report-generation failures."""
-
-
-class MissingInputError(ReportError):
-    """The run directory or its metrics.csv does not exist."""
-
-
-class MalformedInputError(ReportError):
-    """metrics.csv exists but its header or rows cannot be interpreted."""
+    """The run directory or its metrics.csv is absent or cannot be interpreted."""
 
 
 @dataclass(frozen=True)
@@ -90,16 +82,16 @@ def _parse_bool(raw: str, column: str, line: int) -> bool:
         return True
     if raw == "false":
         return False
-    raise MalformedInputError(f"metrics.csv line {line}: column {column!r} must be true/false, got {raw!r}")
+    raise ReportError(f"metrics.csv line {line}: column {column!r} must be true/false, got {raw!r}")
 
 
 def _parse_float(raw: str, column: str, line: int) -> float:
     try:
         value = float(raw)
     except ValueError as exc:
-        raise MalformedInputError(f"metrics.csv line {line}: column {column!r} is not a number: {raw!r}") from exc
+        raise ReportError(f"metrics.csv line {line}: column {column!r} is not a number: {raw!r}") from exc
     if not math.isfinite(value):
-        raise MalformedInputError(f"metrics.csv line {line}: column {column!r} is not finite: {raw!r}")
+        raise ReportError(f"metrics.csv line {line}: column {column!r} is not finite: {raw!r}")
     return value
 
 
@@ -178,22 +170,22 @@ def write_trial_tables(out_dir: str, records: list[TrialRecord]) -> None:
 def load_metrics(path: str) -> list[dict]:
     """Read and type-check a metrics.csv into a list of row dicts."""
     if not os.path.exists(path):
-        raise MissingInputError(f"metrics file not found: {path}")
+        raise ReportError(f"metrics file not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise MalformedInputError(f"metrics file {path} is empty (no header row)")
+            raise ReportError(f"metrics file {path} is empty (no header row)")
         missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise MalformedInputError(f"metrics file {path} is missing columns: {', '.join(missing)}")
+            raise ReportError(f"metrics file {path} is missing columns: {', '.join(missing)}")
         parsers = [(name, parse) for name, _, parse in METRICS_COLUMNS if parse is not None]
         rows = []
         for i, raw in enumerate(reader, start=2):
             if any(raw.get(c) is None for c in REQUIRED_COLUMNS):
-                raise MalformedInputError(f"metrics.csv line {i}: short row")
+                raise ReportError(f"metrics.csv line {i}: short row")
             rows.append({name: parse(raw[name], name, i) for name, parse in parsers})
     if not rows:
-        raise MalformedInputError(f"metrics file {path} has a header but no data rows")
+        raise ReportError(f"metrics file {path} has a header but no data rows")
     return rows
 
 
@@ -267,12 +259,11 @@ def format_summary_text(summaries: list[GroupSummary]) -> str:
 def write_report(run_dir: str, out_dir: str | None = None) -> tuple[str, str]:
     """Summarize <run_dir>/metrics.csv into summary.csv and summary.txt.
 
-    Returns the two output paths. Raises MissingInputError if the run
-    directory or metrics file is absent, MalformedInputError if the file
-    cannot be interpreted.
+    Returns the two output paths. Raises ReportError if the run directory or
+    metrics file is absent or the file cannot be interpreted.
     """
     if not os.path.isdir(run_dir):
-        raise MissingInputError(f"run directory not found: {run_dir}")
+        raise ReportError(f"run directory not found: {run_dir}")
     rows = load_metrics(os.path.join(run_dir, "metrics.csv"))
     summaries = summarize(rows)
     target = out_dir if out_dir is not None else run_dir

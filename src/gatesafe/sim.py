@@ -37,7 +37,7 @@ import numpy as np
 from .barrier import SafetyParams, assemble_constraint, eval_barrier_world
 from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
-    GateGeometry, Pose, _norm, exact_distance_batch, segment_hits_frame, world_to_gate,
+    GateGeometry, Pose, _norm, _positive, exact_distance_batch, segment_hits_frame, world_to_gate,
 )
 from .qp import _STATUS_CODE, FILTER_STATUS_ORDER, FilterStatus, filter_action
 
@@ -54,6 +54,12 @@ STEP_IN_OBSTACLE = len(FilterStatus) + 1
 STEP_LABELS = tuple(s.value for s in FILTER_STATUS_ORDER) + ("off_map", "in_obstacle")
 
 PASS_MARGIN = 0.01  # [m] crossing must clear the opening edge by this much
+
+# Largest difficulty level [m]. Gate offsets drift by up to one level per gate,
+# and clearances square gate-frame coordinates, which overflows past about
+# 1.3e154 m (the square root of the largest float): 1e150 keeps every square
+# finite on a track that drifts a thousand levels off axis.
+MAX_LEVEL = 1e150
 
 
 class SetupError(RuntimeError):
@@ -146,10 +152,17 @@ class SimEnv:
             raise ValueError(f"dt must lie in (0, 1), got {self.dt}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError(f"gain must be positive, got {self.gain}")
+        self.gain = _positive(self.gain, "gain")
         if not (math.isfinite(self.pass_offset) and self.pass_offset >= 0.0):
             raise ValueError(f"pass_offset must be finite and >= 0, got {self.pass_offset}")
+
+
+def _check_level(level: float, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless 0 <= level <= MAX_LEVEL (NaN fails)."""
+    if not 0.0 <= level <= MAX_LEVEL:
+        raise error(
+            f"{name} must lie in [0, {MAX_LEVEL:g}] m, where squared clearances stay finite, got {level}"
+        )
 
 
 def generate_track(
@@ -168,10 +181,8 @@ def generate_track(
     """
     if num_gates < 1:
         raise ValueError(f"num_gates must be positive, got {num_gates}")
-    if not (math.isfinite(spacing) and spacing > 0.0):
-        raise ValueError(f"spacing must be finite and positive, got {spacing}")
-    if not (math.isfinite(2.0 * difficulty) and difficulty >= 0.0):
-        raise ValueError(f"difficulty must be non-negative with 2 * difficulty finite, got {difficulty}")
+    _positive(spacing, "spacing")
+    _check_level(difficulty, "difficulty")
     if laps < 1:
         raise ValueError(f"laps must be positive, got {laps}")
     rng = np.random.default_rng(seed)

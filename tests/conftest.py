@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gatesafe.barrier import SafetyParams
-from gatesafe.field import build_field, default_grid_spec, inflate_field, quantize_inflation
+from gatesafe.config import Config
+from gatesafe.field import build_field, inflate_field, quantize_inflation
 from gatesafe.geometry import GateGeometry
 from gatesafe.sim import SimEnv
 
@@ -20,7 +21,7 @@ def rng() -> np.random.Generator:
 @pytest.fixture(scope="session")
 def default_env(default_gate) -> SimEnv:
     """Full-extent fields plus default parameters, built once per session."""
-    spec = default_grid_spec()
+    spec = Config().grid_spec()
     params = SafetyParams()
     nominal = build_field(default_gate, spec)
     inflated = inflate_field(nominal, quantize_inflation(params.dv, spec.resolution))

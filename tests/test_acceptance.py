@@ -16,10 +16,10 @@ import pytest
 
 from gatesafe.barrier import BarrierConstraint, SafetyParams, assemble_constraint, eval_barrier_world
 from gatesafe.cli import main as cli_main
+from gatesafe.config import Config
 from gatesafe.field import (
     SAMPLE_OK,
     build_field,
-    default_grid_spec,
     inflate_field,
     quantize_inflation,
     sample_batch,
@@ -57,7 +57,7 @@ def run_cli(argv) -> int:
 @pytest.fixture(scope="module")
 def timed_nominal(default_gate):
     t0 = time.perf_counter()
-    f = build_field(default_gate, default_grid_spec(), safety_radius=SafetyParams().R)
+    f = build_field(default_gate, Config().grid_spec(), safety_radius=SafetyParams().R)
     return f, time.perf_counter() - t0
 
 

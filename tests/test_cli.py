@@ -15,8 +15,7 @@ from gatesafe.cli import main as cli_main
 from gatesafe.field import load_field
 from gatesafe.report import (
     GroupSummary,
-    MalformedInputError,
-    MissingInputError,
+    ReportError,
     _g,
     _trajectory_rows,
     box_stats,
@@ -211,6 +210,10 @@ def test_run_rejects_unknown_mode(tmp_path):
         ("--levels", "0,0", "run.levels"),
         ("--levels", "1e308", "run.levels"),
         ("--modes", "baseline,baseline", "run.modes"),
+        # Accepted before the level bound, these overflowed a squared clearance.
+        ("--levels", "8e307", "run.levels"),
+        ("--levels", "0,1e300", "run.levels"),
+        ("--levels", "1e160", "run.levels"),
     ],
 )
 def test_run_rejects_out_of_range_override_naming_its_path(flag, value, path, tmp_path, capsys):
@@ -226,6 +229,10 @@ def test_run_rejects_bad_config_values(tmp_path):
     typo = tmp_path / "typo.yaml"
     typo.write_text("safety:\n  gama: 2\n")
     assert run_cli(["run", "--config", typo, "--out", tmp_path / "r"]) == 1
+    twice = tmp_path / "twice.yaml"
+    twice.write_text("safety: {R: 0.5}\nsafety: {gamma: 2.0}\n")
+    assert run_cli(["run", "--config", twice, "--out", tmp_path / "r"]) == 1
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize(
@@ -278,6 +285,11 @@ def test_box_stats_singleton_value():
     s = box_stats([1.2])
     assert (s.median, s.q25, s.q75, s.whisker_lo, s.whisker_hi) == (1.2, 1.2, 1.2, 1.2, 1.2)
     assert s.outliers == ()
+
+
+def test_box_stats_needs_a_value():
+    with pytest.raises(ValueError, match="at least one value"):
+        box_stats([])
 
 
 def test_box_stats_pinned_quartiles():
@@ -349,13 +361,15 @@ def test_report_out_dir_redirects_summaries(run_dir, tmp_path):
 
 
 def test_report_missing_and_malformed_inputs_are_distinct(tmp_path, capsys):
-    with pytest.raises(MissingInputError):
+    with pytest.raises(ReportError, match="not found"):
         write_report(str(tmp_path / "nowhere"))
+    with pytest.raises(ReportError, match="metrics file not found"):
+        write_report(str(tmp_path))
 
     bad_dir = tmp_path / "bad"
     bad_dir.mkdir()
     (bad_dir / "metrics.csv").write_text("level,track\n0,0\n")
-    with pytest.raises(MalformedInputError, match="missing columns"):
+    with pytest.raises(ReportError, match="missing columns"):
         write_report(str(bad_dir))
 
     assert run_cli(["report", "--run", tmp_path / "nowhere"]) == 2
@@ -370,13 +384,19 @@ def test_report_rejects_unparsable_rows(tmp_path):
     bad_dir.mkdir()
     header = "level,track,mode,safe,success_pct,min_distance\n"
     (bad_dir / "metrics.csv").write_text(header + "0,0,baseline,maybe,50,0.1\n")
-    with pytest.raises(MalformedInputError, match="line 2"):
+    with pytest.raises(ReportError, match="line 2"):
         write_report(str(bad_dir))
     (bad_dir / "metrics.csv").write_text(header + "0,0,baseline,true,50,oops\n")
-    with pytest.raises(MalformedInputError, match="min_distance"):
+    with pytest.raises(ReportError, match="min_distance"):
         write_report(str(bad_dir))
     (bad_dir / "metrics.csv").write_text(header)
-    with pytest.raises(MalformedInputError, match="no data rows"):
+    with pytest.raises(ReportError, match="no data rows"):
+        write_report(str(bad_dir))
+    (bad_dir / "metrics.csv").write_text(header + "0,0,baseline,true\n")
+    with pytest.raises(ReportError, match="line 2: short row"):
+        write_report(str(bad_dir))
+    (bad_dir / "metrics.csv").write_text("")
+    with pytest.raises(ReportError, match="empty"):
         write_report(str(bad_dir))
 
 
@@ -387,7 +407,7 @@ def test_report_rejects_non_finite_numbers(tmp_path, capsys, column, value):
     row = {"level": "0", "track": "0", "mode": "baseline", "safe": "true", "success_pct": "50", "min_distance": "0.1"}
     row[column] = value
     (tmp_path / "metrics.csv").write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
-    with pytest.raises(MalformedInputError, match=f"line 2: column '{column}' is not finite"):
+    with pytest.raises(ReportError, match=f"line 2: column '{column}' is not finite"):
         write_report(str(tmp_path))
     assert run_cli(["report", "--run", tmp_path]) == 2, "a corrupt metrics.csv is a runtime failure"
     assert column in capsys.readouterr().err

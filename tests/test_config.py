@@ -10,9 +10,9 @@ import pytest
 
 from gatesafe.barrier import SafetyParams
 from gatesafe.config import Config, ConfigError, dump_manifest, load_config, parse_config
-from gatesafe.field import DistanceField, default_grid_spec
+from gatesafe.field import DistanceField
 from gatesafe.geometry import GateGeometry
-from gatesafe.sim import SimEnv, generate_track, nominal_policy, run_experiment
+from gatesafe.sim import MAX_LEVEL, SimEnv, generate_track, nominal_policy, run_experiment
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -58,6 +58,31 @@ def test_unknown_key_rejected_naming_dotted_path(tmp_path):
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="saftey"):
         parse_config({"saftey": {"R": 0.3}})
+
+
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+def test_non_finite_value_rejected_naming_key(tmp_path, value):
+    with pytest.raises(ConfigError, match=r"^safety\.R must be finite"):
+        load_config(write(tmp_path, f"safety:\n  R: {value}\n"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("safety: {R: 0.5}\nnoise: {dw: [0.1, 0.1, 0.1]}\nsafety: {gamma: 2.0}\n", r"^safety is given twice \(again on line 3\)"),
+        ("safety:\n  R: 0.5\n  R: 0.2\n", r"^safety\.R is given twice \(again on line 3\)"),
+    ],
+    ids=["section-twice", "key-twice"],
+)
+def test_repeated_key_rejected_naming_path_and_line(tmp_path, text, message):
+    # YAML keeps the last copy: the first would load R = 0.3 (the default), the second R = 0.2.
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, text))
+
+
+def test_recursive_alias_is_walked_once(tmp_path):
+    with pytest.raises(ConfigError, match="unknown section 'a'"):
+        load_config(write(tmp_path, "a: &x {b: *x}\n"))
 
 
 def test_non_mapping_root_rejected():
@@ -118,7 +143,7 @@ def test_boundary_values_that_the_config_accepts_build_every_library_object():
         "sim": {"dt": tiny, "laps": 1, "max_steps": 1},
         "track": {"num_gates": 1, "spacing": tiny},
         "policy": {"gain": tiny, "pass_offset": 0},
-        "run": {"levels": [0, sys.float_info.max / 2.0], "tracks": 1, "seed_base": 0},
+        "run": {"levels": [0, MAX_LEVEL], "tracks": 1, "seed_base": 0},
     })
     gate, params, spec = cfg.gate(), cfg.safety_params(), cfg.grid_spec()
     assert (gate.inner_size, params.R, params.dv.tolist()) == (tiny, tiny, [0.0, 0.0, 0.0])
@@ -161,9 +186,10 @@ def test_run_rejects_entries_whose_trajectory_files_collide(run, path):
 
 
 def test_run_levels_keep_the_track_draw_range_finite():
-    # sys.float_info.max / 2 is accepted: see the boundary-values test above.
-    for level in (math.nextafter(sys.float_info.max / 2.0, math.inf), 1.0e308, sys.float_info.max):
-        with pytest.raises(ConfigError, match=r"^run\.levels .*2 \* level"):
+    # MAX_LEVEL is accepted: see the boundary-values test above.
+    too_wide = math.nextafter(MAX_LEVEL, math.inf)
+    for level in (-1.0, too_wide, 1e160, 1e300, 8e307, sys.float_info.max):
+        with pytest.raises(ConfigError, match=r"^run\.levels must lie in \[0, 1e\+150\] m"):
             parse_config({"run": {"levels": [0.0, level]}})
 
 
@@ -189,10 +215,6 @@ def test_section_defaults_equal_the_library_defaults_they_feed():
         "gain": cfg.policy.gain,
         "pass_offset": cfg.policy.pass_offset,
     }
-
-    spec, library_spec = cfg.grid_spec(), default_grid_spec()
-    assert spec.origin.tolist() == library_spec.origin.tolist()
-    assert (spec.resolution, spec.dims) == (library_spec.resolution, library_spec.dims)
 
     assert _signature_defaults(generate_track, "num_gates", "spacing", "laps") == (
         cfg.track.num_gates, cfg.track.spacing, cfg.sim.laps,

@@ -13,6 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
+from gatesafe.config import Config
 from gatesafe.field import (
     DistanceField,
     GridSpec,
@@ -27,7 +28,6 @@ from gatesafe.field import (
     _SAMPLE_BLOCK,
     _node_gradients,
     build_field,
-    default_grid_spec,
     inflate_field,
     load_field,
     quantize_inflation,
@@ -77,7 +77,7 @@ def test_build_is_deterministic(default_gate, small_spec):
 
 
 def test_default_grid_dims():
-    spec = default_grid_spec()
+    spec = Config().grid_spec()
     assert spec.dims == (121, 121, 81)
     np.testing.assert_allclose(spec.max_corner, [6.0, 6.0, 4.0], atol=1e-12)
 
@@ -86,6 +86,14 @@ def test_coverage_error_names_axis(default_gate):
     spec = GridSpec(origin=np.array([-1.5, -2.0, -0.5]), resolution=0.1, dims=(31, 41, 11))
     with pytest.raises(ValueError, match="axis 'z'"):
         build_field(default_gate, spec, safety_radius=0.3)
+
+
+def test_field_arrays_must_match_the_grid(small_field):
+    spec, values, gradients = small_field.spec, small_field.values, small_field.gradients
+    with pytest.raises(ValueError, match="values shape"):
+        DistanceField(spec, values[:-1], gradients)
+    with pytest.raises(ValueError, match="gradients shape"):
+        DistanceField(spec, values, gradients[..., :2])
 
 
 @pytest.mark.parametrize(
@@ -404,6 +412,9 @@ def test_load_rejects_truncation(small_field, tmp_path):
     path.write_bytes(raw[:2])
     with pytest.raises(MapFormatError, match="file shorter than the magic header"):
         load_field(path)
+    path.write_bytes(raw[: _HEADER.size - 1])
+    with pytest.raises(MapFormatError, match="truncated header"):
+        load_field(path)
 
 
 def test_load_rejects_trailing_garbage(small_field, tmp_path):
@@ -623,6 +634,12 @@ def test_sample_batch_flags_non_finite_rows_out_of_bounds(small_field):
     assert np.isfinite(vals[0]) and np.all(np.isnan(vals[1:])) and np.all(np.isnan(grads[1:]))
     d, grad = sample(small_field, pts[0])
     assert vals[0] == pytest.approx(d, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 1)])
+def test_sample_batch_rejects_non_n_by_3_points(small_field, shape):
+    with pytest.raises(ValueError, match=r"expected an \(N, 3\) array"):
+        sample_batch(small_field, np.zeros(shape))
 
 
 def _per_corner_sample_batch(f: DistanceField, pts: np.ndarray):

@@ -145,6 +145,14 @@ def test_kkt_rejects_feasible_suboptimal_actions():
     assert not verify_kkt(u_nom, con, PARAMS, _decision([-1.4, 0.5, 0.0], con))
 
 
+def test_kkt_rejects_primal_infeasible_actions():
+    con = make_con([4.0, 0.0, 0.0], -5.6)
+    u_nom = np.array([-3.0, 0.0, 0.0])
+    # Below the plane (a.u = -6 < b), and outside the ball (|u| = 3.5 > alpha).
+    assert not verify_kkt(u_nom, con, PARAMS, _decision([-1.5, 0.0, 0.0], con))
+    assert not verify_kkt(u_nom, con, PARAMS, _decision([0.0, 3.5, 0.0], con))
+
+
 def test_kkt_rejects_negative_multipliers():
     # u_nom strictly satisfies a.u >= b; projecting it onto the plane anyway
     # makes u_nom - u = -lambda a hold only with lambda = -1.
@@ -450,6 +458,8 @@ def test_safest_action_field_validation(default_gate):
         safest_action_field(f, params, speed=5.0, plane="xy", offset=0.0)
     with pytest.raises(ValueError, match="offset"):
         safest_action_field(f, params, speed=1.0, plane="yz", offset=9.0)
+    with pytest.raises(ValueError, match="angular_samples"):
+        safest_action_field(f, params, speed=1.0, plane="yz", offset=0.0, angular_samples=1)
 
 
 def _inline_safest_action_field(f, params, speed, plane, offset, angular_samples=72):

@@ -412,3 +412,11 @@ def test_non_finite_points_are_rejected(default_gate, bad):
         segment_hits_frame(np.zeros(3), np.array(bad), default_gate)
     with pytest.raises(ValueError, match="3-vector"):
         segment_hits_frame(np.zeros(2), np.zeros(3), default_gate)
+    with pytest.raises(ValueError, match="pose must be finite"):
+        Pose(position=np.array(bad))
+    with pytest.raises(ValueError, match="pose must be finite"):
+        Pose(yaw=sum(bad))
+    with pytest.raises(ValueError, match="3-vector"):
+        Pose(position=np.zeros(2))
+    with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+        exact_distance_batch(np.zeros(3), default_gate)

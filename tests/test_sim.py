@@ -1,6 +1,5 @@
 """Track generation, perception, policy, and closed-loop trial behavior."""
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from gatesafe.field import InsideObstacleError, OutOfBoundsError
 from gatesafe.geometry import Pose, exact_distance_batch, segment_hits_frame, world_to_gate
 from gatesafe.qp import FILTER_STATUS_ORDER, filter_action
 from gatesafe.sim import (
+    MAX_LEVEL,
     MODES,
     PASS_MARGIN,
     STEP_FALLBACK,
@@ -77,9 +77,9 @@ def test_track_validation():
         generate_track(spacing=0.0)
     with pytest.raises(ValueError, match="laps"):
         generate_track(laps=0)
-    # numpy's uniform raises OverflowError, not ValueError, when its range overflows.
-    too_wide = math.nextafter(sys.float_info.max / 2.0, math.inf)
-    for name, value in [("difficulty", v) for v in (math.nan, math.inf, 1e308, too_wide)] + [
+    # Past MAX_LEVEL the gates' squared clearances could overflow.
+    too_wide = math.nextafter(MAX_LEVEL, math.inf)
+    for name, value in [("difficulty", v) for v in (math.nan, math.inf, 1e308, 1e160, too_wide)] + [
         ("spacing", v) for v in (math.nan, math.inf)
     ]:
         with pytest.raises(ValueError, match=name):
@@ -287,7 +287,8 @@ def test_trial_without_inflated_field(default_env):
 @pytest.mark.parametrize(
     "knob, value",
     [("gain", math.nan), ("gain", math.inf), ("gain", 0.0),
-     ("pass_offset", math.nan), ("pass_offset", math.inf), ("pass_offset", -0.5)],
+     ("pass_offset", math.nan), ("pass_offset", math.inf), ("pass_offset", -0.5),
+     ("dt", 0.0), ("dt", 1.0), ("max_steps", 0)],
 )
 def test_sim_env_rejects_knobs_the_config_rejects(default_env, knob, value):
     with pytest.raises(ValueError, match=knob):
@@ -298,6 +299,16 @@ def test_sim_env_rejects_knobs_the_config_rejects(default_env, knob, value):
             params=default_env.params,
             **{knob: value},
         )
+
+
+def test_the_largest_level_flies_every_mode_without_overflow(default_env):
+    # pytest turns a RuntimeWarning (an overflowing square) into an error.
+    for track in (generate_track(difficulty=MAX_LEVEL, seed=3),
+                  generate_track(num_gates=1000, difficulty=MAX_LEVEL, laps=1, seed=4)):
+        assert np.max(np.abs([p.position[1:] for p in track.gate_poses])) > 0.5 * MAX_LEVEL
+        for mode in MODES:
+            r = run_trial(default_env, track, mode, seed=5)
+            assert r.steps > 0 and math.isfinite(r.min_distance)
 
 
 def test_sim_env_accepts_zero_pass_offset(default_env):

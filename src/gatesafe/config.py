@@ -2,77 +2,54 @@
 
 Configuration is YAML with one section per module. Unknown and repeated keys
 are rejected naming the offending dotted path (a silent typo in a safety
-parameter is a safety bug), every value is range-checked at load, and the
-full effective configuration -- defaults included -- can be dumped back out
-as a manifest that reproduces the run with no hidden state.
+parameter is a safety bug), every value is checked by the range rule of the
+library object it feeds, and the full effective configuration -- defaults
+included -- can be dumped back out as a manifest that reproduces the run
+with no hidden state.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 
 from .barrier import SafetyParams
-from .field import DistanceField, GridSpec
-from .geometry import GateGeometry
+from .field import DistanceField, GridSpec, _whole_cells
+from .geometry import GateGeometry, _axis_bounds, _positive
 from .report import _g
-from .sim import MODES, SimEnv, _check_level
+from .sim import MODES, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative
 
 
 class ConfigError(ValueError):
     """Configuration rejected: parse failure, unknown key, or out-of-range value."""
 
 
-def _number(path: str, value, *, minimum=None, positive=False) -> float:
+def _number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
-    if positive and v <= 0.0:
-        raise ConfigError(f"{path} must be > 0, got {v}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}, got {v}")
-    return v
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ConfigError(f"{path} must be a number, got an integer too large for a float") from None
 
 
-def _int(path: str, value, *, minimum=None) -> int:
+def _int(path: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}, got {value}")
     return value
 
 
-def _extent(path: str, value) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path} must be a [lo, hi] pair, got {value!r}")
-    lo = _number(path, value[0])
-    hi = _number(path, value[1])
-    if lo >= hi:
-        raise ConfigError(f"{path} must satisfy lo < hi, got [{lo}, {hi}]")
-    return (lo, hi)
+def _list(path: str, value, n: int | None = None) -> list:
+    """A YAML list of n entries, or a non-empty one when n is None."""
+    if not isinstance(value, (list, tuple)) or not value or n not in (None, len(value)):
+        raise ConfigError(f"{path} must be a {'non-empty' if n is None else f'{n}-entry'} list, got {value!r}")
+    return list(value)
 
 
-def _vec3(path: str, value) -> tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{path} must be three per-axis values, got {value!r}")
-    return tuple(_number(path, v, minimum=0.0) for v in value)  # type: ignore[return-value]
-
-
-def _dt(path: str, value) -> float:
-    v = _number(path, value, positive=True)
-    if v >= 1.0:
-        raise ConfigError(f"{path} must be < 1 s, got {v}")
-    return v
-
-
-def _nonempty_list(path: str, value) -> None:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
+def _numbers(path: str, value, n: int | None = None) -> tuple[float, ...]:
+    return tuple(_number(path, v) for v in _list(path, value, n))
 
 
 def _distinct(path: str, names: list[str]) -> None:
@@ -81,80 +58,80 @@ def _distinct(path: str, names: list[str]) -> None:
 
 
 def _levels(path: str, value) -> tuple[float, ...]:
-    _nonempty_list(path, value)
-    levels = tuple(_number(path, v) for v in value)
+    levels = _numbers(path, value)
     for v in levels:
-        _check_level(v, path, ConfigError)
+        _check_level(v, path)
     _distinct(path, [_g(v) for v in levels])
     return levels
 
 
 def _modes(path: str, value) -> tuple[str, ...]:
-    _nonempty_list(path, value)
-    for m in value:
+    modes = _list(path, value)
+    for m in modes:
         if m not in MODES:
             raise ConfigError(f"{path} entry {m!r} is not one of {list(MODES)}")
-    _distinct(path, list(value))
-    return tuple(value)
+    _distinct(path, modes)
+    return tuple(modes)
 
 
-def _setting(default, check, **bounds):
-    """A section field whose value is validated by ``check(path, value, **bounds)``."""
-    return field(default=default, metadata={"check": functools.partial(check, **bounds)})
+def _setting(default, parse, rule=None, **kwargs):
+    """A section field read by ``parse(path, value, **kwargs)`` and range-checked
+    by ``rule(value, path)``, the check of the library object it feeds."""
+    return field(default=default, metadata={"parse": functools.partial(parse, **kwargs), "rule": rule})
 
 
 @dataclass
 class GeometryConfig:
-    inner_size: float = _setting(1.5, _number, positive=True)
-    bar_thickness: float = _setting(0.25, _number, positive=True)
+    inner_size: float = _setting(1.5, _number, _positive)
+    bar_thickness: float = _setting(0.25, _number, _positive)
 
 
 @dataclass
 class MapConfig:
-    resolution: float = _setting(0.1, _number, positive=True)
-    x: tuple[float, float] = _setting((-6.0, 6.0), _extent)
-    y: tuple[float, float] = _setting((-6.0, 6.0), _extent)
-    z: tuple[float, float] = _setting((-4.0, 4.0), _extent)
+    resolution: float = _setting(0.1, _number, _positive)
+    x: tuple[float, float] = _setting((-6.0, 6.0), _numbers, n=2)
+    y: tuple[float, float] = _setting((-6.0, 6.0), _numbers, n=2)
+    z: tuple[float, float] = _setting((-4.0, 4.0), _numbers, n=2)
 
 
 @dataclass
 class SafetyConfig:
-    R: float = _setting(0.3, _number, positive=True)
-    gamma: float = _setting(4.0, _number, positive=True)
-    alpha: float = _setting(3.0, _number, positive=True)
+    R: float = _setting(0.3, _number, _positive)
+    gamma: float = _setting(4.0, _number, _positive)
+    alpha: float = _setting(3.0, _number, _positive)
 
 
 @dataclass
 class NoiseConfig:
-    dw: tuple[float, float, float] = _setting((0.1, 0.1, 0.1), _vec3)
-    dv: tuple[float, float, float] = _setting((0.25, 0.25, 0.25), _vec3)
+    dw: tuple[float, float, float] = _setting((0.1, 0.1, 0.1), _numbers, _axis_bounds, n=3)
+    dv: tuple[float, float, float] = _setting((0.25, 0.25, 0.25), _numbers, _axis_bounds, n=3)
 
 
 @dataclass
 class SimSectionConfig:
-    dt: float = _setting(0.02, _dt)
-    laps: int = _setting(3, _int, minimum=1)
-    max_steps: int = _setting(12000, _int, minimum=1)
+    dt: float = _setting(0.02, _number, _check_dt)
+    laps: int = _setting(3, _int, _check_count)
+    max_steps: int = _setting(12000, _int, _check_count)
 
 
 @dataclass
 class TrackConfig:
-    num_gates: int = _setting(8, _int, minimum=1)
-    spacing: float = _setting(6.25, _number, positive=True)
+    num_gates: int = _setting(8, _int, _check_count)
+    spacing: float = _setting(6.25, _number, _positive)
 
 
 @dataclass
 class PolicyConfig:
-    gain: float = _setting(2.0, _number, positive=True)
-    pass_offset: float = _setting(3.0, _number, minimum=0.0)
+    gain: float = _setting(2.0, _number, _positive)
+    pass_offset: float = _setting(3.0, _number, _check_non_negative)
 
 
 @dataclass
 class RunSectionConfig:
     levels: tuple[float, ...] = _setting((0.0, 0.5, 1.0, 1.5), _levels)
-    tracks: int = _setting(10, _int, minimum=1)
+    tracks: int = _setting(10, _int, _check_count)
     modes: tuple[str, ...] = _setting(MODES, _modes)
-    seed_base: int = _setting(1000, _int, minimum=0)
+    seed_base: int = _setting(1000, _int, _check_non_negative)
 
 
 @dataclass
@@ -175,9 +152,8 @@ class Config:
         res = self.map.resolution
         dims = []
         for key, (lo, hi) in (("x", self.map.x), ("y", self.map.y), ("z", self.map.z)):
-            n = (hi - lo) / res  # inf when the extent or the cell count overflows
-            cells = round(n) if math.isfinite(n) else 0
-            if cells < 1 or abs(n - cells) > 1e-6:
+            cells = _whole_cells(hi - lo, res)
+            if cells is None or cells < 1:
                 raise ConfigError(
                     f"map.{key} extent {hi - lo:g} is not a whole number (>= 1) of {res:g} m cells"
                 )
@@ -223,7 +199,13 @@ def _parse_section(name: str, body: dict):
     for key, value in body.items():
         if key not in known:
             raise ConfigError(f"unknown key {name}.{key}")
-        values[key] = known[key].metadata["check"](f"{name}.{key}", value)
+        path, meta = f"{name}.{key}", known[key].metadata
+        try:
+            values[key] = meta["parse"](path, value)
+            if meta["rule"] is not None:
+                meta["rule"](values[key], path)
+        except ValueError as exc:  # a library rule's, naming the dotted path; a ConfigError keeps its text
+            raise ConfigError(str(exc)) from None
     return _SECTIONS[name](**values)
 
 

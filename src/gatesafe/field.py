@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import GateGeometry, _axis_bounds, _positive, exact_distance_batch
+from .geometry import GateGeometry, _axis_bounds, _points, _positive, exact_distance_batch
 
 MAGIC = b"ESDF"
 FORMAT_VERSION = 2
@@ -46,6 +46,9 @@ FLAG_GRADIENTS = 0x1
 _HEADER = struct.Struct("<4sII3I3dd3d")
 
 INSIDE_SENTINEL = -1.0
+
+# A query may lie this many cells past the outer nodes (rounding slack).
+_EDGE_CELLS = 1e-9
 
 
 class MapFormatError(Exception):
@@ -175,6 +178,14 @@ def quantize_inflation(eps: np.ndarray, resolution: float) -> np.ndarray:
     return np.maximum(cells, 0.0) * resolution
 
 
+def _whole_cells(length: float, resolution: float) -> int | None:
+    """length / resolution as a cell count, or None unless within 1e-6 of a whole number."""
+    n = length / resolution  # inf when the length or the count overflows
+    if math.isfinite(n) and abs(n - round(n)) <= 1e-6:
+        return round(n)
+    return None
+
+
 def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
     """Worst-case inflation: per-node minimum over a +/-eps window.
 
@@ -185,16 +196,15 @@ def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
     if np.any(f.inflated_by != 0.0):
         raise ValueError(f"field is already inflated by {f.inflated_by}; inflate a nominal field")
     eps = _axis_bounds(eps, "eps")
-    cells = eps / f.spec.resolution
-    k = np.rint(cells)
-    if np.any(np.abs(cells - k) > 1e-6):
+    k = [_whole_cells(e, f.spec.resolution) for e in eps.tolist()]
+    if None in k:
         raise ValueError(
             f"eps {eps.tolist()} is not a whole number of cells at resolution "
             f"{f.spec.resolution:g}; round up explicitly (see quantize_inflation)"
         )
     # Separable box minimum: one window pass per axis over an edge-padded copy.
     values = f.values.copy()  # a new array even when no axis is inflated
-    for axis, ka in enumerate(int(ki) for ki in k):
+    for axis, ka in enumerate(k):
         if ka:
             padded = np.pad(values, [(ka, ka) if a == axis else (0, 0) for a in range(3)], mode="edge")
             for s in range(2 * ka + 1):
@@ -221,15 +231,15 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
     # Grid coordinates, checked per axis in x, y, z order; a NaN fails the
     # range test as well and is rejected as non-finite.
     rx = (qx - ox) / res
-    if not -1e-9 <= rx <= (nx - 1) + 1e-9:
+    if not -_EDGE_CELLS <= rx <= (nx - 1) + _EDGE_CELLS:
         _reject_query(q, qx, 0)
     ry = (qy - oy) / res
-    if not -1e-9 <= ry <= (ny - 1) + 1e-9:
+    if not -_EDGE_CELLS <= ry <= (ny - 1) + _EDGE_CELLS:
         _reject_query(q, qy, 1)
     rz = (qz - oz) / res
-    if not -1e-9 <= rz <= (nz - 1) + 1e-9:
+    if not -_EDGE_CELLS <= rz <= (nz - 1) + _EDGE_CELLS:
         _reject_query(q, qz, 2)
-    # int() truncates towards zero, so r >= -1e-9 gives an index >= 0.
+    # int() truncates towards zero, so r >= -_EDGE_CELLS gives an index >= 0.
     i = min(int(rx), nx - 2)
     j = min(int(ry), ny - 2)
     l = min(int(rz), nz - 2)
@@ -283,9 +293,7 @@ def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     order. The rows are processed in blocks of ``_SAMPLE_BLOCK``, so the
     temporaries stay bounded at any N.
     """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (N, 3) array, got {pts.shape}")
+    pts = _points(pts)
     n = pts.shape[0]
     vals = np.empty(n)
     grads = np.empty((n, 3))
@@ -305,8 +313,8 @@ def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     with np.errstate(over="ignore"):
         rel = (pts - f.spec.origin) / f.spec.resolution
     # A non-finite coordinate fails both comparisons, so its row is out of bounds.
-    hi = (nx - 1 + 1e-9, ny - 1 + 1e-9, nz - 1 + 1e-9)
-    inside = np.logical_and.reduce((rel >= -1e-9) & (rel <= hi), axis=1)
+    hi = (nx - 1 + _EDGE_CELLS, ny - 1 + _EDGE_CELLS, nz - 1 + _EDGE_CELLS)
+    inside = np.logical_and.reduce((rel >= -_EDGE_CELLS) & (rel <= hi), axis=1)
     # Clamping to the node range keeps each in-bounds row's cell and leaves its
     # fraction in [0, 1]; fmax/fmin also map NaN to a node, so the cast and
     # gather below are safe.

@@ -135,6 +135,14 @@ def _finite_point(q) -> tuple[np.ndarray, list[float]]:
     return q, coords
 
 
+def _points(pts) -> np.ndarray:
+    """An (N, 3) array of points as a float array."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array, got shape {pts.shape}")
+    return pts
+
+
 def _axis_bounds(v, name: str) -> np.ndarray:
     """Three finite non-negative per-axis values as a new float array."""
     v = np.array(v, dtype=float)
@@ -164,9 +172,7 @@ def exact_distance_batch(points: np.ndarray, gate: GateGeometry) -> np.ndarray:
 
     Works box by box on (N,) coordinate columns, so temporaries are O(N).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (N, 3) array, got shape {pts.shape}")
+    pts = _points(points)
     cols = pts.T.copy()
     lo, hi = gate.bar_boxes()
     d = np.full(len(pts), np.inf)

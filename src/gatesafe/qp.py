@@ -29,8 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .barrier import BarrierConstraint, SafetyParams, _barrier_value, _constraint
-from .field import DistanceField, sample_batch, SAMPLE_OK
-from .geometry import _norm, _positive
+from .field import _EDGE_CELLS, SAMPLE_OK, DistanceField, sample_batch
+from .geometry import _norm, _points, _positive
 
 _DEGENERATE_NORM = 1e-300
 
@@ -137,12 +137,10 @@ def filter_action_batch(
     Raises ValueError unless ``alpha`` is finite and positive, ``U`` and
     ``A`` are (N, 3) and ``B`` is (N,).
     """
-    U = np.asarray(U, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     alpha = _positive(alpha, "alpha")
-    if U.ndim != 2 or U.shape[1] != 3 or A.shape != U.shape or B.shape != U.shape[:1]:
-        raise ValueError(f"expected U, A of shape (N, 3) and B of shape (N,), got {U.shape}, {A.shape}, {B.shape}")
+    U, A, B = _points(U), np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if A.shape != U.shape or B.shape != U.shape[:1]:
+        raise ValueError(f"expected A of shape {U.shape} and B of shape {U.shape[:1]}, got {A.shape}, {B.shape}")
 
     na2 = np.einsum("ij,ij->i", A, A)
     na = np.sqrt(na2)
@@ -337,10 +335,12 @@ def safest_action_field(
         au, av, fixed = 0, 1, 2
     else:
         au, av, fixed = 1, 2, 0
-    lo, hi = f.spec.origin[fixed], f.spec.max_corner[fixed]
     if not math.isfinite(offset):
         raise ValueError(f"offset must be finite, got {offset}")
-    if offset < lo - 1e-9 or offset > hi + 1e-9:
+    # The sampling rule: the plane lies within _EDGE_CELLS of the grid on its axis.
+    lo, hi = f.spec.origin[fixed], f.spec.max_corner[fixed]
+    r = (offset - lo) / f.spec.resolution
+    if not -_EDGE_CELLS <= r <= (f.spec.dims[fixed] - 1) + _EDGE_CELLS:
         raise ValueError(f"offset {offset} outside grid extent [{lo:g}, {hi:g}] on axis {'xyz'[fixed]}")
 
     uu, vv = np.meshgrid(f.spec.axis_nodes(au), f.spec.axis_nodes(av), indexing="ij")

@@ -218,42 +218,51 @@ def summarize(rows: list[dict]) -> list[GroupSummary]:
 
 
 #: The summary schema, one row per (level, mode) group: the summary.csv column
-#: and its cell, then the summary.txt heading and cell, each padded to its
-#: column and followed by its separator (None: not in summary.txt).
+#: and its cell, then the summary.txt column (None: not in summary.txt) as its
+#: heading, its alignment and least width, its cell and the separator after it.
+#: A summary.txt column widens to its widest cell; one without a width is not padded.
 SUMMARY_COLUMNS = (
-    ("level", lambda s: _g(s.level), f"{'level':>5}  ", lambda s: f"{s.level:>5.2f}  "),
-    ("mode", lambda s: s.mode, f"{'mode':<20} ", lambda s: f"{s.mode:<20} "),
-    ("trials", lambda s: str(s.trials), f"{'trials':>6}  ", lambda s: f"{s.trials:>6d}  "),
-    ("safety_rate", lambda s: _g(s.safety_rate), f"{'safety':>6}  ", lambda s: f"{s.safety_rate:>6.2f}  "),
-    ("mean_success_pct", lambda s: _g(s.mean_success_pct), f"{'succ%':>6}  ",
-     lambda s: f"{s.mean_success_pct:>6.1f}  "),
-    ("md_median", lambda s: _g(s.min_distance.median), f"{'median':>7}  ",
-     lambda s: f"{s.min_distance.median:>7.3f}  "),
-    ("md_q25", lambda s: _g(s.min_distance.q25), f"{'q25':>7}  ", lambda s: f"{s.min_distance.q25:>7.3f}  "),
-    ("md_q75", lambda s: _g(s.min_distance.q75), f"{'q75':>7}  ", lambda s: f"{s.min_distance.q75:>7.3f}  "),
-    ("md_whisker_lo", lambda s: _g(s.min_distance.whisker_lo), f"{'w_lo':>7}  ",
-     lambda s: f"{s.min_distance.whisker_lo:>7.3f}  "),
-    ("md_whisker_hi", lambda s: _g(s.min_distance.whisker_hi), f"{'w_hi':>7}  ",
-     lambda s: f"{s.min_distance.whisker_hi:>7.3f}  "),
-    ("md_outlier_count", lambda s: str(len(s.min_distance.outliers)), None, None),
-    ("md_outliers", lambda s: "|".join(_g(v) for v in s.min_distance.outliers), "outliers",
-     lambda s: ", ".join(f"{v:.3f}" for v in s.min_distance.outliers) or "-"),
+    ("level", lambda s: _g(s.level), ("level", ">5", lambda s: f"{s.level:.2f}", "  ")),
+    ("mode", lambda s: s.mode, ("mode", "<20", lambda s: s.mode, " ")),
+    ("trials", lambda s: str(s.trials), ("trials", ">6", lambda s: f"{s.trials:d}", "  ")),
+    ("safety_rate", lambda s: _g(s.safety_rate), ("safety", ">6", lambda s: f"{s.safety_rate:.2f}", "  ")),
+    ("mean_success_pct", lambda s: _g(s.mean_success_pct),
+     ("succ%", ">6", lambda s: f"{s.mean_success_pct:.1f}", "  ")),
+    ("md_median", lambda s: _g(s.min_distance.median),
+     ("median", ">7", lambda s: f"{s.min_distance.median:.3f}", "  ")),
+    ("md_q25", lambda s: _g(s.min_distance.q25), ("q25", ">7", lambda s: f"{s.min_distance.q25:.3f}", "  ")),
+    ("md_q75", lambda s: _g(s.min_distance.q75), ("q75", ">7", lambda s: f"{s.min_distance.q75:.3f}", "  ")),
+    ("md_whisker_lo", lambda s: _g(s.min_distance.whisker_lo),
+     ("w_lo", ">7", lambda s: f"{s.min_distance.whisker_lo:.3f}", "  ")),
+    ("md_whisker_hi", lambda s: _g(s.min_distance.whisker_hi),
+     ("w_hi", ">7", lambda s: f"{s.min_distance.whisker_hi:.3f}", "  ")),
+    ("md_outlier_count", lambda s: str(len(s.min_distance.outliers)), None),
+    ("md_outliers", lambda s: "|".join(_g(v) for v in s.min_distance.outliers),
+     ("outliers", "", lambda s: ", ".join(f"{v:.3f}" for v in s.min_distance.outliers) or "-", "")),
 )
 
 
 def format_summary_csv(summaries: list[GroupSummary]) -> str:
     """Render summaries as CSV text (outliers |-joined in the last column)."""
-    rows = [[name for name, _, _, _ in SUMMARY_COLUMNS]]
-    rows += [[cell(s) for _, cell, _, _ in SUMMARY_COLUMNS] for s in summaries]
+    rows = [[name for name, _, _ in SUMMARY_COLUMNS]]
+    rows += [[cell(s) for _, cell, _ in SUMMARY_COLUMNS] for s in summaries]
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
 def format_summary_text(summaries: list[GroupSummary]) -> str:
     """Render summaries as an aligned fixed-width table."""
-    columns = [(heading, cell) for _, _, heading, cell in SUMMARY_COLUMNS if heading is not None]
-    header = "".join(heading for heading, _ in columns)
-    rows = [header, "-" * len(header)] + ["".join(cell(s) for _, cell in columns) for s in summaries]
-    return "\n".join(rows) + "\n"
+    lines = [""] * (len(summaries) + 1)
+    for _, _, text in SUMMARY_COLUMNS:
+        if text is None:
+            continue
+        heading, spec, cell, sep = text
+        cells = [heading] + [cell(s) for s in summaries]
+        if spec:
+            width = max(int(spec[1:]), *map(len, cells))
+            cells = [f"{c:{spec[0]}{width}}" for c in cells]
+        lines = [line + c + sep for line, c in zip(lines, cells)]
+    header, *rows = lines
+    return "\n".join([header, "-" * len(header), *rows]) + "\n"
 
 
 def write_report(run_dir: str, out_dir: str | None = None) -> tuple[str, str]:

@@ -148,19 +148,31 @@ class SimEnv:
     pass_offset: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt < 1.0):
-            raise ValueError(f"dt must lie in (0, 1), got {self.dt}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+        _check_dt(self.dt, "dt")
+        _check_count(self.max_steps, "max_steps")
         self.gain = _positive(self.gain, "gain")
-        if not (math.isfinite(self.pass_offset) and self.pass_offset >= 0.0):
-            raise ValueError(f"pass_offset must be finite and >= 0, got {self.pass_offset}")
+        _check_non_negative(self.pass_offset, "pass_offset")
 
 
-def _check_level(level: float, name: str, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless 0 <= level <= MAX_LEVEL (NaN fails)."""
+def _check_dt(dt: float, name: str) -> None:
+    if not 0.0 < dt < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {dt}")
+
+
+def _check_count(n: int, name: str) -> None:
+    if n < 1:
+        raise ValueError(f"{name} must be positive, got {n}")
+
+
+def _check_non_negative(v: float, name: str) -> None:
+    if not 0.0 <= v < math.inf:  # an integer too large for a float compares too
+        raise ValueError(f"{name} must be finite and >= 0, got {v}")
+
+
+def _check_level(level: float, name: str) -> None:
+    """Raise ValueError naming ``name`` unless 0 <= level <= MAX_LEVEL (NaN fails)."""
     if not 0.0 <= level <= MAX_LEVEL:
-        raise error(
+        raise ValueError(
             f"{name} must lie in [0, {MAX_LEVEL:g}] m, where squared clearances stay finite, got {level}"
         )
 
@@ -179,12 +191,10 @@ def generate_track(
     yaws to face the incoming segment. The lap seam may exceed that bound:
     the next lap's first gate returns to gate 0's lateral position.
     """
-    if num_gates < 1:
-        raise ValueError(f"num_gates must be positive, got {num_gates}")
+    _check_count(num_gates, "num_gates")
     _positive(spacing, "spacing")
     _check_level(difficulty, "difficulty")
-    if laps < 1:
-        raise ValueError(f"laps must be positive, got {laps}")
+    _check_count(laps, "laps")
     rng = np.random.default_rng(seed)
     poses = [Pose(position=np.zeros(3), yaw=0.0)]
     y = z = 0.0

@@ -25,7 +25,7 @@ from gatesafe.report import (
     summarize,
     write_report,
 )
-from gatesafe.sim import MODES, STEP_LABELS, StepLog, TrialRecord, generate_track, run_trial
+from gatesafe.sim import MAX_LEVEL, MODES, STEP_LABELS, StepLog, TrialRecord, generate_track, run_trial
 
 
 def run_cli(argv):
@@ -102,9 +102,27 @@ def test_field_csv_schema_and_arrow_norms(map_path, tmp_path):
 
 
 def test_field_offset_outside_grid_is_usage_error(map_path, tmp_path):
-    rc = run_cli(["field", "--map", map_path, "--plane", "yz", "--offset", "99",
-                  "--speed", "2.0", "--out", tmp_path / "f.csv"])
-    assert rc == 1
+    # The z axis ends at +/-4 m, and sampling admits 1e-9 cells past it: 1e-10 m at 0.1 m.
+    out = tmp_path / "f.csv"
+    for plane, offset in (("yz", "99"), ("xy", "4.0000000005"), ("xy", "4.0000000002"), ("xy", "-4.0000000002")):
+        rc = run_cli(["field", "--map", map_path, "--plane", plane, "--offset", offset,
+                      "--speed", "2.0", "--out", out])
+        assert rc == 1, offset
+        assert not out.exists(), offset
+
+
+def test_config_integer_too_large_for_a_float_is_a_config_error(map_path, tmp_path, capsys):
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(f"safety: {{R: {10**400}}}\n")
+    for argv in (
+        ["run", "--tracks", "1", "--out", tmp_path / "r"],
+        ["build-map", "--out", tmp_path / "m.esdf"],
+        ["field", "--map", map_path, "--plane", "yz", "--offset", "0", "--speed", "2", "--out", tmp_path / "f.csv"],
+    ):
+        assert run_cli([*argv, "--config", cfg]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: safety.R ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.yaml"]
 
 
 def test_field_missing_map_is_runtime_error(tmp_path):
@@ -431,19 +449,28 @@ def _reference_summary_csv(summaries):
 
 
 def _reference_summary_text(summaries):
-    """format_summary_text as written out in two f-strings before SUMMARY_COLUMNS."""
+    """format_summary_text written out in two f-strings, each column as wide as its widest cell."""
+    def width(least, cells):
+        return max([least] + [len(c) for c in cells])
+
+    mds = [s.min_distance for s in summaries]
+    wl = width(5, [f"{s.level:.2f}" for s in summaries])
+    wm = width(20, [s.mode for s in summaries])
+    wt = width(6, [f"{s.trials:d}" for s in summaries])
+    ws = width(6, [f"{s.safety_rate:.2f}" for s in summaries])
+    wp = width(6, [f"{s.mean_success_pct:.1f}" for s in summaries])
+    wd = [width(7, [f"{getattr(md, k):.3f}" for md in mds]) for k in ("median", "q25", "q75", "whisker_lo", "whisker_hi")]
     header = (
-        f"{'level':>5}  {'mode':<20} {'trials':>6}  {'safety':>6}  {'succ%':>6}  "
-        f"{'median':>7}  {'q25':>7}  {'q75':>7}  {'w_lo':>7}  {'w_hi':>7}  outliers"
+        f"{'level':>{wl}}  {'mode':<{wm}} {'trials':>{wt}}  {'safety':>{ws}}  {'succ%':>{wp}}  "
+        f"{'median':>{wd[0]}}  {'q25':>{wd[1]}}  {'q75':>{wd[2]}}  {'w_lo':>{wd[3]}}  {'w_hi':>{wd[4]}}  outliers"
     )
     rows = [header, "-" * len(header)]
-    for s in summaries:
-        md = s.min_distance
+    for s, md in zip(summaries, mds):
         outliers = ", ".join(f"{v:.3f}" for v in md.outliers) if md.outliers else "-"
         rows.append(
-            f"{s.level:>5.2f}  {s.mode:<20} {s.trials:>6d}  {s.safety_rate:>6.2f}  "
-            f"{s.mean_success_pct:>6.1f}  {md.median:>7.3f}  {md.q25:>7.3f}  {md.q75:>7.3f}  "
-            f"{md.whisker_lo:>7.3f}  {md.whisker_hi:>7.3f}  {outliers}"
+            f"{s.level:>{wl}.2f}  {s.mode:<{wm}} {s.trials:>{wt}d}  {s.safety_rate:>{ws}.2f}  "
+            f"{s.mean_success_pct:>{wp}.1f}  {md.median:>{wd[0]}.3f}  {md.q25:>{wd[1]}.3f}  {md.q75:>{wd[2]}.3f}  "
+            f"{md.whisker_lo:>{wd[3]}.3f}  {md.whisker_hi:>{wd[4]}.3f}  {outliers}"
         )
     return "\n".join(rows) + "\n"
 
@@ -471,6 +498,19 @@ def test_summary_tables_match_cell_by_cell_reference():
     for summaries in cases:
         assert format_summary_csv(summaries) == _reference_summary_csv(summaries)
         assert format_summary_text(summaries) == _reference_summary_text(summaries)
+
+
+def test_summary_text_widens_a_column_to_its_widest_cell():
+    summaries = [
+        GroupSummary(level=level, mode="baseline", trials=1, safety_rate=1.0, mean_success_pct=100.0,
+                     min_distance=box_stats([0.5]))
+        for level in (0.5, 123.45, MAX_LEVEL)
+    ]
+    header, rule, *rows = format_summary_text(summaries).splitlines()
+    at = header.index("mode")
+    assert at == len(f"{MAX_LEVEL:.2f}  "), "the level column widens to its widest cell"
+    assert all(row[at:at + len("baseline")] == "baseline" for row in rows), rows
+    assert len(rule) == len(header) and rows[1].startswith(f"{123.45:>{at - 2}.2f}  ")
 
 
 def test_report_handles_all_zero_min_distances(tmp_path):

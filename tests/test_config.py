@@ -11,8 +11,11 @@ import pytest
 from gatesafe.barrier import SafetyParams
 from gatesafe.config import Config, ConfigError, dump_manifest, load_config, parse_config
 from gatesafe.field import DistanceField
-from gatesafe.geometry import GateGeometry
-from gatesafe.sim import MAX_LEVEL, SimEnv, generate_track, nominal_policy, run_experiment
+from gatesafe.geometry import GateGeometry, _axis_bounds, _positive
+from gatesafe.sim import (
+    MAX_LEVEL, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, generate_track,
+    nominal_policy, run_experiment,
+)
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -132,8 +135,10 @@ def test_extent_must_be_whole_cells():
 
 
 def test_boundary_values_that_the_config_accepts_build_every_library_object():
-    # parse_config runs no library constructor except grid_spec, so its own
-    # checks must admit nothing those constructors reject.
+    # Each range rule is the library's own, so what can still come apart is
+    # what the config adds: the types it hands on (an integer 0 read as a
+    # float or kept as a count) and the whole-cell map rule. At the edge of
+    # every range, the values it accepts must build every library object.
     tiny = 5e-324
     cfg = parse_config({
         "geometry": {"inner_size": tiny, "bar_thickness": tiny},
@@ -154,6 +159,55 @@ def test_boundary_values_that_the_config_accepts_build_every_library_object():
     for level in cfg.run.levels:
         generate_track(cfg.track.num_gates, cfg.track.spacing, level, cfg.sim.laps, cfg.run.seed_base)
         generate_track(2, cfg.track.spacing, level, cfg.sim.laps, cfg.run.seed_base)  # one draw over the range
+
+
+# Each key whose range a library rule checks, a value outside that range, and
+# the rule of the object the key feeds. Values are floats where the key is read
+# as a float, so that the rule sees what the config hands it.
+LIBRARY_RULES = [
+    ("geometry.inner_size", 0.0, _positive),
+    ("geometry.bar_thickness", -0.25, _positive),
+    ("map.resolution", math.inf, _positive),
+    ("safety.R", -1.0, _positive),
+    ("safety.gamma", 0.0, _positive),
+    ("safety.alpha", math.nan, _positive),
+    ("noise.dw", [0.1, 0.1, -0.1], _axis_bounds),
+    ("noise.dv", [0.25, math.inf, 0.25], _axis_bounds),
+    ("sim.dt", 1.5, _check_dt),
+    ("sim.laps", 0, _check_count),
+    ("sim.max_steps", -1, _check_count),
+    ("track.num_gates", 0, _check_count),
+    ("track.spacing", 0.0, _positive),
+    ("policy.gain", -2.0, _positive),
+    ("policy.pass_offset", -0.5, _check_non_negative),
+    ("run.levels", [0.0, -1.0], _check_level),  # the rule checks one entry
+    ("run.tracks", 0, _check_count),
+    ("run.seed_base", -1, _check_non_negative),
+]
+
+
+@pytest.mark.parametrize("path, value, rule", LIBRARY_RULES, ids=[p for p, _, _ in LIBRARY_RULES])
+def test_out_of_range_value_is_rejected_in_the_words_of_the_library_rule(path, value, rule):
+    with pytest.raises(ValueError) as want:
+        rule(value[-1] if rule is _check_level else value, path)
+    assert type(want.value) is ValueError
+    section, key = path.split(".")
+    with pytest.raises(ConfigError) as got:
+        parse_config({section: {key: value}})
+    assert str(got.value) == str(want.value)
+
+
+HUGE = 10**400  # a YAML integer that no float can hold
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [(f"safety: {{R: {HUGE}}}", "safety.R"), (f"run: {{levels: [0, {HUGE}]}}", "run.levels")],
+    ids=["number", "list-entry"],
+)
+def test_integer_too_large_for_a_float_is_rejected_naming_its_path(tmp_path, text, path):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be a number"):
+        load_config(write(tmp_path, text + "\n"))
 
 
 def test_noise_needs_three_components():

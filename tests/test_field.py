@@ -265,6 +265,8 @@ def test_inflation_equals_dense_translation_minimum(default_gate):
 def test_inflate_rejects_non_whole_cell_eps(small_field):
     with pytest.raises(ValueError, match="whole number of cells"):
         inflate_field(small_field, np.array([0.25, 0.25, 0.25]))
+    with pytest.raises(ValueError, match="whole number of cells"):  # a cell count that overflows
+        inflate_field(small_field, np.array([1e308, 0.0, 0.0]))
 
 
 def test_inflate_rejects_double_inflation(small_field):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gatesafe import qp
 from gatesafe.barrier import BarrierConstraint, BarrierEval, SafetyParams, admissible, assemble_constraint
-from gatesafe.field import SAMPLE_OK, GridSpec, build_field, inflate_field, sample_batch
+from gatesafe.field import SAMPLE_OK, SAMPLE_OOB, GridSpec, build_field, inflate_field, sample_batch
 from gatesafe.qp import (
     FILTER_STATUS_ORDER,
     FilterDecision,
@@ -722,3 +722,16 @@ def test_safest_action_field_rejects_non_finite_offset(default_gate):
     for offset in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="offset must be finite"):
             safest_action_field(f, SafetyParams(R=0.3), speed=1.0, plane="yz", offset=offset)
+
+
+def test_safest_action_field_offset_follows_the_sampling_rule(default_gate):
+    # z runs over [-2, 2] m in 0.1 m cells; sampling admits 1e-9 cells, 1e-10 m.
+    spec = GridSpec(origin=np.array([-1.5, -2.0, -2.0]), resolution=0.1, dims=(31, 41, 41))
+    f = build_field(default_gate, spec)
+    for offset in (-2.0, 2.0, 2.0 + 5e-11, -2.0 - 5e-11):
+        fld = safest_action_field(f, SafetyParams(R=0.3), speed=1.0, plane="xy", offset=offset)
+        assert not fld.unsafe.all(), offset
+    for offset in (2.0 + 2e-10, 2.0 + 5e-10, -2.0 - 2e-10):
+        assert sample_batch(f, np.array([[0.0, 0.0, offset]]))[2][0] == SAMPLE_OOB, offset
+        with pytest.raises(ValueError, match="outside grid extent"):
+            safest_action_field(f, SafetyParams(R=0.3), speed=1.0, plane="xy", offset=offset)

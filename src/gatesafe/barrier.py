@@ -15,7 +15,7 @@ the barrier condition for every admissible disturbance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class SafetyParams:
     R: float = 0.3
     gamma: float = 4.0
     alpha: float = 3.0
-    dw: np.ndarray = field(default_factory=lambda: np.full(3, 0.1))
-    dv: np.ndarray = field(default_factory=lambda: np.full(3, 0.25))
+    dw: np.ndarray = (0.1, 0.1, 0.1)  # each made a new array by __post_init__
+    dv: np.ndarray = (0.25, 0.25, 0.25)
 
     def __post_init__(self) -> None:
         self.R = _positive(self.R, "R")

@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import Config, dump_manifest, load_config, parse_config
 from .field import (
+    DistanceField,
     MapFormatError,
     build_field,
     inflate_field,
@@ -34,7 +35,8 @@ from .field import (
     quantize_inflation,
     save_field,
 )
-from .qp import safest_action_field
+from .geometry import _axis_bounds
+from .qp import _check_samples, safest_action_field
 from .report import ReportError, write_report, write_trial_tables
 from .sim import MODES, run_experiment
 
@@ -76,21 +78,24 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{float(x):g}" for x in v) + ")"
 
 
-def _cmd_build_map(args) -> int:
-    cfg = _load_cfg(args.config)
+def _build_maps(cfg: Config, inflation) -> tuple[DistanceField, DistanceField | None]:
+    """The nominal map and, given a per-axis inflation, the map inflated by it rounded up to whole cells."""
     spec = cfg.grid_spec()
-    gate = cfg.gate()
-    quantized = None
-    if args.inflate is not None:
-        quantized = quantize_inflation(args.inflate, spec.resolution)
-    f = build_field(gate, spec, safety_radius=cfg.safety.R, inflation=quantized)
-    if quantized is not None:
-        f = inflate_field(f, quantized)
-        if not np.allclose(quantized, args.inflate):
-            print(f"note: inflation rounded up to whole cells: {_fmt_vec(quantized)}")
+    quantized = None if inflation is None else quantize_inflation(inflation, spec.resolution)
+    nominal = build_field(cfg.gate(), spec, safety_radius=cfg.safety.R, inflation=quantized)
+    return nominal, None if quantized is None else inflate_field(nominal, quantized)
+
+
+def _cmd_build_map(args) -> int:
+    inflation = None if args.inflate is None else _axis_bounds(args.inflate, "--inflate")
+    nominal, inflated = _build_maps(_load_cfg(args.config), inflation)
+    f = nominal if inflated is None else inflated
+    del nominal  # freed before save_field allocates its map-sized buffers
+    if inflated is not None and not np.allclose(f.inflated_by, inflation):
+        print(f"note: inflation rounded up to whole cells: {_fmt_vec(f.inflated_by)}")
     save_field(f, args.out)
     print(
-        f"wrote {args.out}: dims {f.spec.dims}, resolution {spec.resolution:g} m, "
+        f"wrote {args.out}: dims {f.spec.dims}, resolution {f.spec.resolution:g} m, "
         f"inflation {_fmt_vec(f.inflated_by)}"
     )
     return 0
@@ -103,6 +108,7 @@ _FIELD_ROW = "{!r},{!r},{!r},{:.10g},{:.10g},{:.10g},{:d}"
 
 
 def _cmd_field(args) -> int:
+    _check_samples(args.samples, "--samples")
     cfg = _load_cfg(args.config)
     f = load_field(args.map)
     fld = safest_action_field(
@@ -130,13 +136,7 @@ def _cmd_run(args) -> int:
     cfg = parse_config(data)
     run = cfg.run
 
-    spec = cfg.grid_spec()
-    params = cfg.safety_params()
-    needs_inflated = "filtered_uncertainty" in run.modes
-    inflation = quantize_inflation(params.dv, spec.resolution) if needs_inflated else None
-    nominal = build_field(cfg.gate(), spec, safety_radius=params.R, inflation=inflation)
-    inflated = inflate_field(nominal, inflation) if needs_inflated else None
-
+    nominal, inflated = _build_maps(cfg, cfg.noise.dv if "filtered_uncertainty" in run.modes else None)
     records = run_experiment(
         cfg.sim_env(nominal, inflated),
         levels=run.levels,

@@ -10,6 +10,7 @@ with no hidden state.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -19,7 +20,9 @@ from .barrier import SafetyParams
 from .field import DistanceField, GridSpec, _whole_cells
 from .geometry import GateGeometry, _axis_bounds, _positive
 from .report import _g
-from .sim import MODES, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative
+from .sim import (
+    MODES, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, generate_track, run_experiment,
+)
 
 
 class ConfigError(ValueError):
@@ -80,10 +83,17 @@ def _setting(default, parse, rule=None, **kwargs):
     return field(default=default, metadata={"parse": functools.partial(parse, **kwargs), "rule": rule})
 
 
+def _default(owner, name: str):
+    """The default a library dataclass field or function parameter states for ``name``."""
+    if isinstance(owner, type):
+        return getattr(owner, name)
+    return inspect.signature(owner).parameters[name].default
+
+
 @dataclass
 class GeometryConfig:
-    inner_size: float = _setting(1.5, _number, _positive)
-    bar_thickness: float = _setting(0.25, _number, _positive)
+    inner_size: float = _setting(_default(GateGeometry, "inner_size"), _number, _positive)
+    bar_thickness: float = _setting(_default(GateGeometry, "bar_thickness"), _number, _positive)
 
 
 @dataclass
@@ -96,42 +106,42 @@ class MapConfig:
 
 @dataclass
 class SafetyConfig:
-    R: float = _setting(0.3, _number, _positive)
-    gamma: float = _setting(4.0, _number, _positive)
-    alpha: float = _setting(3.0, _number, _positive)
+    R: float = _setting(_default(SafetyParams, "R"), _number, _positive)
+    gamma: float = _setting(_default(SafetyParams, "gamma"), _number, _positive)
+    alpha: float = _setting(_default(SafetyParams, "alpha"), _number, _positive)
 
 
 @dataclass
 class NoiseConfig:
-    dw: tuple[float, float, float] = _setting((0.1, 0.1, 0.1), _numbers, _axis_bounds, n=3)
-    dv: tuple[float, float, float] = _setting((0.25, 0.25, 0.25), _numbers, _axis_bounds, n=3)
+    dw: tuple[float, float, float] = _setting(_default(SafetyParams, "dw"), _numbers, _axis_bounds, n=3)
+    dv: tuple[float, float, float] = _setting(_default(SafetyParams, "dv"), _numbers, _axis_bounds, n=3)
 
 
 @dataclass
 class SimSectionConfig:
-    dt: float = _setting(0.02, _number, _check_dt)
-    laps: int = _setting(3, _int, _check_count)
-    max_steps: int = _setting(12000, _int, _check_count)
+    dt: float = _setting(_default(SimEnv, "dt"), _number, _check_dt)
+    laps: int = _setting(_default(generate_track, "laps"), _int, _check_count)
+    max_steps: int = _setting(_default(SimEnv, "max_steps"), _int, _check_count)
 
 
 @dataclass
 class TrackConfig:
-    num_gates: int = _setting(8, _int, _check_count)
-    spacing: float = _setting(6.25, _number, _positive)
+    num_gates: int = _setting(_default(generate_track, "num_gates"), _int, _check_count)
+    spacing: float = _setting(_default(generate_track, "spacing"), _number, _positive)
 
 
 @dataclass
 class PolicyConfig:
-    gain: float = _setting(2.0, _number, _positive)
-    pass_offset: float = _setting(3.0, _number, _check_non_negative)
+    gain: float = _setting(_default(SimEnv, "gain"), _number, _positive)
+    pass_offset: float = _setting(_default(SimEnv, "pass_offset"), _number, _check_non_negative)
 
 
 @dataclass
 class RunSectionConfig:
-    levels: tuple[float, ...] = _setting((0.0, 0.5, 1.0, 1.5), _levels)
-    tracks: int = _setting(10, _int, _check_count)
-    modes: tuple[str, ...] = _setting(MODES, _modes)
-    seed_base: int = _setting(1000, _int, _check_non_negative)
+    levels: tuple[float, ...] = _setting(_default(run_experiment, "levels"), _levels)
+    tracks: int = _setting(_default(run_experiment, "tracks_per_level"), _int, _check_count)
+    modes: tuple[str, ...] = _setting(_default(run_experiment, "modes"), _modes)
+    seed_base: int = _setting(_default(run_experiment, "seed_base"), _int, _check_non_negative)
 
 
 @dataclass
@@ -266,7 +276,10 @@ def load_config(path: str) -> Config:
         loader = yaml.SafeLoader(raw)
         node = loader.get_single_node()
         _reject_repeated_keys(node, "", set())
-        data = None if node is None else loader.construct_document(node)
+        try:
+            data = None if node is None else loader.construct_document(node)
+        except ValueError as exc:  # a scalar Python cannot hold, such as an integer of over 4,300 digits
+            raise ConfigError(f"config {path} holds a value that cannot be read: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return parse_config(data)

@@ -310,6 +310,12 @@ class PlaneActionField:
     unsafe: np.ndarray
 
 
+def _check_samples(n: int, name: str) -> None:
+    """Raise ValueError naming ``name`` unless n >= 2 directions are sampled."""
+    if n < 2:
+        raise ValueError(f"{name} must be at least 2, got {n}")
+
+
 def safest_action_field(
     f: DistanceField,
     params: SafetyParams,
@@ -328,8 +334,7 @@ def safest_action_field(
         raise ValueError(f"plane must be 'xy' or 'yz', got {plane!r}")
     if not (0.0 < speed <= params.alpha):
         raise ValueError(f"speed must lie in (0, alpha={params.alpha}], got {speed}")
-    if angular_samples < 2:
-        raise ValueError("angular_samples must be at least 2")
+    _check_samples(angular_samples, "angular_samples")
 
     if plane == "xy":
         au, av, fixed = 0, 1, 2

@@ -232,9 +232,7 @@ def _uniform_rows(rng: np.random.Generator):
         yield from rng.uniform(-1.0, 1.0, size=(1024, 3))
 
 
-def nominal_policy(
-    state: SimState, estimate: Pose, gain: float, alpha: float, pass_offset: float = 3.0
-) -> np.ndarray:
+def nominal_policy(state: SimState, estimate: Pose, gain: float, alpha: float, pass_offset: float) -> np.ndarray:
     """Proportional pursuit of a point pass_offset beyond the estimated gate.
 
     Aiming past the plane (rather than at the center) keeps the commanded
@@ -434,28 +432,21 @@ def run_experiment(
     levels: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5),
     tracks_per_level: int = 10,
     modes: tuple[str, ...] = MODES,
-    num_gates: int = 8,
-    spacing: float = 6.25,
-    laps: int = 3,
     seed_base: int = 1000,
+    **track_args,
 ) -> list[TrialRecord]:
     """Seeded grid of trials: every mode flies the same tracks per level.
 
     Track seeds are seed_base + 1000*level_index + track_index; the per-trial
     noise stream is seeded from the track seed, so the whole grid is
-    reproducible from seed_base alone.
+    reproducible from seed_base alone. ``track_args`` (num_gates, spacing,
+    laps) go to :func:`generate_track`, which holds their defaults.
     """
     records: list[TrialRecord] = []
     for li, level in enumerate(levels):
         for ti in range(tracks_per_level):
             track_seed = seed_base + 1000 * li + ti
-            track = generate_track(
-                num_gates=num_gates,
-                spacing=spacing,
-                difficulty=level,
-                laps=laps,
-                seed=track_seed,
-            )
+            track = generate_track(difficulty=level, seed=track_seed, **track_args)
             for mode in modes:
                 result = run_trial(env, track, mode, seed=track_seed + 500_000)
                 records.append(

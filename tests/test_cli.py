@@ -80,6 +80,18 @@ def test_build_map_rejects_malformed_inflate(tmp_path):
         assert not out.exists(), inflate
 
 
+def test_flag_error_names_the_flag(map_path, tmp_path, capsys):
+    for argv, flag in (
+        (["build-map", "--inflate", "0.25"], "--inflate"),
+        (["build-map", "--inflate", "0.25,0.25,nan"], "--inflate"),
+        (["field", "--map", map_path, "--plane", "yz", "--offset", "0", "--speed", "2", "--samples", "1"], "--samples"),
+    ):
+        assert run_cli([*argv, "--out", tmp_path / "out"]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -------------------------------------------------------------------- field
 
 
@@ -123,6 +135,15 @@ def test_config_integer_too_large_for_a_float_is_a_config_error(map_path, tmp_pa
         err = capsys.readouterr().err
         assert err.startswith("error: safety.R ") and err.count("\n") == 1, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.yaml"]
+
+
+def test_config_integer_past_the_int_string_limit_is_a_config_error_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text("safety: {R: 1" + "0" * 5000 + "}\n")
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "r"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.yaml"]
 
 
 def test_field_missing_map_is_runtime_error(tmp_path):

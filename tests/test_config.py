@@ -2,11 +2,13 @@
 import dataclasses
 import inspect
 import math
+import pathlib
 import re
 import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from gatesafe.barrier import SafetyParams
 from gatesafe.config import Config, ConfigError, dump_manifest, load_config, parse_config
@@ -253,8 +255,8 @@ def _signature_defaults(fn, *names):
 
 
 def test_section_defaults_equal_the_library_defaults_they_feed():
-    # Each default lives twice, in a config section and in the library call
-    # it feeds; neither copy may drift from the other.
+    # Each default is written once, in the library object it feeds, and the
+    # config section reads it from there: each key must read the right one.
     cfg = Config()
     gate = GateGeometry()
     assert (cfg.geometry.inner_size, cfg.geometry.bar_thickness) == (gate.inner_size, gate.bar_thickness)
@@ -273,13 +275,24 @@ def test_section_defaults_equal_the_library_defaults_they_feed():
     assert _signature_defaults(generate_track, "num_gates", "spacing", "laps") == (
         cfg.track.num_gates, cfg.track.spacing, cfg.sim.laps,
     )
-    assert _signature_defaults(
-        run_experiment, "levels", "tracks_per_level", "modes", "num_gates", "spacing", "laps", "seed_base"
-    ) == (
-        cfg.run.levels, cfg.run.tracks, cfg.run.modes, cfg.track.num_gates, cfg.track.spacing,
-        cfg.sim.laps, cfg.run.seed_base,
+    assert _signature_defaults(run_experiment, "levels", "tracks_per_level", "modes", "seed_base") == (
+        cfg.run.levels, cfg.run.tracks, cfg.run.modes, cfg.run.seed_base,
     )
-    assert _signature_defaults(nominal_policy, "pass_offset") == (cfg.policy.pass_offset,)
+    # run_experiment hands its track keywords to generate_track, and every
+    # caller gives nominal_policy its pass_offset: neither states a default.
+    assert not {"num_gates", "spacing", "laps"} & set(inspect.signature(run_experiment).parameters)
+    assert _signature_defaults(nominal_policy, "pass_offset") == (inspect.Parameter.empty,)
+
+
+def test_readme_configuration_block_states_the_defaults():
+    # The README's YAML block is a third copy of every key and default.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    data = yaml.safe_load(section.split("```yaml\n", 1)[1].split("\n```", 1)[0])
+    defaults = Config().to_dict()
+    keys = {name: sorted(body) for name, body in defaults.items()}
+    assert {name: sorted(body) for name, body in data.items()} == keys, "every key, none missing"
+    assert parse_config(data).to_dict() == defaults
 
 
 def test_sim_dt_range():

@@ -36,7 +36,7 @@ from .field import (
     save_field,
 )
 from .geometry import _axis_bounds
-from .qp import _check_samples, safest_action_field
+from .qp import _check_offset, _check_samples, _check_speed, safest_action_field
 from .report import ReportError, write_report, write_trial_tables
 from .sim import MODES, run_experiment
 
@@ -109,11 +109,13 @@ _FIELD_ROW = "{!r},{!r},{!r},{:.10g},{:.10g},{:.10g},{:d}"
 
 def _cmd_field(args) -> int:
     _check_samples(args.samples, "--samples")
-    cfg = _load_cfg(args.config)
+    params = _load_cfg(args.config).safety_params()
+    _check_speed(args.speed, params.alpha, "--speed")
     f = load_field(args.map)
+    _check_offset(args.offset, f.spec, args.plane, "--offset")
     fld = safest_action_field(
         f,
-        cfg.safety_params(),
+        params,
         speed=args.speed,
         plane=args.plane,
         offset=args.offset,

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import GateGeometry, _axis_bounds, _points, _positive, exact_distance_batch
+from .geometry import GateGeometry, _axis_bounds, _clearance, _points, _positive
 
 MAGIC = b"ESDF"
 FORMAT_VERSION = 2
@@ -114,6 +114,11 @@ def build_field(
 ) -> DistanceField:
     """Evaluate the exact gate clearance at every grid node.
 
+    Each bar's per-axis overshoots are computed on the three axis arrays and
+    broadcast over the grid, with no (N, 3) point list. The operation order is
+    that of :func:`~gatesafe.geometry.exact_distance_batch`, so every node
+    value equals its value at the node's point bit for bit.
+
     The grid must extend past the gate's outer bounds by ``safety_radius`` plus
     the planned per-axis ``inflation`` (both finite and non-negative) on every
     side; otherwise a ``ValueError`` names the offending axis.
@@ -130,8 +135,7 @@ def build_field(
             )
 
     xs, ys, zs = (spec.axis_nodes(k) for k in range(3))
-    pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
-    values = exact_distance_batch(pts, gate).reshape(spec.dims).astype(np.float32)
+    values = _clearance((xs[:, None, None], ys[None, :, None], zs[None, None, :]), gate).astype(np.float32)
     gradients = _node_gradients(values, spec.resolution)
     return DistanceField(spec=spec, values=values, gradients=gradients, inflated_by=np.zeros(3))
 

@@ -170,16 +170,30 @@ def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:
 def exact_distance_batch(points: np.ndarray, gate: GateGeometry) -> np.ndarray:
     """Vectorized :func:`exact_distance` for an (N, 3) array of points.
 
-    Works box by box on (N,) coordinate columns, so temporaries are O(N).
+    Runs :func:`_clearance` on the (N,) coordinate columns, so temporaries
+    are O(N). The grid build runs it on the grid's axis arrays instead, with
+    the per-axis overshoots broadcast and the operation order unchanged.
     """
-    pts = _points(points)
-    cols = pts.T.copy()
+    return _clearance(_points(points).T.copy(), gate)
+
+
+def _clearance(cols, gate: GateGeometry) -> np.ndarray:
+    """Exact clearance at the points whose x, y and z coordinates are ``cols``.
+
+    The three coordinate arrays broadcast against each other: three (N,)
+    columns give N points, and the axis arrays of a grid shaped (nx, 1, 1),
+    (1, ny, 1) and (1, 1, nz) give every node. Each bar's per-axis overshoot
+    is computed on its own coordinate array and broadcast into the sum of
+    squares, which runs from 0.0 in x, y, z order either way, so a point
+    gets the same bits as a column entry or as a grid node.
+    """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
     lo, hi = gate.bar_boxes()
-    d = np.full(len(pts), np.inf)
-    inside = np.zeros(len(pts), dtype=bool)
+    d = np.full(shape, np.inf)
+    inside = np.zeros(shape, dtype=bool)
     for box_lo, box_hi in zip(lo.tolist(), hi.tolist()):
-        sq = np.zeros(len(pts))
-        box_inside = np.ones(len(pts), dtype=bool)
+        sq = np.zeros(shape)
+        box_inside = np.ones(shape, dtype=bool)
         for c, lk, hk in zip(cols, box_lo, box_hi):  # squares summed in axis order x, y, z
             e = np.maximum(lk - c, 0.0)
             e += np.maximum(c - hk, 0.0)

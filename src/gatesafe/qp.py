@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .barrier import BarrierConstraint, SafetyParams, _barrier_value, _constraint
-from .field import _EDGE_CELLS, SAMPLE_OK, DistanceField, sample_batch
+from .field import _EDGE_CELLS, SAMPLE_OK, DistanceField, GridSpec, sample_batch
 from .geometry import _norm, _points, _positive
 
 _DEGENERATE_NORM = 1e-300
@@ -316,6 +316,30 @@ def _check_samples(n: int, name: str) -> None:
         raise ValueError(f"{name} must be at least 2, got {n}")
 
 
+def _check_speed(speed: float, alpha: float, name: str) -> None:
+    """Raise ValueError naming ``name`` unless 0 < speed <= alpha."""
+    if not (0.0 < speed <= alpha):
+        raise ValueError(f"{name} must lie in (0, alpha={alpha}], got {speed}")
+
+
+# Plane name -> (first in-plane axis, second in-plane axis, fixed axis).
+_PLANE_AXES = {"xy": (0, 1, 2), "yz": (1, 2, 0)}
+
+
+def _check_offset(offset: float, spec: GridSpec, plane: str, name: str) -> None:
+    """Raise ValueError naming ``name`` unless the plane at ``offset`` can be sampled.
+
+    The sampling rule: the plane lies within _EDGE_CELLS of the grid on its fixed axis.
+    """
+    axis = _PLANE_AXES[plane][2]
+    if not math.isfinite(offset):
+        raise ValueError(f"{name} must be finite, got {offset}")
+    lo, hi = spec.origin[axis], spec.max_corner[axis]
+    r = (offset - lo) / spec.resolution
+    if not -_EDGE_CELLS <= r <= (spec.dims[axis] - 1) + _EDGE_CELLS:
+        raise ValueError(f"{name} {offset} outside grid extent [{lo:g}, {hi:g}] on axis {'xyz'[axis]}")
+
+
 def safest_action_field(
     f: DistanceField,
     params: SafetyParams,
@@ -330,23 +354,12 @@ def safest_action_field(
     x = offset. Sampled directions are ``angular_samples`` unit vectors in the
     plane scaled to ``speed`` (must not exceed the norm bound).
     """
-    if plane not in ("xy", "yz"):
+    if plane not in _PLANE_AXES:
         raise ValueError(f"plane must be 'xy' or 'yz', got {plane!r}")
-    if not (0.0 < speed <= params.alpha):
-        raise ValueError(f"speed must lie in (0, alpha={params.alpha}], got {speed}")
+    _check_speed(speed, params.alpha, "speed")
     _check_samples(angular_samples, "angular_samples")
-
-    if plane == "xy":
-        au, av, fixed = 0, 1, 2
-    else:
-        au, av, fixed = 1, 2, 0
-    if not math.isfinite(offset):
-        raise ValueError(f"offset must be finite, got {offset}")
-    # The sampling rule: the plane lies within _EDGE_CELLS of the grid on its axis.
-    lo, hi = f.spec.origin[fixed], f.spec.max_corner[fixed]
-    r = (offset - lo) / f.spec.resolution
-    if not -_EDGE_CELLS <= r <= (f.spec.dims[fixed] - 1) + _EDGE_CELLS:
-        raise ValueError(f"offset {offset} outside grid extent [{lo:g}, {hi:g}] on axis {'xyz'[fixed]}")
+    _check_offset(offset, f.spec, plane, "offset")
+    au, av, fixed = _PLANE_AXES[plane]
 
     uu, vv = np.meshgrid(f.spec.axis_nodes(au), f.spec.axis_nodes(av), indexing="ij")
     pts = np.zeros(uu.shape + (3,))

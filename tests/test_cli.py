@@ -92,6 +92,20 @@ def test_flag_error_names_the_flag(map_path, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_field_speed_and_offset_errors_name_the_flag(map_path, tmp_path, capsys):
+    # The library's own rules, run under the flag's name.
+    for speed, offset, message in (
+        ("5", "0", "--speed must lie in (0, alpha=3.0], got 5.0"),
+        ("0", "0", "--speed must lie in (0, alpha=3.0], got 0.0"),
+        ("2", "nan", "--offset must be finite, got nan"),
+        ("2", "9", "--offset 9.0 outside grid extent [-6, 6] on axis x"),
+    ):
+        argv = ["field", "--map", map_path, "--plane", "yz", "--offset", offset, "--speed", speed]
+        assert run_cli([*argv, "--out", tmp_path / "out.csv"]) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # -------------------------------------------------------------------- field
 
 

@@ -2,11 +2,13 @@
 
 Oracles:
 - node values against the exact closed-form distance (and -1 sentinels),
+  and against a meshgrid point list bit for bit at every node,
 - inflation against a hand-rolled window minimum, scipy's minimum_filter
   (bit for bit) AND a dense set of gate translations,
 - interpolation against the exact distance with the res*sqrt(3)/2 bound.
 """
 import math
+import tracemalloc
 import warnings
 import zlib
 
@@ -35,7 +37,7 @@ from gatesafe.field import (
     sample_batch,
     save_field,
 )
-from gatesafe.geometry import GateGeometry, exact_distance, exact_distance_batch
+from gatesafe.geometry import GateGeometry, _clearance, exact_distance, exact_distance_batch
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +76,71 @@ def test_build_is_deterministic(default_gate, small_spec):
     b = build_field(default_gate, small_spec)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.gradients, b.gradients)
+
+
+def _column_clearance(pts: np.ndarray, gate: GateGeometry) -> np.ndarray:
+    """Reference: the clearance loop on (N,) coordinate columns, written out
+    here so that a change to the library kernel cannot move both sides."""
+    cols = pts.T.copy()
+    lo, hi = gate.bar_boxes()
+    d = np.full(len(pts), np.inf)
+    inside = np.zeros(len(pts), dtype=bool)
+    for box_lo, box_hi in zip(lo.tolist(), hi.tolist()):
+        sq = np.zeros(len(pts))
+        box_inside = np.ones(len(pts), dtype=bool)
+        for c, lk, hk in zip(cols, box_lo, box_hi):
+            e = np.maximum(lk - c, 0.0)
+            e += np.maximum(c - hk, 0.0)
+            e *= e
+            sq += e
+            box_inside &= (lk < c) & (c < hk)
+        np.minimum(d, np.sqrt(sq, out=sq), out=d)
+        inside |= box_inside
+    d[inside] = -1.0
+    return d
+
+
+@pytest.mark.parametrize(
+    "gate, spec",
+    [
+        pytest.param(GateGeometry(), Config().grid_spec(), id="default"),
+        pytest.param(GateGeometry(), "small_spec", id="small_spec"),
+        # Nodes on every bar face: x = +/-0.125, y and z = +/-0.75 and +/-1.0.
+        pytest.param(GateGeometry(), GridSpec(np.full(3, -1.5), 0.125, (25, 25, 25)), id="on-faces"),
+        pytest.param(GateGeometry(), GridSpec(np.full(3, -1.5625), 0.125, (26, 26, 26)), id="half-cell-shift"),
+        pytest.param(GateGeometry(inner_size=1.4), GridSpec([-6.0, -6.0, -4.0], 0.5, (25, 25, 17)), id="thin-bars"),
+        pytest.param(GateGeometry(), GridSpec(np.full(3, -1.0), 2.0, (2, 2, 2)), id="2x2x2"),
+    ],
+)
+def test_build_matches_the_point_list_at_every_node(gate, spec, request):
+    # The grid build broadcasts per-axis overshoots from the axis arrays; a
+    # meshgrid point list runs the same operations on (N,) columns. Both agree
+    # bit for bit at every node: in float64 (a changed summation order shows
+    # only there) and in the stored float32 values.
+    if isinstance(spec, str):
+        spec = request.getfixturevalue(spec)
+    xs, ys, zs = (spec.axis_nodes(k) for k in range(3))
+    pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+    expected = _column_clearance(pts, gate)
+    np.testing.assert_array_equal(exact_distance_batch(pts, gate).view(np.uint64), expected.view(np.uint64))
+    expected = expected.reshape(spec.dims)
+    grid = _clearance((xs[:, None, None], ys[None, :, None], zs[None, None, :]), gate)
+    np.testing.assert_array_equal(grid.view(np.uint64), expected.view(np.uint64))
+    got = build_field(gate, spec).values
+    np.testing.assert_array_equal(got.view(np.uint32), expected.astype(np.float32).view(np.uint32))
+
+
+def test_build_allocates_no_point_list(default_gate):
+    # An (N, 3) float64 point list alone is 24 bytes per node; the former
+    # build peaked at 90 bytes per node, the broadcast build at about 50.
+    spec = Config().grid_spec()
+    tracemalloc.start()
+    try:
+        build_field(default_gate, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / math.prod(spec.dims) < 64
 
 
 def test_default_grid_dims():

@@ -1,32 +1,33 @@
 """Precomputed distance fields around a gate, with worst-case inflation.
 
 The field stores, at every node of a regular gate-frame grid, the exact
-Euclidean clearance to the frame (sentinel -1.0 strictly inside the solid)
-plus finite-difference gradients. Queries between nodes are answered by
-trilinear interpolation of both values and gradients.
+Euclidean clearance to the frame (sentinel -1.0 strictly inside the solid).
+Node gradients are finite differences of those values, derived whenever a
+field is made. Queries between nodes are answered by trilinear
+interpolation of both values and gradients.
 
 Worst-case inflation replaces each node value with the minimum over a
 (2kx+1) x (2ky+1) x (2kz+1) box of nodes, taken as one separable window
 minimum per axis with border nodes repeated; it realizes "minimum clearance
-over all gate translations within +/-eps per axis" quantized to whole cells.
-Inflated values never exceed nominal ones, and any -1 inside the window wins.
+over all gate translations within +/-eps per axis" quantized to whole cells,
+exactly when every bar is at least one cell thick. Inflated values never
+exceed nominal ones, and any -1 inside the window wins.
 
 File format (all little-endian)::
 
     magic   4 bytes  b"ESDF"
-    version u32      2
-    flags   u32      bit 0 (gradient block present) must be set
+    version u32      3
     dims    3 x u32  nx, ny, nz
     origin  3 x f64  grid min corner [m]
     res     f64      node spacing [m]
     infl    3 x f64  inflation applied per axis [m] (0 for a nominal map)
     values  nx*ny*nz x f32, x-fastest node order
-    grads   3 x f32 per node, same node order
     crc32   u32      checksum of every preceding byte
 
-Grid geometry is kept at full double precision so node coordinates of a
-loaded map equal those of the freshly built one bit for bit; node values
-and gradients are f32, matching the in-memory arrays.
+The file holds no gradients: loading derives them from the values, exactly
+as building does. Grid geometry is kept at full double precision so node
+coordinates of a loaded map equal those of the freshly built one bit for
+bit; node values are f32, matching the in-memory array.
 """
 from __future__ import annotations
 
@@ -41,9 +42,8 @@ import numpy as np
 from .geometry import GateGeometry, _axis_bounds, _clearance, _points, _positive
 
 MAGIC = b"ESDF"
-FORMAT_VERSION = 2
-FLAG_GRADIENTS = 0x1
-_HEADER = struct.Struct("<4sII3I3dd3d")
+FORMAT_VERSION = 3
+_HEADER = struct.Struct("<4sI3I3dd3d")
 
 INSIDE_SENTINEL = -1.0
 
@@ -90,19 +90,18 @@ class GridSpec:
 
 @dataclass
 class DistanceField:
-    """Node values (float32, -1 inside the solid) plus node gradients."""
+    """Node values (float32, -1 inside the solid) and the gradients derived from them."""
 
     spec: GridSpec
     values: np.ndarray
-    gradients: np.ndarray
     inflated_by: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    gradients: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.inflated_by = np.asarray(self.inflated_by, dtype=float)
         if self.values.shape != self.spec.dims:
             raise ValueError(f"values shape {self.values.shape} != dims {self.spec.dims}")
-        if self.gradients.shape != self.spec.dims + (3,):
-            raise ValueError(f"gradients shape {self.gradients.shape} != dims + (3,)")
+        self.gradients = _node_gradients(self.values, self.spec.resolution)
 
 
 def build_field(
@@ -121,9 +120,16 @@ def build_field(
 
     The grid must extend past the gate's outer bounds by ``safety_radius`` plus
     the planned per-axis ``inflation`` (both finite and non-negative) on every
-    side; otherwise a ``ValueError`` names the offending axis.
+    side; otherwise a ``ValueError`` names the offending axis. A nonzero
+    ``inflation`` also needs bars at least one cell thick, the condition under
+    which :func:`inflate_field`'s window minimum is the worst-case clearance.
     """
     infl = np.zeros(3) if inflation is None else _axis_bounds(inflation, "inflation")
+    if infl.any() and gate.bar_thickness < spec.resolution:
+        raise ValueError(
+            f"bar_thickness {gate.bar_thickness:g} is thinner than the grid resolution "
+            f"{spec.resolution:g}; an inflated map needs bars at least one cell thick"
+        )
     required = np.array([gate.half_depth, gate.outer_half, gate.outer_half])
     required = required + _axis_bounds(np.full(3, safety_radius), "safety_radius") + infl
     for k, name in enumerate("xyz"):
@@ -136,19 +142,18 @@ def build_field(
 
     xs, ys, zs = (spec.axis_nodes(k) for k in range(3))
     values = _clearance((xs[:, None, None], ys[None, :, None], zs[None, None, :]), gate).astype(np.float32)
-    gradients = _node_gradients(values, spec.resolution)
-    return DistanceField(spec=spec, values=values, gradients=gradients, inflated_by=np.zeros(3))
+    return DistanceField(spec=spec, values=values)
 
 
 def _node_gradients(values: np.ndarray, res: float) -> np.ndarray:
     """Central differences per axis, one-sided at borders and next to -1 cells.
 
     Nodes inside the solid (value -1) get zero gradient; -1 neighbors are
-    excluded from every stencil. Differences are taken in float64 and
-    rounded once into the float32 result.
+    excluded from every stencil. Differences are taken in float64 straight
+    from the float32 values (the widening is exact, so no float64 copy of the
+    grid is needed) and rounded once into the float32 result.
     """
-    v = values.astype(np.float64)
-    valid = v != INSIDE_SENTINEL
+    valid = values != INSIDE_SENTINEL
     grads = np.zeros(values.shape + (3,), dtype=np.float32)
 
     def along(axis, start, stop):
@@ -163,11 +168,13 @@ def _node_gradients(values: np.ndarray, res: float) -> np.ndarray:
         # backward difference at k + 1 and the forward one at k; a node with
         # both neighbours outside the solid takes the central one instead.
         pair = valid[lo] & valid[hi]
-        step = (v[hi] - v[lo]) / res
+        step = np.subtract(values[hi], values[lo], dtype=np.float64) / res
         np.copyto(g[hi], step, where=pair)
         np.copyto(g[lo], step, where=pair)
-        central = (v[along(axis, 2, None)] - v[along(axis, 0, -2)]) / (2.0 * res)
+        del step  # one map-sized float64 temporary at a time bounds every build's and load's peak
+        central = np.subtract(values[along(axis, 2, None)], values[along(axis, 0, -2)], dtype=np.float64) / (2.0 * res)
         np.copyto(g[mid], central, where=pair[lo] & pair[hi])
+        del central
     return grads
 
 
@@ -195,7 +202,7 @@ def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
 
     ``eps`` must be whole cell multiples per axis (use
     :func:`quantize_inflation` to round up); the input field must be nominal
-    (not already inflated). Gradients are recomputed from the inflated values.
+    (not already inflated).
     """
     if np.any(f.inflated_by != 0.0):
         raise ValueError(f"field is already inflated by {f.inflated_by}; inflate a nominal field")
@@ -213,12 +220,7 @@ def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
             padded = np.pad(values, [(ka, ka) if a == axis else (0, 0) for a in range(3)], mode="edge")
             for s in range(2 * ka + 1):
                 np.minimum(values, padded[(slice(None),) * axis + (slice(s, s + values.shape[axis]),)], out=values)
-    return DistanceField(
-        spec=f.spec,
-        values=values,
-        gradients=_node_gradients(values, f.spec.resolution),
-        inflated_by=eps,
-    )
+    return DistanceField(spec=f.spec, values=values, inflated_by=eps)
 
 
 def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -358,19 +360,12 @@ def save_field(f: DistanceField, path: str | Path) -> None:
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
-        FLAG_GRADIENTS,
         *f.spec.dims,
         *(float(c) for c in f.spec.origin),
         float(f.spec.resolution),
         *(float(e) for e in f.inflated_by),
     )
-    # x-fastest node order, with the 3 gradient components adjacent per node.
-    g = f.gradients.astype("<f4", copy=False).transpose(2, 1, 0, 3)
-    payload = b"".join([
-        header,
-        np.ascontiguousarray(f.values.astype("<f4", copy=False).ravel(order="F")).tobytes(),
-        np.ascontiguousarray(g).tobytes(),
-    ])
+    payload = header + f.values.astype("<f4", copy=False).ravel(order="F").tobytes()  # x-fastest
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     Path(path).write_bytes(payload + struct.pack("<I", crc))
 
@@ -384,14 +379,12 @@ def load_field(path: str | Path) -> DistanceField:
         raise MapFormatError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < _HEADER.size:
         raise MapFormatError(f"{path}: truncated header")
-    magic, version, flags, nx, ny, nz, ox, oy, oz, res, ex, ey, ez = _HEADER.unpack_from(raw, 0)
+    magic, version, nx, ny, nz, ox, oy, oz, res, ex, ey, ez = _HEADER.unpack_from(raw, 0)
     if version != FORMAT_VERSION:
         raise MapFormatError(f"{path}: unsupported format version {version}")
-    if not flags & FLAG_GRADIENTS:
-        raise MapFormatError(f"{path}: flags {flags:#x} lack the gradient block")
 
     n = nx * ny * nz
-    size = _HEADER.size + 16 * n + 4  # values, gradients, crc
+    size = _HEADER.size + 4 * n + 4  # values, crc
     if len(raw) < size:
         raise MapFormatError(f"{path}: expected {size} bytes, found {len(raw)}")
     if len(raw) > size:
@@ -402,23 +395,14 @@ def load_field(path: str | Path) -> DistanceField:
     if crc != stored_crc:
         raise MapFormatError(f"{path}: crc32 {crc:#010x} != stored {stored_crc:#010x}")
 
-    offset = _HEADER.size
-    values = (
-        np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-        .reshape((nx, ny, nz), order="F")
-        .copy()
-    )
-    offset += 4 * n
-    gradients = (
-        np.frombuffer(raw, dtype="<f4", count=3 * n, offset=offset)
-        .reshape((nz, ny, nx, 3))
-        .transpose(2, 1, 0, 3)
-        .copy()
-    )
+    values = np.frombuffer(raw, dtype="<f4", count=n, offset=_HEADER.size).reshape((nx, ny, nz), order="F").copy()
     try:
         spec = GridSpec(origin=np.array([ox, oy, oz], dtype=float), resolution=float(res), dims=(nx, ny, nz))
         inflated_by = _axis_bounds((ex, ey, ez), "inflation")
+        # Node differences overflow float32 at a tiny resolution and are NaN between infinite values.
+        with np.errstate(over="raise", invalid="raise"):
+            return DistanceField(spec=spec, values=values, inflated_by=inflated_by)
     except ValueError as exc:
         raise MapFormatError(f"{path}: bad grid header: {exc}") from exc
-    return DistanceField(spec=spec, values=values, gradients=gradients, inflated_by=inflated_by)
-
+    except FloatingPointError as exc:
+        raise MapFormatError(f"{path}: node gradients at resolution {res:g}: {exc}") from exc

@@ -3,7 +3,6 @@ import csv
 import dataclasses
 import math
 import os
-import struct
 import subprocess
 import sys
 import zlib
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from gatesafe.cli import main as cli_main
-from gatesafe.field import load_field
+from gatesafe.field import _HEADER, load_field
 from gatesafe.report import (
     GroupSummary,
     ReportError,
@@ -69,6 +68,22 @@ def test_build_map_inflation_rounds_up_to_whole_cells(tmp_path):
     assert run_cli(["build-map", "--out", out, "--inflate", "0.25,0.25,0.25"]) == 0
     f = load_field(out)
     np.testing.assert_allclose(f.inflated_by, [0.3, 0.3, 0.3])
+
+
+def test_inflated_map_with_bars_thinner_than_a_cell_is_config_error_and_writes_nothing(tmp_path, capsys):
+    # The window-minimum inflation is the worst case only for bars at least
+    # one cell thick; 0.25 m bars on a 0.5 m grid are half a cell.
+    cfg = tmp_path / "thin.yaml"
+    cfg.write_text("geometry: {inner_size: 1.4}\nmap: {resolution: 0.5}\n")
+    for argv in (
+        ["build-map", "--out", tmp_path / "m.esdf", "--inflate", "0.5,0.5,0.5"],
+        ["run", "--tracks", "1", "--levels", "0", "--modes", "filtered_uncertainty", "--out", tmp_path / "r"],
+    ):
+        assert run_cli([*argv, "--config", cfg]) == 1, argv
+        err = capsys.readouterr().err
+        assert "bar_thickness 0.25" in err and "resolution 0.5" in err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["thin.yaml"]
+    assert run_cli(["build-map", "--config", cfg, "--out", tmp_path / "m.esdf"]) == 0, "a nominal map has no such rule"
 
 
 def test_build_map_rejects_malformed_inflate(tmp_path):
@@ -169,8 +184,9 @@ def test_field_missing_map_is_runtime_error(tmp_path):
 def test_field_map_with_bad_header_geometry_is_runtime_error(map_path, tmp_path, capsys):
     # Resolution 0 in an otherwise valid map (CRC recomputed): corrupt input.
     raw = bytearray(map_path.read_bytes()[:-4])
-    res_at = struct.calcsize("<4sII3I3d")  # magic, version, flags, dims, origin
-    struct.pack_into("<d", raw, res_at, 0.0)
+    header = list(_HEADER.unpack_from(raw))
+    header[-4] = 0.0  # res, followed by the three inflation values
+    _HEADER.pack_into(raw, 0, *header)
     bad = tmp_path / "zero_res.esdf"
     bad.write_bytes(bytes(raw) + (zlib.crc32(raw) & 0xFFFFFFFF).to_bytes(4, "little"))
     rc = run_cli(["field", "--map", bad, "--plane", "yz", "--offset", "0",

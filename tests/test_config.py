@@ -155,7 +155,7 @@ def test_boundary_values_that_the_config_accepts_build_every_library_object():
     gate, params, spec = cfg.gate(), cfg.safety_params(), cfg.grid_spec()
     assert (gate.inner_size, params.R, params.dv.tolist()) == (tiny, tiny, [0.0, 0.0, 0.0])
     assert spec.dims == (2, 2, 2) and spec.resolution == tiny
-    field = DistanceField(spec, np.zeros(spec.dims, np.float32), np.zeros(spec.dims + (3,), np.float32))
+    field = DistanceField(spec, np.zeros(spec.dims, np.float32))
     env = cfg.sim_env(field, field)
     assert (env.dt, env.max_steps, env.pass_offset) == (tiny, 1, 0.0)
     for level in cfg.run.levels:

@@ -8,6 +8,7 @@ Oracles:
 - interpolation against the exact distance with the res*sqrt(3)/2 bound.
 """
 import math
+import struct
 import tracemalloc
 import warnings
 import zlib
@@ -15,6 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
+from gatesafe.cli import main as cli_main
 from gatesafe.config import Config
 from gatesafe.field import (
     DistanceField,
@@ -26,6 +28,8 @@ from gatesafe.field import (
     SAMPLE_OK,
     SAMPLE_OOB,
     INSIDE_SENTINEL,
+    FORMAT_VERSION,
+    MAGIC,
     _HEADER,
     _SAMPLE_BLOCK,
     _node_gradients,
@@ -156,11 +160,41 @@ def test_coverage_error_names_axis(default_gate):
 
 
 def test_field_arrays_must_match_the_grid(small_field):
-    spec, values, gradients = small_field.spec, small_field.values, small_field.gradients
+    spec, values = small_field.spec, small_field.values
     with pytest.raises(ValueError, match="values shape"):
-        DistanceField(spec, values[:-1], gradients)
-    with pytest.raises(ValueError, match="gradients shape"):
-        DistanceField(spec, values, gradients[..., :2])
+        DistanceField(spec, values[:-1])
+    with pytest.raises(TypeError, match="gradients"):  # derived from the values, never passed in
+        DistanceField(spec, values, gradients=small_field.gradients)
+    assert np.array_equal(DistanceField(spec, values).gradients, _node_gradients(values, spec.resolution))
+
+
+def _grown_box_clearance(gate: GateGeometry, spec: GridSpec, eps: np.ndarray) -> np.ndarray:
+    """Node clearance to the bar boxes grown by eps per axis (0 inside): the worst case over shifts."""
+    cols = [spec.axis_nodes(k)[tuple(slice(None) if a == k else None for a in range(3))] for k in range(3)]
+    lo, hi = gate.bar_boxes()
+    squares = [
+        sum(np.maximum(np.maximum(lo[b, k] - eps[k] - cols[k], cols[k] - hi[b, k] - eps[k]), 0.0) ** 2
+            for k in range(3))
+        for b in range(4)
+    ]
+    return np.sqrt(np.minimum.reduce(squares))
+
+
+def test_inflated_build_needs_bars_at_least_one_cell_thick():
+    # A 0.25 m bar at 0.5 m resolution: the window minimum over whole-cell
+    # shifts misses the grown bar, so the inflated map reads above the
+    # worst-case clearance. build_field refuses to plan that inflation.
+    spec = GridSpec(origin=np.array([-6.0, -6.0, -4.0]), resolution=0.5, dims=(25, 25, 17))
+    eps = np.full(3, 0.5)
+    thin = GateGeometry(inner_size=1.4)
+    with pytest.raises(ValueError, match=r"^bar_thickness 0\.25 .* resolution 0\.5"):
+        build_field(thin, spec, safety_radius=0.3, inflation=eps)
+    over = inflate_field(build_field(thin, spec, safety_radius=0.3), eps).values - _grown_box_clearance(thin, spec, eps)
+    assert over.max() == pytest.approx(0.05, abs=1e-6)
+    # One cell thick: the build goes ahead and the window minimum is the worst case.
+    thick = GateGeometry(inner_size=1.4, bar_thickness=0.5)
+    inflated = inflate_field(build_field(thick, spec, safety_radius=0.3, inflation=eps), eps)
+    assert np.all(inflated.values - _grown_box_clearance(thick, spec, eps) <= 1e-6)
 
 
 @pytest.mark.parametrize(
@@ -426,6 +460,7 @@ def test_save_load_round_trip_bit_exact(small_field, tmp_path):
     assert loaded.spec.dims == small_field.spec.dims
     assert np.array_equal(loaded.values, small_field.values)
     assert np.array_equal(loaded.gradients, small_field.gradients)
+    assert path.stat().st_size == _HEADER.size + 4 * math.prod(small_field.spec.dims) + 4
     assert np.array_equal(loaded.spec.origin, small_field.spec.origin), (
         "grid origin must round-trip bit-exactly so node coordinates are stable"
     )
@@ -494,25 +529,43 @@ def test_load_rejects_trailing_garbage(small_field, tmp_path):
         load_field(path)
 
 
-def test_load_rejects_map_without_gradient_block(small_field, tmp_path):
-    # A well-formed file (valid CRC) whose flags drop the gradient block:
-    # sampling needs gradients, so the loader must refuse it.
-    path = tmp_path / "nograd.esdf"
-    save_field(small_field, path)
-    raw = bytearray(path.read_bytes())
+def test_load_rejects_format_version_2(small_field, tmp_path, capsys):
+    # A CRC-valid file in the version 2 layout: a flags word after the
+    # version and a gradient block after the values. Gradients are now
+    # derived from the values, so such a file is refused, not half-read.
     n = math.prod(small_field.spec.dims)
-    header = len(raw) - 16 * n - 4
-    raw[8:12] = (0).to_bytes(4, "little")
-    payload = bytes(raw[: header + 4 * n])
+    header = struct.pack(
+        "<4sII3I3dd3d", MAGIC, 2, 1, *small_field.spec.dims, *small_field.spec.origin,
+        small_field.spec.resolution, *small_field.inflated_by,
+    )
+    payload = header + small_field.values.ravel(order="F").tobytes() + bytes(12 * n)
+    path = tmp_path / "v2.esdf"
     path.write_bytes(payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
-    with pytest.raises(MapFormatError, match="gradient"):
+    with pytest.raises(MapFormatError, match="unsupported format version 2"):
+        load_field(path)
+    out = tmp_path / "f.csv"
+    argv = ["field", "--map", str(path), "--plane", "yz", "--offset", "0", "--speed", "2", "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert "unsupported format version 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_rejects_values_without_finite_differences(small_field, tmp_path):
+    # Two neighbouring infinite values in a CRC-valid file: their difference
+    # is not a number, which the loader refuses instead of warning about it.
+    path = tmp_path / "inf.esdf"
+    save_field(small_field, path)
+    raw = bytearray(path.read_bytes()[:-4])
+    raw[_HEADER.size:_HEADER.size + 8] = np.full(2, np.inf, dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw) + (zlib.crc32(raw) & 0xFFFFFFFF).to_bytes(4, "little"))
+    with pytest.raises(MapFormatError, match="node gradients at resolution 0.1: invalid value"):
         load_field(path)
 
 
 def _map_with_header(path, dims, origin, res, inflation) -> None:
-    """A map file with the given header geometry, zero payload and a valid CRC."""
+    """A map file with the given header geometry, values 0, 1, 2, ... and a valid CRC."""
     n = math.prod(dims)
-    payload = _HEADER.pack(b"ESDF", 2, 1, *dims, *origin, res, *inflation) + bytes(16 * n)
+    payload = _HEADER.pack(MAGIC, FORMAT_VERSION, *dims, *origin, res, *inflation) + np.arange(n, dtype="<f4").tobytes()
     path.write_bytes(payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
 
 
@@ -527,8 +580,13 @@ def _map_with_header(path, dims, origin, res, inflation) -> None:
         ((4, 4, 4), (0.0, 0.0, 0.0), 0.1, (math.nan, -1.0, 0.0), "inflation"),
         ((4, 4, 4), (0.0, 0.0, 0.0), 0.1, (0.0, -0.1, 0.0), "inflation"),
         ((4, 4, 4), (0.0, 0.0, 0.0), 0.1, (0.0, 0.0, math.inf), "inflation"),
+        # Valid geometry, but node differences over 1e-300 m overflow float32.
+        ((4, 4, 4), (0.0, 0.0, 0.0), 1e-300, (0.0, 0.0, 0.0), "resolution 1e-300: overflow"),
     ],
-    ids=["nx=1", "nx=0", "res=0", "res<0", "nan-origin", "nan-inflation", "negative-inflation", "inf-inflation"],
+    ids=[
+        "nx=1", "nx=0", "res=0", "res<0", "nan-origin", "nan-inflation", "negative-inflation", "inf-inflation",
+        "res=1e-300",
+    ],
 )
 def test_load_rejects_bad_header_geometry_with_valid_crc(tmp_path, dims, origin, res, inflation, message):
     path = tmp_path / "geometry.esdf"

@@ -2,9 +2,10 @@
 
 The field stores, at every node of a regular gate-frame grid, the exact
 Euclidean clearance to the frame (sentinel -1.0 strictly inside the solid).
-Node gradients are finite differences of those values, derived whenever a
-field is made. Queries between nodes are answered by trilinear
-interpolation of both values and gradients.
+Node gradients are finite differences of those values, derived on demand:
+block by block of cells, the first time a query touches a block. Queries
+between nodes are answered by trilinear interpolation of both values and
+gradients.
 
 Worst-case inflation replaces each node value with the minimum over a
 (2kx+1) x (2ky+1) x (2kz+1) box of nodes, taken as one separable window
@@ -24,10 +25,10 @@ File format (all little-endian)::
     values  nx*ny*nz x f32, x-fastest node order
     crc32   u32      checksum of every preceding byte
 
-The file holds no gradients: loading derives them from the values, exactly
-as building does. Grid geometry is kept at full double precision so node
-coordinates of a loaded map equal those of the freshly built one bit for
-bit; node values are f32, matching the in-memory array.
+The file holds no gradients: a loaded field derives them from the values,
+exactly as a built one does. Grid geometry is kept at full double precision
+so node coordinates of a loaded map equal those of the freshly built one
+bit for bit; node values are f32, matching the in-memory array.
 """
 from __future__ import annotations
 
@@ -49,6 +50,9 @@ INSIDE_SENTINEL = -1.0
 
 # A query may lie this many cells past the outer nodes (rounding slack).
 _EDGE_CELLS = 1e-9
+
+# Node gradients are derived per block of this many cells along each axis.
+_GRAD_BLOCK = 16
 
 
 class MapFormatError(Exception):
@@ -90,18 +94,54 @@ class GridSpec:
 
 @dataclass
 class DistanceField:
-    """Node values (float32, -1 inside the solid) and the gradients derived from them."""
+    """Node values (float32, -1 inside the solid) and the gradients derived from them.
+
+    Gradients are derived per block of ``_GRAD_BLOCK`` cells per axis, the
+    first time a query touches the block, and kept. Each block runs
+    :func:`_node_gradients` on its nodes plus a one-node halo, so every
+    gradient is bit-identical to a whole-grid derivation.
+    """
 
     spec: GridSpec
     values: np.ndarray
     inflated_by: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gradients: np.ndarray = field(init=False)
+    _grads: np.ndarray = field(init=False, repr=False, compare=False)
+    _blocks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    _done: bytearray = field(init=False, repr=False, compare=False)  # one flag per block, x-major
 
     def __post_init__(self) -> None:
         self.inflated_by = np.asarray(self.inflated_by, dtype=float)
         if self.values.shape != self.spec.dims:
             raise ValueError(f"values shape {self.values.shape} != dims {self.spec.dims}")
-        self.gradients = _node_gradients(self.values, self.spec.resolution)
+        # Zero-filled, so the pages of blocks never derived are never resident.
+        self._grads = np.zeros(self.spec.dims + (3,), dtype=np.float32)
+        self._blocks = tuple(-(-(n - 1) // _GRAD_BLOCK) for n in self.spec.dims)
+        self._done = bytearray(math.prod(self._blocks))
+
+    @property
+    def gradients(self) -> np.ndarray:
+        """Node gradients, (nx, ny, nz, 3) float32, after deriving every missing block."""
+        if 0 in self._done:
+            layer = len(self._done) // self._blocks[0]
+            for start in range(0, len(self._done), layer):  # one x layer of blocks at a time bounds the temporaries
+                self._derive(np.arange(start, start + layer))
+        return self._grads
+
+    def _derive(self, blocks: np.ndarray) -> None:
+        """Derive the bounding box of those of ``blocks`` (flat block numbers) not derived yet."""
+        done = np.frombuffer(self._done, dtype=np.uint8)
+        missing = np.unravel_index(blocks[done[blocks] == 0], self._blocks)
+        if missing[0].size == 0:
+            return
+        lo = [int(m.min()) for m in missing]
+        hi = [int(m.max()) + 1 for m in missing]
+        # The box's nodes, then one node more on each side where the grid goes on:
+        # a node's rule reads its +/-1 neighbours and whether it is a border node.
+        box = [slice(_GRAD_BLOCK * a, min(_GRAD_BLOCK * b + 1, n)) for a, b, n in zip(lo, hi, self.spec.dims)]
+        halo = [slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, self.spec.dims)]
+        g = _node_gradients(self.values[tuple(halo)], self.spec.resolution)
+        self._grads[tuple(box)] = g[tuple(slice(s.start - h.start, s.stop - h.start) for s, h in zip(box, halo))]
+        done.reshape(self._blocks)[tuple(slice(a, b) for a, b in zip(lo, hi))] = 1
 
 
 def build_field(
@@ -257,7 +297,11 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
     ((c0, c1), (c2, c3)), ((c4, c5), (c6, c7)) = f.values[i:i + 2, j:j + 2, l:l + 2].tolist()
     if min(c0, c1, c2, c3, c4, c5, c6, c7) == INSIDE_SENTINEL:
         raise InsideObstacleError(f"query {np.asarray(q).tolist()} touches an inside-solid cell")
-    ((g0, g1), (g2, g3)), ((g4, g5), (g6, g7)) = f.gradients[i:i + 2, j:j + 2, l:l + 2].tolist()
+    _, by, bz = f._blocks
+    block = (i // _GRAD_BLOCK * by + j // _GRAD_BLOCK) * bz + l // _GRAD_BLOCK
+    if not f._done[block]:
+        f._derive(np.array([block]))
+    ((g0, g1), (g2, g3)), ((g4, g5), (g6, g7)) = f._grads[i:i + 2, j:j + 2, l:l + 2].tolist()
 
     sx, sy, sz = 1 - tx, 1 - ty, 1 - tz
     w0, w1, w2, w3 = sx * sy * sz, sx * sy * tz, sx * ty * sz, sx * ty * tz
@@ -307,13 +351,14 @@ def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     for s in range(0, n, _SAMPLE_BLOCK):
         e = min(s + _SAMPLE_BLOCK, n)
         vg, status[s:e] = _sample_block(f, pts[s:e])
-        vals[s:e] = vg[:, 0]
-        grads[s:e] = vg[:, 1:]
+        vals[s:e] = vg[0]
+        grads[s:e] = vg[1:].T
     return vals, grads, status
 
 
 def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One block of :func:`sample_batch`: an (N, 4) value-and-gradient array and status."""
+    """One block of :func:`sample_batch`: a (4, N) value-and-gradient array and status."""
+    n = pts.shape[0]
     nx, ny, nz = f.spec.dims
     # A coordinate far outside the grid may overflow to inf; it is out of bounds.
     with np.errstate(over="ignore"):
@@ -327,31 +372,36 @@ def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     np.fmin(np.fmax(rel, 0.0, out=rel), (nx - 1, ny - 1, nz - 1), out=rel)
     cell = np.fmin(np.floor(rel), (nx - 2, ny - 2, nz - 2))
     frac = rel - cell
-    # Corner-major gather: row k holds corner k of every point.
-    sx = ny * nz
-    corners = np.array([[0], [1], [nz], [nz + 1], [sx], [sx + 1], [sx + nz], [sx + nz + 1]])
-    flat = cell.astype(np.intp) @ (sx, nz, 1) + corners
-    cv = np.take(f.values, flat)
-    in_obs = np.minimum.reduce(cv, axis=0) == INSIDE_SENTINEL
+    cell = cell.astype(np.intp)
+    _, by, bz = f._blocks
+    blocks = ((cell // _GRAD_BLOCK) @ (by * bz, bz, 1))[inside]  # rows out of bounds read no gradients
+    if not np.frombuffer(f._done, dtype=np.uint8)[blocks].all():
+        f._derive(blocks)
 
-    t = np.empty((2, 3, pts.shape[0]))
+    # Values and gradients share one (8, 4, N) array, corner-major: row k
+    # holds corner k's value and gradient components of every point. A
+    # leading-axis reduce over it adds the corners one by one, while a lone
+    # (8,) column (N = 1) would be summed pairwise.
+    sx = ny * nz
+    corners = np.array((0, 1, nz, nz + 1, sx, sx + 1, sx + nz, sx + nz + 1))[:, None]
+    flat = cell @ (sx, nz, 1) + corners
+    vg = np.empty((8, 4, n))
+    vg[:, 0] = np.take(f.values, flat)
+    in_obs = np.minimum.reduce(vg[:, 0], axis=0) == INSIDE_SENTINEL
+    vg[:, 1:] = np.take(f._grads.reshape(-1, 3), flat, axis=0).transpose(0, 2, 1)
+
+    t = np.empty((2, 3, n))
     np.subtract(1.0, frac.T, out=t[0])
     t[1] = frac.T
     w = (t[:, None, None, 0] * t[None, :, None, 1]) * t[None, None, :, 2]
-    # Values and gradients share one (8, N, 4) array: a leading-axis reduce
-    # over it adds the corners one by one, while a lone (8,) column (N = 1)
-    # would be summed pairwise.
-    vg = np.empty((8, pts.shape[0], 4))
-    vg[:, :, 0] = cv
-    vg[:, :, 1:] = np.take(f.gradients.reshape(-1, 3), flat, axis=0)
-    vg *= w.reshape(8, -1, 1)
+    vg *= w.reshape(8, 1, n)
     vg = np.add.reduce(vg, axis=0, initial=0.0)
 
     status = np.where(in_obs, np.int8(SAMPLE_IN_OBSTACLE), np.int8(SAMPLE_OK))
     status = np.where(inside, status, np.int8(SAMPLE_OOB))
     bad = ~inside | in_obs
     if bad.any():
-        vg[bad] = np.nan
+        vg[:, bad] = np.nan
     return vg, status
 
 
@@ -399,10 +449,29 @@ def load_field(path: str | Path) -> DistanceField:
     try:
         spec = GridSpec(origin=np.array([ox, oy, oz], dtype=float), resolution=float(res), dims=(nx, ny, nz))
         inflated_by = _axis_bounds((ex, ey, ez), "inflation")
-        # Node differences overflow float32 at a tiny resolution and are NaN between infinite values.
-        with np.errstate(over="raise", invalid="raise"):
-            return DistanceField(spec=spec, values=values, inflated_by=inflated_by)
     except ValueError as exc:
         raise MapFormatError(f"{path}: bad grid header: {exc}") from exc
-    except FloatingPointError as exc:
-        raise MapFormatError(f"{path}: node gradients at resolution {res:g}: {exc}") from exc
+    fault = _values_fault(values, spec.resolution)
+    if fault is not None:
+        raise MapFormatError(f"{path}: {fault}")
+    return DistanceField(spec=spec, values=values, inflated_by=inflated_by)
+
+
+def _values_fault(values: np.ndarray, res: float) -> str | None:
+    """Why node values are no map's, or None: each must be a clearance or -1.
+
+    Every node difference the gradients take lies within the spread of the
+    values outside the solid, so a spread that stays finite in float32 over
+    ``res`` lets every block be derived without an overflow or NaN.
+    """
+    outside = values[values != INSIDE_SENTINEL]
+    if outside.size == 0:
+        return None
+    lo, hi = float(outside.min()), float(outside.max())  # NaN if any value is NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return f"node gradients at resolution {res:g}: invalid value: node values must be finite"
+    if lo < 0.0:
+        return f"node value {lo:g} is neither a clearance (>= 0) nor the inside sentinel {INSIDE_SENTINEL:g}"
+    if (hi - lo) / res > float(np.finfo(np.float32).max):
+        return f"node gradients at resolution {res:g}: overflow: node values span {hi - lo:g} m"
+    return None

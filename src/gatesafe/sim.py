@@ -320,6 +320,7 @@ def run_trial(
     q = world_to_gate(x, pose)
     estimate = _estimate(pose, next(draws), params.dv)
     prev_pose: Pose | None = None  # last passed gate, checked during slab exit
+    q_prev = q  # gate-frame position in prev_pose's frame, while prev_pose is set
     exit_window = env.gate.half_depth + (params.alpha + float(np.max(params.dw))) * env.dt * 2.0
 
     safe = True
@@ -358,9 +359,10 @@ def run_trial(
         q_new = world_to_gate(x_new, pose)
         hit = segment_hits_frame(q, q_new, env.gate)
         if not hit and prev_pose is not None:
-            qp0 = world_to_gate(state.x, prev_pose)
-            if qp0[0] <= exit_window:
-                hit = segment_hits_frame(qp0, world_to_gate(x_new, prev_pose), env.gate)
+            if q_prev[0] <= exit_window:
+                q_prev_new = world_to_gate(x_new, prev_pose)
+                hit = segment_hits_frame(q_prev, q_prev_new, env.gate)
+                q_prev = q_prev_new
             else:
                 prev_pose = None
         if hit:
@@ -373,6 +375,7 @@ def run_trial(
             if max(abs(cross[1]), abs(cross[2])) < env.gate.inner_half - PASS_MARGIN:
                 state.gates_passed += 1
             prev_pose = pose
+            q_prev = q_new
             state.gate_index += 1
             if state.gate_index < total:
                 pose = virtual_gate_pose(track, state.gate_index)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gatesafe.cli import main as cli_main
-from gatesafe.field import _HEADER, load_field
+from gatesafe.field import _HEADER, _node_gradients, load_field
 from gatesafe.report import (
     GroupSummary,
     ReportError,
@@ -60,7 +60,8 @@ def test_build_map_output_loads_back(map_path):
     f = load_field(map_path)
     assert f.spec.dims == (121, 121, 81)
     np.testing.assert_allclose(f.inflated_by, 0.0)
-    assert f.gradients is not None
+    want = _node_gradients(f.values, f.spec.resolution)
+    assert np.array_equal(f.gradients.view(np.uint32), want.view(np.uint32))
 
 
 def test_build_map_inflation_rounds_up_to_whole_cells(tmp_path):

@@ -16,6 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
+from gatesafe.barrier import SafetyParams
 from gatesafe.cli import main as cli_main
 from gatesafe.config import Config
 from gatesafe.field import (
@@ -31,6 +32,7 @@ from gatesafe.field import (
     FORMAT_VERSION,
     MAGIC,
     _HEADER,
+    _GRAD_BLOCK,
     _SAMPLE_BLOCK,
     _node_gradients,
     build_field,
@@ -42,6 +44,7 @@ from gatesafe.field import (
     save_field,
 )
 from gatesafe.geometry import GateGeometry, _clearance, exact_distance, exact_distance_batch
+from gatesafe.qp import safest_action_field
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +565,31 @@ def test_load_rejects_values_without_finite_differences(small_field, tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (math.nan, "node gradients at resolution 0.1: invalid value"),
+        (math.inf, "node gradients at resolution 0.1: invalid value"),
+        (-0.5, "node value -0.5 is neither a clearance"),
+    ],
+    ids=["nan", "inf", "-0.5"],
+)
+def test_load_rejects_node_values_that_are_no_clearance(small_field, tmp_path, capsys, value, message):
+    # One node in a CRC-valid file: a value is a clearance (>= 0) or the -1 sentinel.
+    path = tmp_path / "bad-node.esdf"
+    save_field(small_field, path)
+    raw = bytearray(path.read_bytes()[:-4])
+    raw[_HEADER.size + 400:_HEADER.size + 404] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw) + (zlib.crc32(raw) & 0xFFFFFFFF).to_bytes(4, "little"))
+    with pytest.raises(MapFormatError, match=message):
+        load_field(path)
+    out = tmp_path / "f.csv"
+    argv = ["field", "--map", str(path), "--plane", "yz", "--offset", "0", "--speed", "2", "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _map_with_header(path, dims, origin, res, inflation) -> None:
     """A map file with the given header geometry, values 0, 1, 2, ... and a valid CRC."""
     n = math.prod(dims)
@@ -892,24 +920,136 @@ def test_node_gradients_are_bit_identical_on_default_maps(default_env):
         _assert_same_bits(fld.gradients, _roll_gradients(fld.values, fld.spec.resolution))
 
 
+def _blob_values(rng, shape, blobs: int = 4) -> np.ndarray:
+    """Clearance-like float32 values (repeats, exact zeros) with -1 boxes, most stretched to a border."""
+    values = rng.uniform(0.0, 3.0, size=shape).astype(np.float32)
+    values[rng.random(shape) < 0.1] = 0.0
+    values[rng.random(shape) < 0.1] = values.flat[0]
+    for _ in range(rng.integers(0, blobs)):
+        lo = rng.integers(0, shape)
+        hi = np.minimum(lo + rng.integers(1, 4, size=3), shape)
+        axis = rng.integers(0, 3)
+        side = rng.random()
+        if side < 0.4:
+            lo[axis] = 0
+        elif side < 0.8:
+            hi[axis] = shape[axis]
+        values[tuple(slice(a, b) for a, b in zip(lo, hi))] = -1.0
+    return values
+
+
 def test_node_gradients_are_bit_identical_with_border_blobs():
     rng = np.random.default_rng(17)
     for shape in [(2, 2, 2), (2, 5, 3), (7, 2, 4), (6, 5, 9), (12, 11, 10)]:
         for trial in range(20):
-            values = rng.uniform(0.0, 3.0, size=shape).astype(np.float32)
-            # Clearance-like values: repeats and exact zeros as well.
-            values[rng.random(shape) < 0.1] = 0.0
-            values[rng.random(shape) < 0.1] = values.flat[0]
-            # -1 blobs: small boxes, most of them stretched to a low or high border.
-            for _ in range(rng.integers(0, 4)):
-                lo = rng.integers(0, shape)
-                hi = np.minimum(lo + rng.integers(1, 4, size=3), shape)
-                axis = rng.integers(0, 3)
-                side = rng.random()
-                if side < 0.4:
-                    lo[axis] = 0
-                elif side < 0.8:
-                    hi[axis] = shape[axis]
-                values[tuple(slice(a, b) for a, b in zip(lo, hi))] = -1.0
+            values = _blob_values(rng, shape)
             res = float(rng.choice([0.1, 0.25, 0.3]))
             _assert_same_bits(_node_gradients(values, res), _roll_gradients(values, res))
+
+
+# ---------------------------------------------------------------------------
+# Gradients derived block by block
+# ---------------------------------------------------------------------------
+
+def _derived_blocks(f: DistanceField) -> np.ndarray:
+    """The per-block derived flags as a (bx, by, bz) bool array."""
+    return np.frombuffer(f._done, dtype=np.uint8).reshape(f._blocks) != 0
+
+
+def _block_edge_queries(rng, spec: GridSpec) -> np.ndarray:
+    """Random points, plus mid-cell points in the cells on both sides of every block edge and at the grid's ends."""
+    res = spec.resolution
+    pts = [rng.uniform(spec.origin, spec.max_corner, size=(200, 3))]
+    for axis, n in enumerate(spec.dims):
+        cells = {0, n - 2} | {c for e in range(_GRAD_BLOCK, n - 1, _GRAD_BLOCK) for c in (e - 1, e)}
+        for c in sorted(cells):
+            p = rng.uniform(spec.origin, spec.max_corner, size=(5, 3))
+            p[:, axis] = spec.origin[axis] + (c + 0.5) * res
+            pts.append(p)
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("dims", [(37, 2, 20), (17, 33, 18), (2, 2, 2), (16, 49, 3)])
+@pytest.mark.parametrize("first", ["sample", "sample_batch", "gradients"])
+def test_block_gradients_are_bit_identical_whatever_derives_first(dims, first, monkeypatch):
+    # Dims that are and are not a multiple of the block size, a 2-node axis,
+    # and cells on both sides of each block edge; -1 boxes reach the borders.
+    rng = np.random.default_rng(sum(dims))
+    spec = GridSpec(origin=np.array([-0.3, 0.2, -1.0]), resolution=0.1, dims=dims)
+    values = _blob_values(rng, dims, blobs=8)
+    want = _node_gradients(values, spec.resolution)
+    full = DistanceField(spec, values)
+    _assert_same_bits(full.gradients, want)
+    assert _derived_blocks(full).all()
+
+    f = DistanceField(spec, values)
+    assert not _derived_blocks(f).any()
+    pts = _block_edge_queries(rng, spec)
+
+    def scalar_pass(fld):
+        out = []
+        for q in pts:
+            try:
+                d, g = sample(fld, q)
+            except InsideObstacleError:
+                continue
+            out.append(np.float64(d).tobytes() + g.tobytes())
+        return out
+
+    def batch_pass(fld):
+        return [a.tobytes() for a in sample_batch(fld, pts)]
+
+    run = {"sample": scalar_pass, "sample_batch": batch_pass}.get(first)
+    if run is not None:
+        got = run(f)
+        assert got == run(full)
+        derived = _derived_blocks(f)
+        # Every block those queries touch is derived now: a repeat derives nothing.
+        monkeypatch.setattr("gatesafe.field._node_gradients", lambda *a: pytest.fail("derived again"))
+        assert run(f) == got
+        monkeypatch.undo()
+        assert np.array_equal(_derived_blocks(f), derived)
+    _assert_same_bits(f.gradients, want)
+    assert _derived_blocks(f).all()
+
+
+def test_scalar_sample_derives_the_one_block_of_its_cell():
+    spec = GridSpec(origin=np.zeros(3), resolution=0.1, dims=(40, 40, 40))
+    values = np.random.default_rng(3).uniform(0.5, 3.0, size=spec.dims).astype(np.float32)  # no -1 nodes
+    for cell in (15, 16, 31, 32, 38):
+        f = DistanceField(spec, values)
+        sample(f, np.full(3, (cell + 0.5) * 0.1))
+        blocks = _derived_blocks(f)
+        k = cell // _GRAD_BLOCK
+        assert blocks.sum() == 1 and blocks[k, k, k], cell
+
+
+def test_sample_batch_rows_out_of_bounds_derive_no_block(small_spec):
+    f = DistanceField(small_spec, np.ones(small_spec.dims, dtype=np.float32))
+    far = np.array([[100.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.0, -1e308, 0.0]])
+    assert sample_batch(f, far)[2].tolist() == [SAMPLE_OOB] * 3
+    assert not _derived_blocks(f).any()
+
+
+def test_build_inflate_and_load_derive_no_block(default_gate, small_spec, tmp_path):
+    nominal = build_field(default_gate, small_spec, safety_radius=0.3, inflation=np.full(3, 0.3))
+    inflated = inflate_field(nominal, np.full(3, 0.3))
+    save_field(inflated, tmp_path / "m.esdf")
+    loaded = load_field(tmp_path / "m.esdf")
+    for f in (nominal, inflated, loaded):
+        assert not _derived_blocks(f).any()
+
+
+@pytest.mark.parametrize("plane, axis", [("yz", 0), ("xy", 2)])
+def test_plane_export_derives_only_the_blocks_next_to_its_plane(default_gate, small_spec, plane, axis):
+    f = build_field(default_gate, small_spec, safety_radius=0.3, inflation=np.full(3, 0.3))
+    # The last cell of the first block layer, at mid-cell, so rounding cannot
+    # move the plane to a neighbouring cell; the plane cuts the frame.
+    cell = _GRAD_BLOCK - 1
+    offset = float(small_spec.origin[axis] + (cell + 0.5) * small_spec.resolution)
+    exported = safest_action_field(f, SafetyParams(), speed=2.0, plane=plane, offset=offset)
+    assert exported.unsafe.any() and not exported.unsafe.all()
+    blocks = np.moveaxis(_derived_blocks(f), axis, 0)
+    assert blocks[cell // _GRAD_BLOCK].all()
+    assert blocks.sum() == blocks[0].size
+    _assert_same_bits(f.gradients, _node_gradients(f.values, f.spec.resolution))

@@ -20,6 +20,7 @@ from gatesafe.sim import (
     SetupError,
     SimEnv,
     SimState,
+    TrackSpec,
     generate_track,
     _estimate,
     nominal_policy,
@@ -431,9 +432,10 @@ def test_nominal_policy_is_bit_identical_to_array_reference():
 def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     """The trial loop with one rng.uniform call per estimate and per step.
 
-    Returns (safe, gates_passed, gate_index, StepLog columns t, x, q, h,
-    status, deviation) with q holding one more row (the final position)
-    when the trial ended safely.
+    Returns (safe, gates_passed, gate_index, whether the trial ended on
+    the gate just passed, StepLog columns t, x, q, h, status, deviation)
+    with q holding one more row (the final position) when the trial ended
+    safely.
     """
     fld = {"filtered": env.nominal_field, "filtered_uncertainty": env.inflated_field}.get(mode)
     params = env.params
@@ -449,6 +451,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     prev_pose = None
     exit_window = env.gate.half_depth + (params.alpha + float(np.max(params.dw))) * env.dt * 2.0
     safe = True
+    hit_previous = False
     steps = 0
     while steps < env.max_steps and state.gate_index < total:
         u = nominal_policy(state, estimate, env.gain, params.alpha, env.pass_offset)
@@ -474,7 +477,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
         if not hit and prev_pose is not None:
             qp0 = world_to_gate(state.x, prev_pose)
             if qp0[0] <= exit_window:
-                hit = segment_hits_frame(qp0, world_to_gate(x_new, prev_pose), env.gate)
+                hit = hit_previous = segment_hits_frame(qp0, world_to_gate(x_new, prev_pose), env.gate)
             else:
                 prev_pose = None
         if hit:
@@ -496,27 +499,40 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
         q = q_new
     if safe:
         rows["q"].append(q)
-    return safe, state.gates_passed, state.gate_index, {k: np.array(v) for k, v in rows.items()}
+    return safe, state.gates_passed, state.gate_index, hit_previous, {k: np.array(v) for k, v in rows.items()}
+
+
+def _env(default_env, params: SafetyParams) -> SimEnv:
+    return SimEnv(
+        gate=default_env.gate,
+        nominal_field=default_env.nominal_field,
+        inflated_field=default_env.inflated_field,
+        params=params,
+        max_steps=150,
+    )
 
 
 def test_run_trial_matches_per_step_draw_loop(default_env):
     track = generate_track(num_gates=3, difficulty=1.0, laps=1, seed=1234)
     noisy = SafetyParams(dw=np.full(3, 0.1), dv=np.full(3, 0.25))
-    cases = [(default_env, None), (SimEnv(
-        gate=default_env.gate,
-        nominal_field=default_env.nominal_field,
-        inflated_field=default_env.inflated_field,
-        params=noisy,
-        max_steps=150,
-    ), None), (default_env, np.array([-2.0, 1.4, 0.0]))]
+    # The next gate lies to the side of the first, so the turn after the
+    # crossing flies into the back of the first gate's bar (baseline mode).
+    turn = TrackSpec(num_gates=2, spacing=6.25, laps=1,
+                     gate_poses=[Pose(position=np.zeros(3), yaw=0.0), Pose(position=np.array([1.4, 1.7, 0.0]), yaw=-2.0)])
+    cases = [
+        (default_env, track, None),
+        (_env(default_env, noisy), track, None),
+        (default_env, track, np.array([-2.0, 1.4, 0.0])),
+        (_env(default_env, SafetyParams(dw=np.full(3, 0.3), dv=np.zeros(3))), turn, np.array([-2.0, 0.1, 0.2])),
+    ]
     endings = set()
     crossings = 0
-    for env, spawn in cases:
+    for env, trk, spawn in cases:
         for mode in MODES:
-            r = run_trial(env, track, mode, seed=99, spawn=spawn)
-            safe, passed, gate_index, ref = _per_step_draw_trial(env, track, mode, 99, spawn)
+            r = run_trial(env, trk, mode, seed=99, spawn=spawn)
+            safe, passed, gate_index, hit_previous, ref = _per_step_draw_trial(env, trk, mode, 99, spawn)
             assert (r.safe, r.gates_passed, r.steps) == (safe, passed, len(ref["t"]))
-            assert r.timed_out == (safe and gate_index < track.total_gates)
+            assert r.timed_out == (safe and gate_index < trk.total_gates)
             log = r.log
             for name in ("t", "x", "h", "deviation"):
                 got, want = getattr(log, name), ref[name]
@@ -525,10 +541,10 @@ def test_run_trial_matches_per_step_draw_loop(default_env):
             d = exact_distance_batch(ref["q"], env.gate)
             assert log.d_true.tobytes() == d[: r.steps].tobytes()
             assert r.min_distance == (float(d.min()) if safe else 0.0)
-            endings.add("timeout" if r.timed_out else "done" if safe else "collision")
+            endings.add("timeout" if r.timed_out else "done" if safe else "collision" if not hit_previous else "slab exit")
             if mode != "baseline" and safe:
                 assert STEP_PROJECTED in log.status and STEP_OFF_MAP in log.status, mode
             crossings = max(crossings, gate_index)
     # Estimates drawn after gate advances sit between noise draws in the stream.
     assert crossings == track.total_gates
-    assert endings == {"done", "timeout", "collision"}
+    assert endings == {"done", "timeout", "collision", "slab exit"}

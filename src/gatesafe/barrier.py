@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import DistanceField, sample
-from .geometry import Pose, _axis_bounds, _positive, world_to_gate
+from .field import DistanceField, _sample
+from .geometry import Pose, _axis_bounds, _finite_point, _positive, _to_gate
 
 ADMISSIBLE_TOL = 1e-9
 
@@ -83,11 +83,16 @@ def eval_barrier_world(
     on world-frame actions; ``Pose()`` makes the world frame the gate frame.
     Propagates the field's out-of-bounds / inside-obstacle errors.
     """
-    d, grad = sample(f, world_to_gate(x_world, gate_pose))
-    c, s = math.cos(gate_pose.yaw), math.sin(gate_pose.yaw)
-    gx, gy, gz = grad.tolist()
-    world_grad = np.array([c * gx - s * gy, s * gx + c * gy, gz])
-    return BarrierEval(d=d, grad=world_grad, h=_barrier_value(d, params))
+    d, grad = _world_sample(f, _to_gate(_finite_point(x_world)[1], gate_pose).tolist(), gate_pose.yaw)
+    return BarrierEval(d=d, grad=np.array(grad), h=_barrier_value(d, params))
+
+
+def _world_sample(f: DistanceField, q: list[float], yaw: float) -> tuple[float, list[float]]:
+    """Clearance at the gate-frame point q (three floats) and its gradient in the
+    world frame of a gate at this yaw, as three floats."""
+    d, gx, gy, gz = _sample(f, q, *q)
+    c, s = math.cos(yaw), math.sin(yaw)
+    return d, [c * gx - s * gy, s * gx + c * gy, gz]
 
 
 def _constraint(d, grad: np.ndarray, h, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:

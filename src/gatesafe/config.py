@@ -21,7 +21,8 @@ from .field import DistanceField, GridSpec, _whole_cells
 from .geometry import GateGeometry, _axis_bounds, _positive
 from .report import _g
 from .sim import (
-    MODES, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, generate_track, run_experiment,
+    MODES, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, _check_track_length, generate_track,
+    run_experiment,
 )
 
 
@@ -234,8 +235,12 @@ def parse_config(data: dict | None) -> Config:
         if not isinstance(body, dict):
             raise ConfigError(f"section {section!r} must be a mapping, got {type(body).__name__}")
         setattr(cfg, section, _parse_section(section, body))
-    # The one rule that spans keys; the library's other checks hold per value.
+    # The rules that span keys; the library's other checks hold per value.
     cfg.grid_spec()
+    try:
+        _check_track_length(cfg.track.spacing, cfg.track.num_gates, cfg.sim.laps, "track.spacing")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 

@@ -271,6 +271,15 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
     inside-solid node.
     """
     qx, qy, qz = np.asarray(q, dtype=float).tolist()
+    d, *grad = _sample(f, q, qx, qy, qz)
+    return d, np.array(grad)
+
+
+def _sample(f: DistanceField, q, qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
+    """:func:`sample` at the point (qx, qy, qz): the value and the three gradient components.
+
+    ``q`` is the point as the caller holds it, named in the errors.
+    """
     ox, oy, oz = f.spec.origin.tolist()
     nx, ny, nz = f.spec.dims
     res = f.spec.resolution
@@ -301,17 +310,18 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
     block = (i // _GRAD_BLOCK * by + j // _GRAD_BLOCK) * bz + l // _GRAD_BLOCK
     if not f._done[block]:
         f._derive(np.array([block]))
-    ((g0, g1), (g2, g3)), ((g4, g5), (g6, g7)) = f._grads[i:i + 2, j:j + 2, l:l + 2].tolist()
+    (x0, y0, z0, x1, y1, z1, x2, y2, z2, x3, y3, z3,
+     x4, y4, z4, x5, y5, z5, x6, y6, z6, x7, y7, z7) = f._grads[i:i + 2, j:j + 2, l:l + 2].ravel().tolist()
 
     sx, sy, sz = 1 - tx, 1 - ty, 1 - tz
     w0, w1, w2, w3 = sx * sy * sz, sx * sy * tz, sx * ty * sz, sx * ty * tz
     w4, w5, w6, w7 = tx * sy * sz, tx * sy * tz, tx * ty * sz, tx * ty * tz
     # Sums start at 0.0 and add the corners in order 0..7 (pinned in test_field).
     d = 0.0 + w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3 + w4 * c4 + w5 * c5 + w6 * c6 + w7 * c7
-    gx = 0.0 + w0 * g0[0] + w1 * g1[0] + w2 * g2[0] + w3 * g3[0] + w4 * g4[0] + w5 * g5[0] + w6 * g6[0] + w7 * g7[0]
-    gy = 0.0 + w0 * g0[1] + w1 * g1[1] + w2 * g2[1] + w3 * g3[1] + w4 * g4[1] + w5 * g5[1] + w6 * g6[1] + w7 * g7[1]
-    gz = 0.0 + w0 * g0[2] + w1 * g1[2] + w2 * g2[2] + w3 * g3[2] + w4 * g4[2] + w5 * g5[2] + w6 * g6[2] + w7 * g7[2]
-    return d, np.array([gx, gy, gz])
+    gx = 0.0 + w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4 + w5 * x5 + w6 * x6 + w7 * x7
+    gy = 0.0 + w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3 + w4 * y4 + w5 * y5 + w6 * y6 + w7 * y7
+    gz = 0.0 + w0 * z0 + w1 * z1 + w2 * z2 + w3 * z3 + w4 * z4 + w5 * z5 + w6 * z6 + w7 * z7
+    return d, gx, gy, gz
 
 
 def _reject_query(q, qk: float, axis: int) -> None:

@@ -213,8 +213,17 @@ def _rot_z(yaw: float) -> np.ndarray:
 
 def world_to_gate(x: np.ndarray, pose: Pose) -> np.ndarray:
     """Map a world point into the gate's local frame."""
-    x = _finite_point(x)[0]
-    return pose.to_gate.dot(x - pose.position)
+    return _to_gate(_finite_point(x)[1], pose)
+
+
+def _to_gate(x: list[float], pose: Pose) -> np.ndarray:
+    """:func:`world_to_gate` of a finite point given as three floats.
+
+    The offset from the gate is taken element-wise on floats; the rotation
+    stays ``to_gate.dot``, whose BLAS kernel sets the bits.
+    """
+    px, py, pz = pose.position.tolist()
+    return pose.to_gate.dot(np.array([x[0] - px, x[1] - py, x[2] - pz]))
 
 
 def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
@@ -223,8 +232,8 @@ def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
     return _rot_z(pose.yaw) @ q + pose.position
 
 
-def _slab_hit(p0: list[float], d: list[float], lo: list[float], hi: list[float]) -> bool:
-    """Slab test: does the segment p0 + t d, t in [0, 1], touch the closed box [lo, hi]?"""
+def _slab_hit(p0, d, lo, hi) -> bool:
+    """Slab test: does the segment p0 + t d, t in [0, 1], touch the closed box [lo, hi]? (Three floats each.)"""
     tmin, tmax = 0.0, 1.0
     for pk, dk, lk, hk in zip(p0, d, lo, hi):
         if dk == 0.0:
@@ -234,8 +243,10 @@ def _slab_hit(p0: list[float], d: list[float], lo: list[float], hi: list[float])
         t0, t1 = (lk - pk) / dk, (hk - pk) / dk
         if t0 > t1:
             t0, t1 = t1, t0
-        tmin = max(tmin, t0)
-        tmax = min(tmax, t1)
+        if t0 > tmin:  # tmin = max(tmin, t0)
+            tmin = t0
+        if t1 < tmax:  # tmax = min(tmax, t1)
+            tmax = t1
         if tmin > tmax:
             return False
     return True
@@ -250,11 +261,19 @@ def segment_hits_frame(p0: np.ndarray, p1: np.ndarray, gate: GateGeometry) -> bo
     fl((lo - p0) / dk) is monotone in lo, so each bar's per-axis interval lies
     inside the outer box's and a miss there is a miss on all four bars.
     """
-    p0 = _finite_point(p0)[1]
-    p1 = _finite_point(p1)[1]
-    d = [b - a for a, b in zip(p0, p1)]
+    return _segment_hits(_finite_point(p0)[1], _finite_point(p1)[1], *_slab_boxes(gate))
+
+
+def _slab_boxes(gate: GateGeometry):
+    """The outer box and the four bar boxes of :func:`segment_hits_frame`, as (lo, hi) float tuples."""
     hd, ho = gate.half_depth, gate.outer_half
-    if not _slab_hit(p0, d, [-hd, -ho, -ho], [hd, ho, ho]):
-        return False
     lo, hi = gate.bar_boxes()
-    return any(_slab_hit(p0, d, box_lo, box_hi) for box_lo, box_hi in zip(lo.tolist(), hi.tolist()))
+    return ((-hd, -ho, -ho), (hd, ho, ho)), tuple(zip(map(tuple, lo.tolist()), map(tuple, hi.tolist())))
+
+
+def _segment_hits(p0: list[float], p1: list[float], outer, bars) -> bool:
+    """:func:`segment_hits_frame` on finite float endpoints and its :func:`_slab_boxes`."""
+    d = [p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]]
+    if not _slab_hit(p0, d, *outer):
+        return False
+    return any(_slab_hit(p0, d, box_lo, box_hi) for box_lo, box_hi in bars)

@@ -42,6 +42,11 @@ class FilterStatus(Enum):
     DEGENERATE_SAFE = "degenerate_safe"
 
 
+FILTER_STATUS_ORDER = tuple(FilterStatus)
+_STATUS_CODE = {s: i for i, s in enumerate(FILTER_STATUS_ORDER)}
+_UNCHANGED, _PROJECTED, _FALLBACK, _DEGENERATE = (_STATUS_CODE[s] for s in FilterStatus)
+
+
 @dataclass
 class FilterDecision:
     """Filtered action plus bookkeeping about how it was obtained.
@@ -60,59 +65,67 @@ class FilterDecision:
 def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParams) -> FilterDecision:
     """Project a nominal action into the admissible set with minimal deviation."""
     u_nom = np.asarray(u_nom, dtype=float)
-    a = np.asarray(con.a, dtype=float)
-    b = float(con.b)
-    alpha = float(params.alpha)
+    u, code, margin, deviation = _project(u_nom, np.asarray(con.a, dtype=float), float(con.b), float(params.alpha))
+    return FilterDecision(u.copy() if u is u_nom else u, FILTER_STATUS_ORDER[code], margin, deviation)
 
-    na2 = float(a.dot(a))
+
+def _project(ua: np.ndarray, aa: np.ndarray, b: float, alpha: float) -> tuple[np.ndarray, int, float, float]:
+    """:func:`filter_action` on 3-vectors u_nom and a: (u_star, status code, margin, deviation).
+
+    u_star is ``ua`` itself where the nominal action is kept. Element-wise
+    steps run on Python floats; every dot product and norm runs on arrays in
+    BLAS ``dot``, whose kernel sets the bits (see ``_norm``).
+    """
+    na2 = float(aa.dot(aa))
     if na2 <= _DEGENERATE_NORM:
-        nu = _norm(u_nom)
+        nu = _norm(ua)
         if b <= 0.0:
-            u = u_nom if nu <= alpha else u_nom * (alpha / nu)
-            return FilterDecision(
-                u_star=u,
-                status=FilterStatus.DEGENERATE_SAFE,
-                margin=-b,
-                deviation=_norm(u_nom - u),
-            )
-        return FilterDecision(
-            u_star=np.zeros(3),
-            status=FilterStatus.INFEASIBLE_FALLBACK,
-            margin=-b,
-            deviation=nu,
-        )
+            if nu <= alpha:
+                return ua, _DEGENERATE, -b, 0.0
+            u = ua.tolist()
+            clip = _scaled(u, alpha / nu)
+            return np.array(clip), _DEGENERATE, -b, _distance(u, clip)
+        return np.zeros(3), _FALLBACK, -b, nu
 
     na = math.sqrt(na2)
     if alpha * na < b:
-        u = a * (alpha / na)
-        return FilterDecision(
-            u_star=u,
-            status=FilterStatus.INFEASIBLE_FALLBACK,
-            margin=alpha * na - b,
-            deviation=_norm(u_nom - u),
-        )
+        v = _scaled(aa.tolist(), alpha / na)
+        return np.array(v), _FALLBACK, alpha * na - b, _distance(ua.tolist(), v)
 
-    au = float(a.dot(u_nom))
-    nu = _norm(u_nom)
+    au = float(aa.dot(ua))
+    nu = _norm(ua)
     if au >= b and nu <= alpha:
-        return FilterDecision(u_star=u_nom.copy(), status=FilterStatus.UNCHANGED, margin=au - b, deviation=0.0)
+        return ua, _UNCHANGED, au - b, 0.0
 
-    u = None
+    u, a = ua.tolist(), aa.tolist()
     if au < b:
         # Halfspace violated: the plane foot, kept when it lies in the ball.
-        foot = u_nom + ((b - au) / na2) * a
-        if _norm(foot) <= alpha * (1.0 + 1e-12):
-            u = foot
-    if u is None and nu > alpha:
+        lam = (b - au) / na2
+        foot = [u[0] + lam * a[0], u[1] + lam * a[1], u[2] + lam * a[2]]
+        fa = np.array(foot)
+        if _norm(fa) <= alpha * (1.0 + 1e-12):
+            return fa, _PROJECTED, float(aa.dot(fa)) - b, _distance(u, foot)
+    if nu > alpha:
         # Ball violated: the clip onto the sphere, kept when the halfspace still
         # holds (a projection onto one set landing in the other is optimal).
-        clip = u_nom * (alpha / nu)
-        if float(a.dot(clip)) - b >= -1e-12 * max(1.0, abs(b)):
-            u = clip
-    if u is None:
-        # Both single-set projections failed, so both boundaries are active.
-        u = _circle_rows(u_nom[None, :], a[None, :], np.array([b]), alpha, np.array([na2]))[0]
-    return FilterDecision(u, FilterStatus.PROJECTED, float(a.dot(u)) - b, _norm(u_nom - u))
+        clip = _scaled(u, alpha / nu)
+        ca = np.array(clip)
+        margin = float(aa.dot(ca)) - b
+        if margin >= -1e-12 * max(1.0, abs(b)):
+            return ca, _PROJECTED, margin, _distance(u, clip)
+    # Both single-set projections failed, so both boundaries are active.
+    va = _circle_rows(ua[None, :], aa[None, :], np.array([b]), alpha, np.array([na2]))[0]
+    return va, _PROJECTED, float(aa.dot(va)) - b, _distance(u, va.tolist())
+
+
+def _scaled(v: list[float], k: float) -> list[float]:
+    """v * k element-wise on three floats."""
+    return [v[0] * k, v[1] * k, v[2] * k]
+
+
+def _distance(u: list[float], v: list[float]) -> float:
+    """|u - v| for three-float vectors, bit for bit ``_norm(u - v)`` on arrays."""
+    return _norm(np.array([u[0] - v[0], u[1] - v[1], u[2] - v[2]]))
 
 
 def filter_action_batch(
@@ -165,9 +178,7 @@ def filter_action_batch(
     clip_ok = (nu > alpha) & (np.einsum("ij,ij->i", A, clip) - B >= -1e-12 * np.maximum(1.0, np.abs(B)))
 
     out = np.where(use_foot[:, None], foot, clip)
-    status = np.where(
-        ok, np.int8(_STATUS_CODE[FilterStatus.UNCHANGED]), np.int8(_STATUS_CODE[FilterStatus.PROJECTED])
-    )
+    status = np.where(ok, np.int8(_UNCHANGED), np.int8(_PROJECTED))
 
     # Both boundaries active.
     circle = solvable & ~(ok | use_foot | clip_ok)
@@ -176,13 +187,13 @@ def filter_action_batch(
     # Infeasible: best-effort along a.
     if infeasible.any():
         out[infeasible] = A[infeasible] * (alpha / na[infeasible])[:, None]
-        status[infeasible] = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
+        status[infeasible] = _FALLBACK
     # Degenerate: b <= 0 keeps the clip to the ball; b > 0 gives no direction.
     if degenerate.any():
         stuck = degenerate & (B > 0.0)
         out[stuck] = 0.0
-        status[degenerate] = _STATUS_CODE[FilterStatus.DEGENERATE_SAFE]
-        status[stuck] = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
+        status[degenerate] = _DEGENERATE
+        status[stuck] = _FALLBACK
 
     margins = np.einsum("ij,ij->i", A, out) - B
     deviations = np.linalg.norm(U - out, axis=1)
@@ -211,10 +222,6 @@ def _circle_rows(U, A, B, alpha, na2) -> np.ndarray:
         perp[par] = alt
         pn[par] = 1.0
     return c0 + perp * (r / pn)[:, None]
-
-
-FILTER_STATUS_ORDER = tuple(FilterStatus)
-_STATUS_CODE = {s: i for i, s in enumerate(FILTER_STATUS_ORDER)}
 
 
 def verify_kkt(

@@ -26,6 +26,18 @@ steps fly the nominal action unfiltered and are logged with their own status
 code. The filter sees only the current gate, so right after a crossing these
 steps are unprotected from the gate just passed: on the default grid they
 come as close as 0.42 m to it (level 1.5, filtered_uncertainty).
+
+The trial loop keeps its state, actions and gate-frame points as Python
+floats, made once per step, and calls the private float cores behind the
+public functions (``geometry._to_gate`` and ``_segment_hits``,
+``barrier._world_sample`` and ``_constraint``, ``qp._project``), so a
+trial gives the same bits as the public calls step by step. Element-wise
+steps (the dynamics, the noise, the policy action and the crossing
+interpolation) are float arithmetic with the bits of the array operations
+they replace. A numpy call is kept only where BLAS sets the bits: a 3-element
+``dot`` may fuse multiply-adds, so the policy norm, the QP's a.a, a.u and
+norms, the constraint's |grad|.dw and the world-to-gate rotations stay
+``ndarray.dot``.
 """
 from __future__ import annotations
 
@@ -34,31 +46,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import SafetyParams, assemble_constraint, eval_barrier_world
+from .barrier import SafetyParams, _barrier_value, _constraint, _world_sample
 from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
-    GateGeometry, Pose, _norm, _positive, exact_distance_batch, segment_hits_frame, world_to_gate,
+    GateGeometry, Pose, _finite_point, _norm, _positive, _segment_hits, _slab_boxes, _to_gate, exact_distance_batch,
+    world_to_gate,
 )
-from .qp import _STATUS_CODE, FILTER_STATUS_ORDER, FilterStatus, filter_action
+from .qp import _DEGENERATE, _FALLBACK, _PROJECTED, _UNCHANGED, FILTER_STATUS_ORDER, _project
 
 MODES = ("baseline", "filtered", "filtered_uncertainty")
 
 # Per-step status codes: the filter's own codes, then the two pass-through
 # conditions where the filter could not run.
-STEP_UNCHANGED = _STATUS_CODE[FilterStatus.UNCHANGED]
-STEP_PROJECTED = _STATUS_CODE[FilterStatus.PROJECTED]
-STEP_FALLBACK = _STATUS_CODE[FilterStatus.INFEASIBLE_FALLBACK]
-STEP_DEGENERATE = _STATUS_CODE[FilterStatus.DEGENERATE_SAFE]
-STEP_OFF_MAP = len(FilterStatus)
-STEP_IN_OBSTACLE = len(FilterStatus) + 1
+STEP_UNCHANGED = _UNCHANGED
+STEP_PROJECTED = _PROJECTED
+STEP_FALLBACK = _FALLBACK
+STEP_DEGENERATE = _DEGENERATE
+STEP_OFF_MAP = len(FILTER_STATUS_ORDER)
+STEP_IN_OBSTACLE = len(FILTER_STATUS_ORDER) + 1
 STEP_LABELS = tuple(s.value for s in FILTER_STATUS_ORDER) + ("off_map", "in_obstacle")
 
 PASS_MARGIN = 0.01  # [m] crossing must clear the opening edge by this much
 
-# Largest difficulty level [m]. Gate offsets drift by up to one level per gate,
-# and clearances square gate-frame coordinates, which overflows past about
-# 1.3e154 m (the square root of the largest float): 1e150 keeps every square
-# finite on a track that drifts a thousand levels off axis.
+# Largest difficulty level and longest unrolled track [m]. Gate offsets drift
+# by up to one level per gate, and clearances square gate-frame coordinates,
+# which overflows past about 1.3e154 m (the square root of the largest float):
+# 1e150 keeps every square finite on a track that drifts a thousand levels off
+# axis.
 MAX_LEVEL = 1e150
 
 
@@ -89,7 +103,7 @@ class TrackSpec:
 
 @dataclass
 class SimState:
-    """Mutable loop state: position, clock, and gate progress."""
+    """The input of :func:`nominal_policy`, which reads only the position ``x``."""
 
     x: np.ndarray
     t: float = 0.0
@@ -177,6 +191,17 @@ def _check_level(level: float, name: str) -> None:
         )
 
 
+def _check_track_length(spacing: float, num_gates: int, laps: int, name: str) -> None:
+    """Raise ValueError naming ``name`` unless spacing * num_gates * laps <= MAX_LEVEL."""
+    gates = num_gates * laps
+    # A gate count past MAX_LEVEL is rejected before the product could overflow.
+    if gates > MAX_LEVEL or spacing * gates > MAX_LEVEL:
+        raise ValueError(
+            f"{name} {spacing:g} unrolls {num_gates} gates x {laps} laps into a track longer than "
+            f"{MAX_LEVEL:g} m, where squared clearances stay finite"
+        )
+
+
 def generate_track(
     num_gates: int = 8,
     spacing: float = 6.25,
@@ -195,6 +220,7 @@ def generate_track(
     _positive(spacing, "spacing")
     _check_level(difficulty, "difficulty")
     _check_count(laps, "laps")
+    _check_track_length(spacing, num_gates, laps, "spacing")
     rng = np.random.default_rng(seed)
     poses = [Pose(position=np.zeros(3), yaw=0.0)]
     y = z = 0.0
@@ -217,19 +243,24 @@ def virtual_gate_pose(track: TrackSpec, index: int) -> Pose:
     return Pose(position=base.position + shift, yaw=base.yaw)
 
 
-def _estimate(true: Pose, draw: np.ndarray, dv: np.ndarray) -> Pose:
+def _estimate(true: Pose, draw, dv: np.ndarray) -> Pose:
     """The estimate of a gate pose for one uniform(-1, 1) draw per axis."""
     return Pose(position=true.position + draw * np.asarray(dv, dtype=float), yaw=true.yaw)
 
 
 def _uniform_rows(rng: np.random.Generator):
-    """Rows of rng.uniform(-1, 1, size=3), drawn 1024 rows at a time.
+    """Rows of rng.uniform(-1, 1, size=3) as float lists, drawn 1024 rows at a time.
 
     A (K, 3) draw holds the same doubles, in the same order, as K draws of
     size 3, so taking the rows one by one reproduces the stream.
     """
     while True:
-        yield from rng.uniform(-1.0, 1.0, size=(1024, 3))
+        yield from rng.uniform(-1.0, 1.0, size=(1024, 3)).tolist()
+
+
+# Below this magnitude a float's square is finite, and so is a sum of three
+# such squares (3 * 2**1020 < 2**1024), fused multiply-adds or not.
+_SQUARE_SAFE = 2.0**510
 
 
 def nominal_policy(state: SimState, estimate: Pose, gain: float, alpha: float, pass_offset: float) -> np.ndarray:
@@ -237,26 +268,53 @@ def nominal_policy(state: SimState, estimate: Pose, gain: float, alpha: float, p
 
     Aiming past the plane (rather than at the center) keeps the commanded
     speed up through the crossing; the action is clipped to the norm bound.
+    A gain so large that the action's squared norm overflows gives the
+    clipped direction to the target.
     """
+    x = np.asarray(state.x, dtype=float).tolist()
+    return np.array(_policy_action(_policy_target(estimate, pass_offset), x, gain, alpha))
+
+
+def _policy_target(estimate: Pose, pass_offset: float) -> list[float]:
+    """The point :func:`nominal_policy` pursues, as three floats."""
     c, s = math.cos(estimate.yaw), math.sin(estimate.yaw)
     ex, ey, ez = estimate.position.tolist()
-    x, y, z = np.asarray(state.x, dtype=float).tolist()
-    # Elementwise, as target = position + pass_offset * (c, s, 0) and
-    # u = gain * (target - x) on arrays; the 0 term keeps the sign of zeros.
-    u = np.array([
-        gain * (ex + pass_offset * c - x),
-        gain * (ey + pass_offset * s - y),
-        gain * (ez + pass_offset * 0.0 - z),
-    ])
-    n = _norm(u)
+    # Element-wise, as position + pass_offset * (c, s, 0) on arrays; the 0
+    # term keeps the sign of zeros.
+    return [ex + pass_offset * c, ey + pass_offset * s, ez + pass_offset * 0.0]
+
+
+def _policy_action(target: list[float], x: list[float], gain: float, alpha: float) -> list[float]:
+    """:func:`nominal_policy`'s action at position x, all as three floats.
+
+    u = gain * (target - x) element-wise, clipped to norm alpha; the norm is
+    BLAS's (see ``_norm``). Where |u|^2 overflows, the direction target - x,
+    whose square stays finite on any track, is clipped instead.
+    """
+    u = [gain * (target[0] - x[0]), gain * (target[1] - x[1]), gain * (target[2] - x[2])]
+    if max(abs(u[0]), abs(u[1]), abs(u[2])) < _SQUARE_SAFE:
+        n = _norm(np.array(u))
+    else:
+        with np.errstate(over="ignore"):
+            n = _norm(np.array(u))
+        if not math.isfinite(n):
+            u = [t - p for t, p in zip(target, x)]
+            k = alpha / _norm(np.array(u))
+            return [v * k for v in u]
     if n > alpha:
-        u *= alpha / n
+        k = alpha / n
+        u = [u[0] * k, u[1] * k, u[2] * k]
     return u
 
 
 def step_dynamics(x: np.ndarray, u: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """Single-integrator Euler step under action u and disturbance w."""
-    return x + (u + w) * dt
+    """Single-integrator Euler step of a 3-vector position under action u and disturbance w."""
+    return np.array(_step(*(np.asarray(v, dtype=float).tolist() for v in (x, u, w)), dt))
+
+
+def _step(x: list[float], u: list[float], w: list[float], dt: float) -> list[float]:
+    """:func:`step_dynamics` on three floats each: x + (u + w) dt element-wise."""
+    return [x[0] + (u[0] + w[0]) * dt, x[1] + (u[1] + w[1]) * dt, x[2] + (u[2] + w[2]) * dt]
 
 
 def _validate_spawn(x: np.ndarray, env: SimEnv, track: TrackSpec) -> None:
@@ -270,6 +328,13 @@ def _validate_spawn(x: np.ndarray, env: SimEnv, track: TrackSpec) -> None:
         raise SetupError(f"spawn {x} must lie before gate 0 (local x = {q[0, 0]:.3f})")
     if d[0] < env.params.R:
         raise SetupError(f"spawn {x} starts unsafe: clearance {d[0]:.3f} < R = {env.params.R}")
+
+
+def _approach(track: TrackSpec, index: int, draw: list[float], env: SimEnv) -> tuple[Pose, Pose, list[float]]:
+    """Gate ``index``'s true pose, its estimate, and the policy's target for that estimate."""
+    pose = virtual_gate_pose(track, index)
+    estimate = _estimate(pose, draw, env.params.dv)
+    return pose, estimate, _policy_target(estimate, env.pass_offset)
 
 
 def run_trial(
@@ -301,67 +366,64 @@ def run_trial(
     params = env.params
     if spawn is None:
         spawn = track.gate_poses[0].position - np.array([track.spacing, 0.0, 0.0])
-    x = np.asarray(spawn, dtype=float).copy()
-    _validate_spawn(x, env, track)
+    spawn = np.asarray(spawn, dtype=float)
+    _validate_spawn(spawn, env, track)
 
+    # Loop state as Python floats: positions, actions and gate-frame points
+    # are three-float lists, made once and never converted again.
+    x = spawn.tolist()
+    t = 0.0
     draws = _uniform_rows(np.random.default_rng(seed))
-    state = SimState(x=x)
     total = track.total_gates
     cap = env.max_steps
+    dt, gain, alpha = env.dt, env.gain, params.alpha
+    dw = params.dw.tolist()
+    outer, bars = _slab_boxes(env.gate)
+    pass_half = env.gate.inner_half - PASS_MARGIN
+    rows = []  # (t, x, q, h, status, deviation) at each step start
 
-    t_log = np.empty(cap)
-    x_log = np.empty((cap, 3))
-    q_log = np.empty((cap + 1, 3))  # gate-frame position; one extra row for the final one
-    h_log = np.full(cap, np.nan)
-    st_log = np.zeros(cap, dtype=np.int8)
-    dev_log = np.zeros(cap)
-
-    pose = virtual_gate_pose(track, 0)
-    q = world_to_gate(x, pose)
-    estimate = _estimate(pose, next(draws), params.dv)
+    pose, estimate, target = _approach(track, 0, next(draws), env)
+    q = _to_gate(x, pose).tolist()
+    gate_index = gates_passed = 0
     prev_pose: Pose | None = None  # last passed gate, checked during slab exit
     q_prev = q  # gate-frame position in prev_pose's frame, while prev_pose is set
-    exit_window = env.gate.half_depth + (params.alpha + float(np.max(params.dw))) * env.dt * 2.0
+    exit_window = env.gate.half_depth + (alpha + float(np.max(params.dw))) * dt * 2.0
 
     safe = True
     steps = 0
-    while steps < cap and state.gate_index < total:
-        u = nominal_policy(state, estimate, env.gain, params.alpha, env.pass_offset)
+    while steps < cap and gate_index < total:
+        u = _policy_action(target, x, gain, alpha)
         status = STEP_UNCHANGED
-        h_val = math.nan
+        h = math.nan
         dev = 0.0
         if fld is not None:
             try:
-                ev = eval_barrier_world(fld, state.x, estimate, params)
+                d, grad = _world_sample(fld, _to_gate(x, estimate).tolist(), estimate.yaw)
             except OutOfBoundsError:
                 status = STEP_OFF_MAP
             except InsideObstacleError:
                 status = STEP_IN_OBSTACLE
             else:
-                h_val = ev.h
-                dec = filter_action(u, assemble_constraint(ev, params), params)
-                u = dec.u_star
-                dev = dec.deviation
-                status = _STATUS_CODE[dec.status]
+                h = _barrier_value(d, params)
+                a, b = _constraint(d, np.array(grad), h, params)
+                u_star, status, _, dev = _project(np.array(u), a, float(b), alpha)
+                u = u_star.tolist()
 
-        w = next(draws) * params.dw
-        x_new = step_dynamics(state.x, u, w, env.dt)
+        r = next(draws)
+        x_new = _step(x, u, [r[0] * dw[0], r[1] * dw[1], r[2] * dw[2]], dt)
+        if not (math.isfinite(x_new[0]) and math.isfinite(x_new[1]) and math.isfinite(x_new[2])):
+            _finite_point(x_new)  # raises, naming the point
 
-        t_log[steps] = state.t
-        x_log[steps] = state.x
-        q_log[steps] = q
-        h_log[steps] = h_val
-        st_log[steps] = status
-        dev_log[steps] = dev
+        rows.append((t, x, q, h, status, dev))
         steps += 1
 
         # Closed boxes: a start point inside the solid is a hit too.
-        q_new = world_to_gate(x_new, pose)
-        hit = segment_hits_frame(q, q_new, env.gate)
+        q_new = _to_gate(x_new, pose).tolist()
+        hit = _segment_hits(q, q_new, outer, bars)
         if not hit and prev_pose is not None:
             if q_prev[0] <= exit_window:
-                q_prev_new = world_to_gate(x_new, prev_pose)
-                hit = segment_hits_frame(q_prev, q_prev_new, env.gate)
+                q_prev_new = _to_gate(x_new, prev_pose).tolist()
+                hit = _segment_hits(q_prev, q_prev_new, outer, bars)
                 q_prev = q_prev_new
             else:
                 prev_pose = None
@@ -371,50 +433,50 @@ def run_trial(
 
         if q[0] < 0.0 <= q_new[0]:
             frac = -q[0] / (q_new[0] - q[0])
-            cross = q + frac * (q_new - q)
-            if max(abs(cross[1]), abs(cross[2])) < env.gate.inner_half - PASS_MARGIN:
-                state.gates_passed += 1
+            cross_y = q[1] + frac * (q_new[1] - q[1])
+            cross_z = q[2] + frac * (q_new[2] - q[2])
+            if max(abs(cross_y), abs(cross_z)) < pass_half:
+                gates_passed += 1
             prev_pose = pose
             q_prev = q_new
-            state.gate_index += 1
-            if state.gate_index < total:
-                pose = virtual_gate_pose(track, state.gate_index)
-                q_new = world_to_gate(x_new, pose)
-                estimate = _estimate(pose, next(draws), params.dv)
+            gate_index += 1
+            if gate_index < total:
+                pose, estimate, target = _approach(track, gate_index, next(draws), env)
+                q_new = _to_gate(x_new, pose).tolist()
 
-        state.x = x_new
-        state.t += env.dt
+        x = x_new
+        t += dt
         q = q_new
 
     # Clearance to the current gate at every step start, plus the final
     # position when the trial ended safely; a collision scores 0.0.
-    q_log[steps] = q
-    d = exact_distance_batch(q_log[: steps + 1 if safe else steps], env.gate)
-    counts = np.bincount(st_log[:steps], minlength=len(STEP_LABELS))
+    t_log, x_log, q_log, h_log, st_log, dev_log = zip(*rows)
+    d = exact_distance_batch(np.array(q_log + (q,) if safe else q_log), env.gate)
+    st = np.array(st_log, dtype=np.int8)
+    counts = np.bincount(st, minlength=len(STEP_LABELS))
     fallback = int(counts[STEP_FALLBACK])
     in_obstacle = int(counts[STEP_IN_OBSTACLE])
 
-    sl = slice(0, steps)
     return TrialResult(
         mode=mode,
         safe=safe,
-        success_rate=state.gates_passed / total,
+        success_rate=gates_passed / total,
         min_distance=float(d.min()) if safe else 0.0,
-        gates_passed=state.gates_passed,
+        gates_passed=gates_passed,
         total_gates=total,
         steps=steps,
-        timed_out=safe and state.gate_index < total,
+        timed_out=safe and gate_index < total,
         clean=fallback == 0 and in_obstacle == 0,
         fallback_steps=fallback,
         off_map_steps=int(counts[STEP_OFF_MAP]),
         in_obstacle_steps=in_obstacle,
         log=StepLog(
-            t=t_log[sl].copy(),
-            x=x_log[sl].copy(),
+            t=np.array(t_log),
+            x=np.array(x_log),
             d_true=d[:steps],
-            h=h_log[sl].copy(),
-            status=st_log[sl].copy(),
-            deviation=dev_log[sl].copy(),
+            h=np.array(h_log),
+            status=st,
+            deviation=np.array(dev_log),
         ),
     )
 

@@ -249,6 +249,15 @@ def test_run_levels_keep_the_track_draw_range_finite():
             parse_config({"run": {"levels": [0.0, level]}})
 
 
+def test_track_length_is_bounded_naming_the_spacing():
+    # spacing x num_gates x laps is the unrolled track's length; MAX_LEVEL itself is accepted.
+    parse_config({"track": {"num_gates": 1, "spacing": MAX_LEVEL}, "sim": {"laps": 1}})
+    for track, laps in (({"spacing": 1e200}, 3), ({"num_gates": 1, "spacing": math.nextafter(MAX_LEVEL, math.inf)}, 1),
+                        ({"spacing": 1e149}, 2)):
+        with pytest.raises(ConfigError, match=r"^track\.spacing .* longer than 1e\+150 m"):
+            parse_config({"track": track, "sim": {"laps": laps}})
+
+
 def _signature_defaults(fn, *names):
     params = inspect.signature(fn).parameters
     return tuple(params[name].default for name in names)

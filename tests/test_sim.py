@@ -81,7 +81,7 @@ def test_track_validation():
     # Past MAX_LEVEL the gates' squared clearances could overflow.
     too_wide = math.nextafter(MAX_LEVEL, math.inf)
     for name, value in [("difficulty", v) for v in (math.nan, math.inf, 1e308, 1e160, too_wide)] + [
-        ("spacing", v) for v in (math.nan, math.inf)
+        ("spacing", v) for v in (math.nan, math.inf, 1e200)  # 1e200: a track 2.4e201 m long
     ]:
         with pytest.raises(ValueError, match=name):
             generate_track(**{name: value})
@@ -429,6 +429,28 @@ def test_nominal_policy_is_bit_identical_to_array_reference():
     assert clipped == {True, False}
 
 
+def test_nominal_policy_clips_the_direction_when_the_action_norm_overflows(default_env):
+    est = Pose(position=np.array([1.0, 2.0, -2.0]), yaw=0.0)
+    x = np.array([0.0, 0.0, 1.0])
+    # gain * (target - x) = 1e300 * (4, 2, -3): its squared norm overflows (a
+    # RuntimeWarning, an error under pytest), so the direction is clipped.
+    u = nominal_policy(SimState(x=x), est, gain=1e300, alpha=3.0, pass_offset=3.0)
+    d = np.array([4.0, 2.0, -3.0])
+    assert u.tobytes() == (d * (3.0 / math.sqrt(d.dot(d)))).tobytes()
+    # Where the squared norm stays finite, near or past the screening bound
+    # 2**510, the action keeps the bits of the array reference.
+    for gain in (1e150, 2.0**510 / 4.0, 1e153):
+        args = (SimState(x=x), est, gain, 3.0, 3.0)
+        assert nominal_policy(*args).tobytes() == _array_nominal_policy(*args)[0].tobytes()
+    # Such a gain flies the track at the norm bound: the robot no longer drifts.
+    env = SimEnv(gate=default_env.gate, nominal_field=default_env.nominal_field,
+                 inflated_field=default_env.inflated_field, params=default_env.params, gain=1e300)
+    track = generate_track(difficulty=0.0, seed=0)
+    for mode in MODES:
+        r = run_trial(env, track, mode, seed=0)
+        assert r.safe and r.gates_passed > 0, mode
+
+
 def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     """The trial loop with one rng.uniform call per estimate and per step.
 
@@ -502,35 +524,53 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     return safe, state.gates_passed, state.gate_index, hit_previous, {k: np.array(v) for k, v in rows.items()}
 
 
-def _env(default_env, params: SafetyParams) -> SimEnv:
+def _env(default_env, params: SafetyParams, max_steps: int = 150) -> SimEnv:
     return SimEnv(
         gate=default_env.gate,
         nominal_field=default_env.nominal_field,
         inflated_field=default_env.inflated_field,
         params=params,
-        max_steps=150,
+        max_steps=max_steps,
     )
 
 
 def test_run_trial_matches_per_step_draw_loop(default_env):
     track = generate_track(num_gates=3, difficulty=1.0, laps=1, seed=1234)
     noisy = SafetyParams(dw=np.full(3, 0.1), dv=np.full(3, 0.25))
+    quiet = SafetyParams(dw=np.zeros(3), dv=np.zeros(3))
     # The next gate lies to the side of the first, so the turn after the
     # crossing flies into the back of the first gate's bar (baseline mode).
     turn = TrackSpec(num_gates=2, spacing=6.25, laps=1,
                      gate_poses=[Pose(position=np.zeros(3), yaw=0.0), Pose(position=np.array([1.4, 1.7, 0.0]), yaw=-2.0)])
+    # Baseline crosses the second gate's plane just outside its +y bar, and the
+    # turn towards the third gate clips that bar on the very next step: only
+    # the crossing point, kept in the passed gate's frame, finds the hit.
+    outside = TrackSpec(num_gates=3, spacing=6.25, laps=1, gate_poses=[
+        Pose(position=np.zeros(3), yaw=0.0),
+        Pose(position=np.array([6.25, 0.1, 0.0]), yaw=0.5),
+        Pose(position=np.array([5.6, -2.0, 0.0]), yaw=1.0),
+    ])
     cases = [
-        (default_env, track, None),
-        (_env(default_env, noisy), track, None),
-        (default_env, track, np.array([-2.0, 1.4, 0.0])),
-        (_env(default_env, SafetyParams(dw=np.full(3, 0.3), dv=np.zeros(3))), turn, np.array([-2.0, 0.1, 0.2])),
+        (default_env, track, None, 99),
+        (_env(default_env, noisy), track, None, 99),
+        (default_env, track, np.array([-2.0, 1.4, 0.0]), 99),
+        (_env(default_env, SafetyParams(dw=np.full(3, 0.3), dv=np.zeros(3))), turn, np.array([-2.0, 0.1, 0.2]), 99),
+        (_env(default_env, quiet, max_steps=400), outside, None, 99),
+        # With R = 0.05, filtered_uncertainty flies its first steps in cells with
+        # an inside-solid corner of the inflated map, then on through the gate.
+        (_env(default_env, SafetyParams(R=0.05, dw=np.zeros(3), dv=np.zeros(3))), track,
+         np.array([-0.5, 0.7, 0.0]), 99),
     ]
+    # The grid workload's 12 trials at benchmark seed 0: the default config, one track per level.
+    for rec in run_experiment(default_env, tracks_per_level=1, modes=("baseline",)):
+        cases.append((default_env, generate_track(difficulty=rec.level, seed=rec.seed), None, rec.seed + 500_000))
     endings = set()
     crossings = 0
-    for env, trk, spawn in cases:
+    statuses = set()
+    for env, trk, spawn, seed in cases:
         for mode in MODES:
-            r = run_trial(env, trk, mode, seed=99, spawn=spawn)
-            safe, passed, gate_index, hit_previous, ref = _per_step_draw_trial(env, trk, mode, 99, spawn)
+            r = run_trial(env, trk, mode, seed=seed, spawn=spawn)
+            safe, passed, gate_index, hit_previous, ref = _per_step_draw_trial(env, trk, mode, seed, spawn)
             assert (r.safe, r.gates_passed, r.steps) == (safe, passed, len(ref["t"]))
             assert r.timed_out == (safe and gate_index < trk.total_gates)
             log = r.log
@@ -544,7 +584,11 @@ def test_run_trial_matches_per_step_draw_loop(default_env):
             endings.add("timeout" if r.timed_out else "done" if safe else "collision" if not hit_previous else "slab exit")
             if mode != "baseline" and safe:
                 assert STEP_PROJECTED in log.status and STEP_OFF_MAP in log.status, mode
+            if trk is outside and mode == "baseline":
+                assert hit_previous and gate_index == 2, "the next step after the crossing must hit the passed gate"
+            statuses.update(log.status.tolist())
             crossings = max(crossings, gate_index)
     # Estimates drawn after gate advances sit between noise draws in the stream.
-    assert crossings == track.total_gates
+    assert crossings == 24, "some grid trial flies every gate"
     assert endings == {"done", "timeout", "collision", "slab exit"}
+    assert {STEP_UNCHANGED, STEP_PROJECTED, STEP_OFF_MAP, STEP_IN_OBSTACLE} <= statuses

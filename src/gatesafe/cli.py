@@ -36,8 +36,8 @@ from .field import (
     save_field,
 )
 from .geometry import _axis_bounds
-from .qp import _check_offset, _check_samples, _check_speed, safest_action_field
-from .report import ReportError, write_report, write_trial_tables
+from .qp import PlaneActionField, _check_offset, _check_samples, _check_speed, safest_action_field
+from .report import ReportError, _g, write_report, write_trial_tables
 from .sim import MODES, run_experiment
 
 
@@ -101,10 +101,32 @@ def _cmd_build_map(args) -> int:
     return 0
 
 
-# One field row: positions as repr (exact float64 round-trip, so consumers
+# The field export schema, one row per plane node: column name and cell
+# formatter. Positions as repr (exact float64 round-trip, so consumers
 # re-sampling the map at a row's coordinates land in the same grid cell),
-# directions as report._g (format ".10g"), then the 0/1 unsafe flag.
-_FIELD_ROW = "{!r},{!r},{!r},{:.10g},{:.10g},{:.10g},{:d}"
+# directions as report._g (format ".10g"), then the 0/1 unsafe flag. A slice
+# holds few distinct values per column (about 200 coordinates, at most
+# --samples + 1 directions), so each distinct value is formatted once, keyed
+# by its bit pattern: a key by float value would merge -0.0 into 0.0, and
+# --offset -0 writes -0.0.
+_FIELD_COLUMNS = (
+    ("x", repr), ("y", repr), ("z", repr), ("ux", _g), ("uy", _g), ("uz", _g), ("unsafe_flag", str),
+)
+
+
+def _format_once(col: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of each entry of a 1-D float64 or int64 array, as an object array, calling it once per bit pattern."""
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    texts = np.array([fmt(v) for v in keys.view(col.dtype).tolist()], dtype=object)
+    return texts[inverse]
+
+
+def _field_rows(fld: PlaneActionField) -> list[str]:
+    """The field export's lines: the header, then one row per plane node."""
+    flags = fld.unsafe.reshape(-1).astype(np.int64)
+    values = (*fld.positions.reshape(-1, 3).T, *fld.directions.reshape(-1, 3).T, flags)
+    cells = [_format_once(col, fmt) for col, (_, fmt) in zip(values, _FIELD_COLUMNS)]
+    return [",".join(name for name, _ in _FIELD_COLUMNS), *map(",".join, zip(*cells))]
 
 
 def _cmd_field(args) -> int:
@@ -121,12 +143,9 @@ def _cmd_field(args) -> int:
         offset=args.offset,
         angular_samples=args.samples,
     )
-    unsafe = fld.unsafe.reshape(-1).astype(int).tolist()
-    columns = [c.tolist() for c in (*fld.positions.reshape(-1, 3).T, *fld.directions.reshape(-1, 3).T)]
-    rows = map(_FIELD_ROW.format, *columns, unsafe)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(["x,y,z,ux,uy,uz,unsafe_flag", *rows]) + "\n")
-    print(f"wrote {args.out}: {len(unsafe)} samples, {sum(unsafe)} unsafe")
+        fh.write("\n".join(_field_rows(fld)) + "\n")
+    print(f"wrote {args.out}: {fld.unsafe.size} samples, {np.count_nonzero(fld.unsafe)} unsafe")
     return 0
 
 

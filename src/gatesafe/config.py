@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .barrier import SafetyParams
-from .field import DistanceField, GridSpec, _whole_cells
+from .field import DistanceField, GridSpec, _check_map_axis, _whole_cells
 from .geometry import GateGeometry, _axis_bounds, _positive
 from .report import _g
 from .sim import (
@@ -100,9 +100,9 @@ class GeometryConfig:
 @dataclass
 class MapConfig:
     resolution: float = _setting(0.1, _number, _positive)
-    x: tuple[float, float] = _setting((-6.0, 6.0), _numbers, n=2)
-    y: tuple[float, float] = _setting((-6.0, 6.0), _numbers, n=2)
-    z: tuple[float, float] = _setting((-4.0, 4.0), _numbers, n=2)
+    x: tuple[float, float] = _setting((-6.0, 6.0), _numbers, _check_map_axis, n=2)
+    y: tuple[float, float] = _setting((-6.0, 6.0), _numbers, _check_map_axis, n=2)
+    z: tuple[float, float] = _setting((-4.0, 4.0), _numbers, _check_map_axis, n=2)
 
 
 @dataclass

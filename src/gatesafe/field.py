@@ -54,6 +54,12 @@ _EDGE_CELLS = 1e-9
 # Node gradients are derived per block of this many cells along each axis.
 _GRAD_BLOCK = 16
 
+# Largest map coordinate magnitude [m]. Node values are float32: a node within
+# 1e37 of the origin lies within 3.5e37 of any gate its grid covers, so
+# its clearance fits, and every square the build takes stays far inside the
+# geometry.MAX_LEVEL bound.
+MAP_BOUND = 1e37
+
 
 class MapFormatError(Exception):
     """A map file does not conform to the on-disk format."""
@@ -144,6 +150,15 @@ class DistanceField:
         done.reshape(self._blocks)[tuple(slice(a, b) for a, b in zip(lo, hi))] = 1
 
 
+def _check_map_axis(ends, name: str) -> None:
+    """Raise ValueError naming ``name`` unless both ends of a map axis lie in [-MAP_BOUND, MAP_BOUND] (NaN fails)."""
+    if not all(-MAP_BOUND <= v <= MAP_BOUND for v in ends):
+        raise ValueError(
+            f"{name} must lie in [-{MAP_BOUND:g}, {MAP_BOUND:g}] m, where node clearances fit a float32 map, "
+            f"got [{', '.join(f'{v:g}' for v in ends)}]"
+        )
+
+
 def build_field(
     gate: GateGeometry,
     spec: GridSpec,
@@ -160,7 +175,8 @@ def build_field(
 
     The grid must extend past the gate's outer bounds by ``safety_radius`` plus
     the planned per-axis ``inflation`` (both finite and non-negative) on every
-    side; otherwise a ``ValueError`` names the offending axis. A nonzero
+    side, and lie within ``MAP_BOUND`` of the origin; otherwise a
+    ``ValueError`` names the offending axis. A nonzero
     ``inflation`` also needs bars at least one cell thick, the condition under
     which :func:`inflate_field`'s window minimum is the worst-case clearance.
     """
@@ -174,6 +190,7 @@ def build_field(
     required = required + _axis_bounds(np.full(3, safety_radius), "safety_radius") + infl
     for k, name in enumerate("xyz"):
         lo, hi = spec.origin[k], spec.max_corner[k]
+        _check_map_axis((lo, hi), f"grid extent on axis '{name}'")
         if lo > -required[k] or hi < required[k]:
             raise ValueError(
                 f"grid extent on axis '{name}' [{lo:g}, {hi:g}] does not cover the gate "

@@ -24,6 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Largest coordinate magnitude [m] at which clearances are taken. A clearance
+# squares coordinate differences, which overflows past about 1.3e154 m (the
+# square root of the largest float); coordinates and gate bounds within 1e150
+# of the origin keep every square and every sum of three squares finite.
+MAX_LEVEL = 1e150
+
 
 @dataclass
 class GateGeometry:
@@ -183,26 +189,35 @@ def _clearance(cols, gate: GateGeometry) -> np.ndarray:
     The three coordinate arrays broadcast against each other: three (N,)
     columns give N points, and the axis arrays of a grid shaped (nx, 1, 1),
     (1, ny, 1) and (1, 1, nz) give every node. Each bar's per-axis overshoot
-    is computed on its own coordinate array and broadcast into the sum of
-    squares, which runs from 0.0 in x, y, z order either way, so a point
-    gets the same bits as a column entry or as a grid node.
+    is computed on its own coordinate array, and its square is added to the
+    sum over the broadcast shape of the axes read so far: from 0.0 in x, y, z
+    order, the same additions of the same values whatever the shapes, so a
+    point gets the same bits as a column entry or as a grid node, and a grid
+    fills only its last sum, not all three.
+
+    The minimum over the four bars is taken on the squared distances, with
+    one square root at the end. That is exact: ``sqrt`` is correctly
+    rounded, hence monotone, so the root of the minimum equals the minimum
+    of the roots bit for bit.
+
+    Every square stays finite while coordinates and gate bounds lie within
+    :data:`MAX_LEVEL` of the origin.
     """
-    shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
     lo, hi = gate.bar_boxes()
-    d = np.full(shape, np.inf)
-    inside = np.zeros(shape, dtype=bool)
+    d = inside = None
     for box_lo, box_hi in zip(lo.tolist(), hi.tolist()):
-        sq = np.zeros(shape)
-        box_inside = np.ones(shape, dtype=bool)
+        sq = 0.0
+        box_inside = True
         for c, lk, hk in zip(cols, box_lo, box_hi):  # squares summed in axis order x, y, z
             e = np.maximum(lk - c, 0.0)
             e += np.maximum(c - hk, 0.0)
             e *= e
-            sq += e
-            box_inside &= (lk < c) & (c < hk)
-        np.minimum(d, np.sqrt(sq, out=sq), out=d)
-        inside |= box_inside
-    d[inside] = -1.0
+            sq = sq + e
+            box_inside = box_inside & ((lk < c) & (c < hk))
+        d = sq if d is None else np.minimum(d, sq, out=d)
+        inside = box_inside if inside is None else np.logical_or(inside, box_inside, out=inside)
+    np.sqrt(d, out=d)
+    np.copyto(d, -1.0, where=inside)
     return d
 
 

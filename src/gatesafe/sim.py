@@ -49,8 +49,8 @@ import numpy as np
 from .barrier import SafetyParams, _barrier_value, _constraint, _world_sample
 from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
-    GateGeometry, Pose, _finite_point, _norm, _positive, _segment_hits, _slab_boxes, _to_gate, exact_distance_batch,
-    world_to_gate,
+    MAX_LEVEL, GateGeometry, Pose, _finite_point, _norm, _positive, _segment_hits, _slab_boxes, _to_gate,
+    exact_distance_batch, world_to_gate,
 )
 from .qp import _DEGENERATE, _FALLBACK, _PROJECTED, _UNCHANGED, FILTER_STATUS_ORDER, _project
 
@@ -67,13 +67,6 @@ STEP_IN_OBSTACLE = len(FILTER_STATUS_ORDER) + 1
 STEP_LABELS = tuple(s.value for s in FILTER_STATUS_ORDER) + ("off_map", "in_obstacle")
 
 PASS_MARGIN = 0.01  # [m] crossing must clear the opening edge by this much
-
-# Largest difficulty level and longest unrolled track [m]. Gate offsets drift
-# by up to one level per gate, and clearances square gate-frame coordinates,
-# which overflows past about 1.3e154 m (the square root of the largest float):
-# 1e150 keeps every square finite on a track that drifts a thousand levels off
-# axis.
-MAX_LEVEL = 1e150
 
 
 class SetupError(RuntimeError):
@@ -184,7 +177,12 @@ def _check_non_negative(v: float, name: str) -> None:
 
 
 def _check_level(level: float, name: str) -> None:
-    """Raise ValueError naming ``name`` unless 0 <= level <= MAX_LEVEL (NaN fails)."""
+    """Raise ValueError naming ``name`` unless 0 <= level <= MAX_LEVEL (NaN fails).
+
+    Gate offsets drift by up to one level per gate, so with MAX_LEVEL also
+    bounding the unrolled track, a track that drifts a thousand levels off
+    axis keeps every squared clearance finite.
+    """
     if not 0.0 <= level <= MAX_LEVEL:
         raise ValueError(
             f"{name} must lie in [0, {MAX_LEVEL:g}] m, where squared clearances stay finite, got {level}"

@@ -10,8 +10,9 @@ import zlib
 import numpy as np
 import pytest
 
-from gatesafe.cli import main as cli_main
+from gatesafe.cli import _field_rows, main as cli_main
 from gatesafe.field import _HEADER, _node_gradients, load_field
+from gatesafe.qp import PlaneActionField
 from gatesafe.report import (
     GroupSummary,
     ReportError,
@@ -141,6 +142,30 @@ def test_field_csv_schema_and_arrow_norms(map_path, tmp_path):
     assert np.allclose(norms[flags == 0.0], 2.0, atol=1e-8), "safe arrows carry the commanded speed"
     assert np.all(norms[flags == 1.0] == 0.0), "unsafe nodes must carry a zero arrow"
     assert 0 < flags.sum() < len(flags), "slice must contain both safe and unsafe nodes"
+
+
+def test_field_rows_match_per_field_formatting():
+    # Each distinct bit pattern is formatted once: -0.0 and 0.0 share a column
+    # but not a cell text, and repeated values reuse one string.
+    special = [0.0, -0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0 / 3.0, -0.0, 0.0, 1e300, 0.1 + 0.2, -2.5e-7, 7.0]
+    rng = np.random.default_rng(41)
+    shape = (3, 4)
+    columns = np.array([np.roll(special, k) for k in range(6)]).T
+    columns[:, 5] = rng.choice(special, size=len(special))
+    fld = PlaneActionField(
+        positions=columns[:, :3].reshape(shape + (3,)),
+        directions=columns[:, 3:].reshape(shape + (3,)),
+        unsafe=(np.arange(len(special)) % 3 == 0).reshape(shape),
+    )
+    want = ["x,y,z,ux,uy,uz,unsafe_flag"]
+    for (x, y, z), (ux, uy, uz), flag in zip(
+        fld.positions.reshape(-1, 3).tolist(), fld.directions.reshape(-1, 3).tolist(), fld.unsafe.reshape(-1).tolist()
+    ):
+        want.append(",".join([repr(x), repr(y), repr(z), format(ux, ".10g"), format(uy, ".10g"), format(uz, ".10g"),
+                              str(int(flag))]))
+    assert _field_rows(fld) == want
+    assert {"0.0", "-0.0"} <= {row.split(",")[0] for row in want[1:]}
+    assert {"0", "-0"} <= {row.split(",")[3] for row in want[1:]}
 
 
 def test_field_offset_outside_grid_is_usage_error(map_path, tmp_path):
@@ -307,8 +332,14 @@ def test_run_rejects_bad_config_values(tmp_path):
 
 @pytest.mark.parametrize(
     "text, axis",
-    [("x: [0, 1.0e-9]", "x"), ("resolution: 1.0e-308", "x"), ("y: [-1.0e+308, 1.0e+308]", "y")],
-    ids=["zero-cells", "cell-count-overflow", "extent-overflow"],
+    [
+        ("x: [0, 1.0e-9]", "x"),
+        ("resolution: 1.0e-308", "x"),
+        ("y: [-1.0e+308, 1.0e+308]", "y"),
+        # Three whole cells, but every squared clearance would overflow.
+        ("resolution: 1.0e+200, x: [-1.0e+200, 1.0e+200], y: [-1.0e+200, 1.0e+200], z: [-1.0e+200, 1.0e+200]", "x"),
+    ],
+    ids=["zero-cells", "cell-count-overflow", "extent-overflow", "squares-overflow"],
 )
 def test_unusable_map_extent_is_config_error_and_writes_nothing(text, axis, tmp_path, capsys):
     cfg = tmp_path / "map.yaml"

@@ -12,7 +12,7 @@ import yaml
 
 from gatesafe.barrier import SafetyParams
 from gatesafe.config import Config, ConfigError, dump_manifest, load_config, parse_config
-from gatesafe.field import DistanceField
+from gatesafe.field import DistanceField, _check_map_axis
 from gatesafe.geometry import GateGeometry, _axis_bounds, _positive
 from gatesafe.sim import (
     MAX_LEVEL, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, generate_track,
@@ -125,15 +125,17 @@ def test_extent_must_be_ordered_pair():
 def test_extent_must_be_whole_cells():
     with pytest.raises(ConfigError, match=r"map\.x"):
         parse_config({"map": {"x": [-6.0, 6.05]}})
-    # Zero cells, a cell count that overflows, an extent that overflows.
+    # Zero cells and a cell count that overflows.
     for body, axis in (
         ({"z": [0.0, 1e-9]}, "z"),
         ({"x": [0.0, 1e-9]}, "x"),
         ({"resolution": 1e-308}, "x"),
-        ({"x": [-1e308, 1e308]}, "x"),
     ):
         with pytest.raises(ConfigError, match=rf"^map\.{axis} extent .* whole number"):
             parse_config({"map": body})
+    # An extent that would overflow lies past the map bound, which is checked first.
+    with pytest.raises(ConfigError, match=r"^map\.x must lie in \[-1e\+37, 1e\+37\] m"):
+        parse_config({"map": {"x": [-1e308, 1e308]}})
 
 
 def test_boundary_values_that_the_config_accepts_build_every_library_object():
@@ -170,6 +172,7 @@ LIBRARY_RULES = [
     ("geometry.inner_size", 0.0, _positive),
     ("geometry.bar_thickness", -0.25, _positive),
     ("map.resolution", math.inf, _positive),
+    ("map.x", [-1e38, 1.0], _check_map_axis),
     ("safety.R", -1.0, _positive),
     ("safety.gamma", 0.0, _positive),
     ("safety.alpha", math.nan, _positive),

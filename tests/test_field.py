@@ -31,6 +31,7 @@ from gatesafe.field import (
     INSIDE_SENTINEL,
     FORMAT_VERSION,
     MAGIC,
+    MAP_BOUND,
     _HEADER,
     _GRAD_BLOCK,
     _SAMPLE_BLOCK,
@@ -135,6 +136,47 @@ def test_build_matches_the_point_list_at_every_node(gate, spec, request):
     np.testing.assert_array_equal(grid.view(np.uint64), expected.view(np.uint64))
     got = build_field(gate, spec).values
     np.testing.assert_array_equal(got.view(np.uint32), expected.astype(np.float32).view(np.uint32))
+
+
+@pytest.mark.parametrize(
+    "gate, axis",
+    [
+        # Squares that overflow to inf, finite squares whose sum overflows,
+        # squares of inf, and finite ones.
+        pytest.param(GateGeometry(), [-math.inf, -1e160, -1.4e154, -1.0, 0.0, 0.9, 1e154, 1e160, math.inf], id="huge"),
+        # Overshoots of about 1e-170, whose squares underflow to zero.
+        pytest.param(GateGeometry(inner_size=3e-170, bar_thickness=1e-170),
+                     [-4e-170, -2e-170, -1.6e-170, -5e-171, 0.0, 1e-171, 1.5e-170, 3e-170], id="tiny"),
+    ],
+)
+def test_clearance_at_the_float_edges_matches_the_column_reference(gate, axis):
+    # The kernel takes the minimum of squared distances and one root; the
+    # reference roots each bar's sum of squares first. Both agree bit for bit
+    # where the squares leave the finite normal floats, on the grid path and
+    # on the point path.
+    xs = np.array(axis)
+    pts = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        expected = _column_clearance(pts, gate)
+        grid = _clearance((xs[:, None, None], xs[None, :, None], xs[None, None, :]), gate)
+        points = exact_distance_batch(pts, gate)
+    np.testing.assert_array_equal(points.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(grid.view(np.uint64), expected.reshape(grid.shape).view(np.uint64))
+
+
+def test_build_at_the_map_bound_stays_finite_and_refuses_past_it(default_gate):
+    # Nodes at +/-MAP_BOUND build with no overflow warning (which fails this
+    # suite) and derive finite gradients; one ulp further out is refused,
+    # naming the axis.
+    spec = GridSpec(np.full(3, -MAP_BOUND), MAP_BOUND, (3, 3, 3))
+    f = build_field(default_gate, spec)
+    assert np.all(np.isfinite(f.values)) and f.values.max() > MAP_BOUND
+    assert np.all(np.isfinite(f.gradients))
+    for k, name in enumerate("xyz"):
+        origin = np.full(3, -MAP_BOUND)
+        origin[k] = math.nextafter(-MAP_BOUND, -math.inf)
+        with pytest.raises(ValueError, match=rf"^grid extent on axis '{name}' must lie in \[-1e\+37, 1e\+37\] m"):
+            build_field(default_gate, GridSpec(origin, MAP_BOUND, (3, 3, 3)))
 
 
 def test_build_allocates_no_point_list(default_gate):

@@ -331,6 +331,25 @@ def test_distance_batch_is_bit_identical_to_reference(default_gate):
     assert np.any(want == -1.0) and np.any(want == 0.0)
     for q, dq in zip(pts[::7], want[::7]):
         assert exact_distance(q, default_gate) == dq
+    # Squared overshoots that overflow to inf (about 1e160 off the frame), that
+    # are finite but sum to inf (1e154), that underflow to zero (about 1e-170
+    # off a face of a gate that small) or that are inf: the minimum of the
+    # squares, rooted once, still equals the reference's minimum of roots.
+    far = [1.0, 1e154, 1.4e154, 1e160, math.inf]
+    axis = np.array(sorted({0.0, *far, *(-v for v in far)}))
+    tiny = GateGeometry(inner_size=3e-170, bar_thickness=1e-170)
+    for gate, edge in (
+        (default_gate, np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)),
+        (tiny, np.concatenate([_face_lattice(tiny), rng.uniform(-4e-170, 4e-170, size=(2000, 3)),
+                               rng.uniform(-1e-160, 1e-160, size=(1000, 3))])),
+    ):
+        with np.errstate(over="ignore"):
+            got = exact_distance_batch(edge, gate)
+            want = _reference_distance_batch(edge, gate)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        outside = want >= 0.0
+        assert np.any(np.isinf(want) if gate is default_gate else want[outside] == 0.0)
+        assert np.any(np.isfinite(want[outside]) & (want[outside] > 0.0))
 
 
 def test_segment_hits_frame_is_bit_identical_to_reference(default_gate):

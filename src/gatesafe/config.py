@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 
 from .barrier import SafetyParams
-from .field import DistanceField, GridSpec, _check_map_axis, _whole_cells
+from .field import DistanceField, GridSpec, _check_map_axis
 from .geometry import GateGeometry, _axis_bounds, _positive
 from .report import _g
 from .sim import (
@@ -76,6 +77,14 @@ def _modes(path: str, value) -> tuple[str, ...]:
             raise ConfigError(f"{path} entry {m!r} is not one of {list(MODES)}")
     _distinct(path, modes)
     return tuple(modes)
+
+
+def _whole_cells(length: float, resolution: float) -> int | None:
+    """length / resolution as a cell count, or None unless within 1e-6 of a whole number."""
+    n = length / resolution  # inf when the length or the count overflows
+    if math.isfinite(n) and abs(n - round(n)) <= 1e-6:
+        return round(n)
+    return None
 
 
 def _setting(default, parse, rule=None, **kwargs):

@@ -7,12 +7,11 @@ block by block of cells, the first time a query touches a block. Queries
 between nodes are answered by trilinear interpolation of both values and
 gradients.
 
-Worst-case inflation replaces each node value with the minimum over a
-(2kx+1) x (2ky+1) x (2kz+1) box of nodes, taken as one separable window
-minimum per axis with border nodes repeated; it realizes "minimum clearance
-over all gate translations within +/-eps per axis" quantized to whole cells,
-exactly when every bar is at least one cell thick. Inflated values never
-exceed nominal ones, and any -1 inside the window wins.
+Worst-case inflation by eps stores, at every node, the minimum clearance
+over all gate translations within +/-eps per axis: the exact clearance to
+the frame's Minkowski sum with that box, every bar box grown by eps on each
+side. It is the clearance kernel run on the grown boxes, exact for any eps
+and any bar thickness. Inflated values never exceed nominal ones.
 
 File format (all little-endian)::
 
@@ -97,10 +96,17 @@ class GridSpec:
     def axis_nodes(self, k: int) -> np.ndarray:
         return self.origin[k] + self.resolution * np.arange(self.dims[k])
 
+    def node_axes(self) -> tuple[np.ndarray, ...]:
+        """The axis node arrays shaped (nx, 1, 1), (1, ny, 1) and (1, 1, nz): they broadcast to every node."""
+        return tuple(self.axis_nodes(k).reshape([-1 if a == k else 1 for a in range(3)]) for k in range(3))
+
 
 @dataclass
 class DistanceField:
     """Node values (float32, -1 inside the solid) and the gradients derived from them.
+
+    ``gate`` is the geometry a built map was computed from, which
+    :func:`inflate_field` grows; a loaded map has none.
 
     Gradients are derived per block of ``_GRAD_BLOCK`` cells per axis, the
     first time a query touches the block, and kept. Each block runs
@@ -111,6 +117,7 @@ class DistanceField:
     spec: GridSpec
     values: np.ndarray
     inflated_by: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    gate: GateGeometry | None = field(default=None, compare=False)
     _grads: np.ndarray = field(init=False, repr=False, compare=False)
     _blocks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     _done: bytearray = field(init=False, repr=False, compare=False)  # one flag per block, x-major
@@ -176,16 +183,9 @@ def build_field(
     The grid must extend past the gate's outer bounds by ``safety_radius`` plus
     the planned per-axis ``inflation`` (both finite and non-negative) on every
     side, and lie within ``MAP_BOUND`` of the origin; otherwise a
-    ``ValueError`` names the offending axis. A nonzero
-    ``inflation`` also needs bars at least one cell thick, the condition under
-    which :func:`inflate_field`'s window minimum is the worst-case clearance.
+    ``ValueError`` names the offending axis.
     """
     infl = np.zeros(3) if inflation is None else _axis_bounds(inflation, "inflation")
-    if infl.any() and gate.bar_thickness < spec.resolution:
-        raise ValueError(
-            f"bar_thickness {gate.bar_thickness:g} is thinner than the grid resolution "
-            f"{spec.resolution:g}; an inflated map needs bars at least one cell thick"
-        )
     required = np.array([gate.half_depth, gate.outer_half, gate.outer_half])
     required = required + _axis_bounds(np.full(3, safety_radius), "safety_radius") + infl
     for k, name in enumerate("xyz"):
@@ -197,9 +197,8 @@ def build_field(
                 f"plus margins (need at least [-{required[k]:g}, {required[k]:g}])"
             )
 
-    xs, ys, zs = (spec.axis_nodes(k) for k in range(3))
-    values = _clearance((xs[:, None, None], ys[None, :, None], zs[None, None, :]), gate).astype(np.float32)
-    return DistanceField(spec=spec, values=values)
+    values = _clearance(spec.node_axes(), gate).astype(np.float32)
+    return DistanceField(spec=spec, values=values, gate=gate)
 
 
 def _node_gradients(values: np.ndarray, res: float) -> np.ndarray:
@@ -236,48 +235,33 @@ def _node_gradients(values: np.ndarray, res: float) -> np.ndarray:
 
 
 def quantize_inflation(eps: np.ndarray, resolution: float) -> np.ndarray:
-    """Round a per-axis inflation up to whole cells (never down).
+    """Round a per-axis inflation up to whole cells of ``resolution`` (never down).
 
-    :func:`inflate_field` insists on whole-cell inflations; this helper makes
-    the conservative choice for callers holding an arbitrary bound.
+    Raises ``ValueError`` when the rounded inflation overflows.
     """
     eps = _axis_bounds(eps, "eps")
-    cells = np.ceil(eps / resolution - 1e-9)
-    return np.maximum(cells, 0.0) * resolution
-
-
-def _whole_cells(length: float, resolution: float) -> int | None:
-    """length / resolution as a cell count, or None unless within 1e-6 of a whole number."""
-    n = length / resolution  # inf when the length or the count overflows
-    if math.isfinite(n) and abs(n - round(n)) <= 1e-6:
-        return round(n)
-    return None
+    resolution = _positive(resolution, "resolution")
+    with np.errstate(over="ignore"):
+        quantized = np.maximum(np.ceil(eps / resolution - 1e-9), 0.0) * resolution
+    if not np.all(np.isfinite(quantized)):
+        raise ValueError(f"eps {eps.tolist()} overflows when rounded up to whole {resolution:g} m cells")
+    return quantized
 
 
 def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
-    """Worst-case inflation: per-node minimum over a +/-eps window.
+    """Worst-case inflation: the clearance to the map's gate with every bar box grown by ``eps``.
 
-    ``eps`` must be whole cell multiples per axis (use
-    :func:`quantize_inflation` to round up); the input field must be nominal
-    (not already inflated).
+    Any finite non-negative ``eps`` per axis is exact, whole cells or not.
+    The input must be a nominal map from :func:`build_field`: an inflated
+    map, or a loaded one (which records no gate), raises ``ValueError``.
     """
     if np.any(f.inflated_by != 0.0):
         raise ValueError(f"field is already inflated by {f.inflated_by}; inflate a nominal field")
+    if f.gate is None:
+        raise ValueError("field records no gate (a loaded map); inflate a map from build_field")
     eps = _axis_bounds(eps, "eps")
-    k = [_whole_cells(e, f.spec.resolution) for e in eps.tolist()]
-    if None in k:
-        raise ValueError(
-            f"eps {eps.tolist()} is not a whole number of cells at resolution "
-            f"{f.spec.resolution:g}; round up explicitly (see quantize_inflation)"
-        )
-    # Separable box minimum: one window pass per axis over an edge-padded copy.
-    values = f.values.copy()  # a new array even when no axis is inflated
-    for axis, ka in enumerate(k):
-        if ka:
-            padded = np.pad(values, [(ka, ka) if a == axis else (0, 0) for a in range(3)], mode="edge")
-            for s in range(2 * ka + 1):
-                np.minimum(values, padded[(slice(None),) * axis + (slice(s, s + values.shape[axis]),)], out=values)
-    return DistanceField(spec=f.spec, values=values, inflated_by=eps)
+    values = _clearance(f.spec.node_axes(), f.gate, grow=eps).astype(np.float32)
+    return DistanceField(spec=f.spec, values=values, inflated_by=eps, gate=f.gate)
 
 
 def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:

@@ -183,8 +183,13 @@ def exact_distance_batch(points: np.ndarray, gate: GateGeometry) -> np.ndarray:
     return _clearance(_points(points).T.copy(), gate)
 
 
-def _clearance(cols, gate: GateGeometry) -> np.ndarray:
+def _clearance(cols, gate: GateGeometry, grow=0.0) -> np.ndarray:
     """Exact clearance at the points whose x, y and z coordinates are ``cols``.
+
+    ``grow`` (per axis, or one scalar) widens every bar box to ``lo - grow``,
+    ``hi + grow``: the clearance to the frame's Minkowski sum with the box
+    +/-grow, the worst case over gate translations within it. Growing by 0
+    changes no bound, hence no result.
 
     The three coordinate arrays broadcast against each other: three (N,)
     columns give N points, and the axis arrays of a grid shaped (nx, 1, 1),
@@ -204,6 +209,7 @@ def _clearance(cols, gate: GateGeometry) -> np.ndarray:
     :data:`MAX_LEVEL` of the origin.
     """
     lo, hi = gate.bar_boxes()
+    lo, hi = lo - grow, hi + grow
     d = inside = None
     for box_lo, box_hi in zip(lo.tolist(), hi.tolist()):
         sq = 0.0

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from gatesafe.cli import _field_rows, main as cli_main
-from gatesafe.field import _HEADER, _node_gradients, load_field
+from gatesafe.config import load_config
+from gatesafe.field import _HEADER, _node_gradients, build_field, inflate_field, load_field
 from gatesafe.qp import PlaneActionField
 from gatesafe.report import (
     GroupSummary,
@@ -72,20 +73,33 @@ def test_build_map_inflation_rounds_up_to_whole_cells(tmp_path):
     np.testing.assert_allclose(f.inflated_by, [0.3, 0.3, 0.3])
 
 
-def test_inflated_map_with_bars_thinner_than_a_cell_is_config_error_and_writes_nothing(tmp_path, capsys):
-    # The window-minimum inflation is the worst case only for bars at least
-    # one cell thick; 0.25 m bars on a 0.5 m grid are half a cell.
+def test_inflated_map_with_bars_thinner_than_a_cell_is_built(tmp_path):
+    # 0.25 m bars on a 0.5 m grid are half a cell: the grown boxes are exact at any thickness.
     cfg = tmp_path / "thin.yaml"
     cfg.write_text("geometry: {inner_size: 1.4}\nmap: {resolution: 0.5}\n")
+    out = tmp_path / "m.esdf"
+    assert run_cli(["build-map", "--config", cfg, "--out", out, "--inflate", "0.5,0.5,0.5"]) == 0
+    conf = load_config(str(cfg))
+    nominal = build_field(conf.gate(), conf.grid_spec(), safety_radius=conf.safety.R, inflation=np.full(3, 0.5))
+    want = inflate_field(nominal, np.full(3, 0.5))
+    assert np.array_equal(load_field(out).values.view(np.uint32), want.values.view(np.uint32))
+    argv = ["run", "--config", cfg, "--tracks", "1", "--levels", "0", "--modes", "filtered_uncertainty"]
+    assert run_cli([*argv, "--out", tmp_path / "r"]) == 0
+    assert (tmp_path / "r" / "metrics.csv").exists()
+
+
+def test_inflation_that_overflows_in_whole_cells_is_config_error_and_writes_nothing(tmp_path, capsys):
+    # 1e308 m over 0.05 m cells overflows; with RuntimeWarnings as errors it must not end in a traceback.
+    cfg = tmp_path / "dv.yaml"
+    cfg.write_text("noise: {dv: [1.0e+308, 0, 0]}\n")
     for argv in (
-        ["build-map", "--out", tmp_path / "m.esdf", "--inflate", "0.5,0.5,0.5"],
-        ["run", "--tracks", "1", "--levels", "0", "--modes", "filtered_uncertainty", "--out", tmp_path / "r"],
+        ["build-map", "--out", tmp_path / "m.esdf", "--inflate", "1e308,0,0"],
+        ["run", "--config", cfg, "--tracks", "1", "--levels", "0", "--modes", "filtered_uncertainty",
+         "--out", tmp_path / "r"],
     ):
-        assert run_cli([*argv, "--config", cfg]) == 1, argv
-        err = capsys.readouterr().err
-        assert "bar_thickness 0.25" in err and "resolution 0.5" in err, argv
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["thin.yaml"]
-    assert run_cli(["build-map", "--config", cfg, "--out", tmp_path / "m.esdf"]) == 0, "a nominal map has no such rule"
+        assert run_cli(argv) == 1, argv
+        assert "overflows when rounded up to whole 0.1 m cells" in capsys.readouterr().err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dv.yaml"]
 
 
 def test_build_map_rejects_malformed_inflate(tmp_path):

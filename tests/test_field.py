@@ -3,8 +3,8 @@
 Oracles:
 - node values against the exact closed-form distance (and -1 sentinels),
   and against a meshgrid point list bit for bit at every node,
-- inflation against a hand-rolled window minimum, scipy's minimum_filter
-  (bit for bit) AND a dense set of gate translations,
+- inflation against the clearance to the bar boxes grown by eps, computed
+  independently (to 1e-12 m), AND a dense set of gate translations,
 - interpolation against the exact distance with the res*sqrt(3)/2 bound.
 """
 import math
@@ -225,21 +225,31 @@ def _grown_box_clearance(gate: GateGeometry, spec: GridSpec, eps: np.ndarray) ->
     return np.sqrt(np.minimum.reduce(squares))
 
 
-def test_inflated_build_needs_bars_at_least_one_cell_thick():
-    # A 0.25 m bar at 0.5 m resolution: the window minimum over whole-cell
-    # shifts misses the grown bar, so the inflated map reads above the
-    # worst-case clearance. build_field refuses to plan that inflation.
+def _assert_matches_grown_box_oracle(f: DistanceField, gate: GateGeometry, eps) -> None:
+    """Inflated node values are the grown-box clearance, cast to float32, to 1e-12 m.
+
+    A -1 node lies strictly inside a grown box, so its oracle value is 0; it
+    can be -1 where the oracle's 0 sits on a rounded node coordinate.
+    """
+    kernel = _clearance(f.spec.node_axes(), gate, grow=np.asarray(eps, dtype=float))
+    assert np.array_equal(f.values, kernel.astype(np.float32))
+    oracle = _grown_box_clearance(gate, f.spec, np.asarray(eps, dtype=float))
+    inside = kernel == INSIDE_SENTINEL
+    assert np.all(oracle[inside] <= 0.0), "a -1 node with positive worst-case clearance"
+    assert np.max(np.abs(kernel[~inside] - oracle[~inside]), initial=0.0) <= 1e-12
+
+
+def test_inflated_build_with_bars_thinner_than_a_cell_is_the_grown_box_clearance():
+    # A 0.25 m bar at 0.5 m resolution: half a cell thick, inflated by one cell.
     spec = GridSpec(origin=np.array([-6.0, -6.0, -4.0]), resolution=0.5, dims=(25, 25, 17))
     eps = np.full(3, 0.5)
     thin = GateGeometry(inner_size=1.4)
-    with pytest.raises(ValueError, match=r"^bar_thickness 0\.25 .* resolution 0\.5"):
-        build_field(thin, spec, safety_radius=0.3, inflation=eps)
-    over = inflate_field(build_field(thin, spec, safety_radius=0.3), eps).values - _grown_box_clearance(thin, spec, eps)
-    assert over.max() == pytest.approx(0.05, abs=1e-6)
-    # One cell thick: the build goes ahead and the window minimum is the worst case.
-    thick = GateGeometry(inner_size=1.4, bar_thickness=0.5)
-    inflated = inflate_field(build_field(thick, spec, safety_radius=0.3, inflation=eps), eps)
-    assert np.all(inflated.values - _grown_box_clearance(thick, spec, eps) <= 1e-6)
+    inflated = inflate_field(build_field(thin, spec, safety_radius=0.3, inflation=eps), eps)
+    _assert_matches_grown_box_oracle(inflated, thin, eps)
+    # Bit for bit here, with -1 read as the oracle's 0.
+    want = _grown_box_clearance(thin, spec, eps).astype(np.float32)
+    got = np.where(inflated.values == INSIDE_SENTINEL, np.float32(0.0), inflated.values)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.parametrize(
@@ -313,43 +323,20 @@ def test_sampled_gradient_matches_finite_differences(default_gate, small_field, 
 # Inflation
 # ---------------------------------------------------------------------------
 
-def test_inflation_matches_window_minimum_oracle(small_field):
-    # Cubic, non-cubic and zero-width windows.
-    v = small_field.values
-    nx, ny, nz = v.shape
-    for eps in ([0.2, 0.2, 0.2], [0.1, 0.0, 0.3], [0.0, 0.3, 0.1]):
-        inflated = inflate_field(small_field, np.array(eps))
-        kx, ky, kz = (round(e / 0.1) for e in eps)
-        expected = np.full_like(v, np.inf)
-        for ox in range(-kx, kx + 1):
-            for oy in range(-ky, ky + 1):
-                for oz in range(-kz, kz + 1):
-                    sx = slice(max(0, -ox), min(nx, nx - ox))
-                    sy = slice(max(0, -oy), min(ny, ny - oy))
-                    sz = slice(max(0, -oz), min(nz, nz - oz))
-                    tx = slice(max(0, ox), min(nx, nx + ox))
-                    ty = slice(max(0, oy), min(ny, ny + oy))
-                    tz = slice(max(0, oz), min(nz, nz + oz))
-                    expected[sx, sy, sz] = np.minimum(expected[sx, sy, sz], v[tx, ty, tz])
-        np.testing.assert_array_equal(inflated.values, expected, err_msg=f"eps {eps}")
-
-
-def test_inflation_is_bit_identical_to_scipy_minimum_filter(small_field):
-    from scipy import ndimage
-
-    v = small_field.values
-    assert np.any(v == -1.0), "the map must hold inside-solid sentinels"
-    # Windows wider than the grid on some axes as well.
-    for k in [(2, 2, 2), (1, 0, 3), (5, 1, 2), (0, 0, 1), (20, 25, 30)]:
-        got = inflate_field(small_field, 0.1 * np.array(k)).values
-        want = ndimage.minimum_filter(v, size=tuple(2 * ki + 1 for ki in k), mode="nearest")
-        assert got.dtype == want.dtype == np.float32
-        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), f"half-widths {k}"
+@pytest.mark.parametrize(
+    "eps",
+    [(0.2, 0.2, 0.2), (0.1, 0.0, 0.3), (0.25, 0.13, 0.3), (0.0, 0.0, 0.0), (2.0, 2.5, 3.0), (1e308, 0.0, 0.0)],
+    ids=["whole-cells", "mixed-cells", "not-whole-cells", "zero", "wider-than-grid", "no-float-cell-count"],
+)
+def test_inflation_matches_grown_box_oracle(default_gate, small_field, eps):
+    inflated = inflate_field(small_field, np.array(eps))
+    _assert_matches_grown_box_oracle(inflated, default_gate, eps)
+    assert np.array_equal(inflated.inflated_by, eps), "inflated_by records eps exactly"
 
 
 def test_zero_inflation_returns_a_new_array(small_field):
     inflated = inflate_field(small_field, np.zeros(3))
-    np.testing.assert_array_equal(inflated.values, small_field.values)
+    assert np.array_equal(inflated.values.view(np.uint32), small_field.values.view(np.uint32))
     assert not np.shares_memory(inflated.values, small_field.values)
 
 
@@ -403,16 +390,18 @@ def test_inflation_equals_dense_translation_minimum(default_gate):
         if truth < 0.1:
             continue  # skip cells the inflated solid may swallow
         got, _ = sample(inflated, q)
-        # Discrete window min vs dense translation min: both conservative
-        # within a cell diagonal plus interpolation error.
+        # Exact grown-box nodes, interpolated, vs a dense translation minimum:
+        # within a cell diagonal.
         assert abs(got - truth) <= 0.05 * math.sqrt(3.0) + 1e-6, f"at {q}: {got} vs oracle {truth}"
 
 
-def test_inflate_rejects_non_whole_cell_eps(small_field):
-    with pytest.raises(ValueError, match="whole number of cells"):
-        inflate_field(small_field, np.array([0.25, 0.25, 0.25]))
-    with pytest.raises(ValueError, match="whole number of cells"):  # a cell count that overflows
-        inflate_field(small_field, np.array([1e308, 0.0, 0.0]))
+def test_inflate_rejects_a_loaded_map(small_field, tmp_path):
+    assert small_field.gate is not None
+    save_field(small_field, tmp_path / "m.esdf")
+    loaded = load_field(tmp_path / "m.esdf")
+    assert loaded.gate is None and np.array_equal(loaded.values, small_field.values)
+    with pytest.raises(ValueError, match="records no gate"):
+        inflate_field(loaded, np.full(3, 0.1))
 
 
 def test_inflate_rejects_double_inflation(small_field):
@@ -427,6 +416,15 @@ def test_quantize_inflation_rounds_up():
     np.testing.assert_allclose(quantize_inflation(np.zeros(3), 0.1), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         quantize_inflation(np.array([-0.1, 0.0, 0.0]), 0.1)
+    # 1e308 / 0.1 overflows: a ValueError, with no RuntimeWarning on the way.
+    with pytest.raises(ValueError, match=r"^eps \[1e\+308, 0\.0, 0\.0\] overflows"):
+        quantize_inflation(np.array([1e308, 0.0, 0.0]), 0.1)
+
+
+@pytest.mark.parametrize("resolution", [-0.1, 0.0, math.nan, math.inf])
+def test_quantize_inflation_rejects_a_bad_resolution(resolution):
+    with pytest.raises(ValueError, match="^resolution must be finite and positive"):
+        quantize_inflation(np.full(3, 0.25), resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,6 @@ from .sim import (
     nominal_policy,
     run_experiment,
     run_trial,
-    step_dynamics,
     virtual_gate_pose,
 )
 from .config import Config, ConfigError, dump_manifest, load_config, parse_config
@@ -144,7 +143,6 @@ __all__ = [
     "sample_batch",
     "save_field",
     "segment_hits_frame",
-    "step_dynamics",
     "summarize",
     "verify_kkt",
     "virtual_gate_pose",

@@ -14,13 +14,12 @@ the barrier condition for every admissible disturbance.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field import DistanceField, _sample
-from .geometry import Pose, _axis_bounds, _finite_point, _positive, _to_gate
+from .geometry import Pose, _axis_bounds, _check_level, _finite_point, _positive, _to_gate
 
 ADMISSIBLE_TOL = 1e-9
 
@@ -31,7 +30,8 @@ class SafetyParams:
 
     R: protected clearance radius [m]; gamma: barrier decay rate [1/s];
     alpha: action norm bound [m/s]; dw/dv: per-axis support of the process
-    and observation noise [m/s] and [m].
+    and observation noise [m/s] and [m], each in [0, MAX_LEVEL] like a track
+    level, so the positions they move keep finite squares.
     """
 
     R: float = 0.3
@@ -44,8 +44,15 @@ class SafetyParams:
         self.R = _positive(self.R, "R")
         self.gamma = _positive(self.gamma, "gamma")
         self.alpha = _positive(self.alpha, "alpha")
-        self.dw = _axis_bounds(self.dw, "dw")
-        self.dv = _axis_bounds(self.dv, "dv")
+        self.dw = _noise_bounds(self.dw, "dw")
+        self.dv = _noise_bounds(self.dv, "dv")
+
+
+def _noise_bounds(v, name: str) -> np.ndarray:
+    """Three per-axis noise bounds, each in [0, MAX_LEVEL], as a new float array."""
+    v = _axis_bounds(v, name)
+    _check_level(float(v.max()), name)
+    return v
 
 
 @dataclass
@@ -83,15 +90,15 @@ def eval_barrier_world(
     on world-frame actions; ``Pose()`` makes the world frame the gate frame.
     Propagates the field's out-of-bounds / inside-obstacle errors.
     """
-    d, grad = _world_sample(f, _to_gate(_finite_point(x_world)[1], gate_pose).tolist(), gate_pose.yaw)
+    d, grad = _world_sample(f, _to_gate(_finite_point(x_world)[1], gate_pose).tolist(), gate_pose.heading)
     return BarrierEval(d=d, grad=np.array(grad), h=_barrier_value(d, params))
 
 
-def _world_sample(f: DistanceField, q: list[float], yaw: float) -> tuple[float, list[float]]:
+def _world_sample(f: DistanceField, q: list[float], heading: tuple[float, float]) -> tuple[float, list[float]]:
     """Clearance at the gate-frame point q (three floats) and its gradient in the
-    world frame of a gate at this yaw, as three floats."""
+    world frame of a gate with this ``Pose.heading``, as three floats."""
     d, gx, gy, gz = _sample(f, q, *q)
-    c, s = math.cos(yaw), math.sin(yaw)
+    c, s = heading
     return d, [c * gx - s * gy, s * gx + c * gy, gz]
 
 

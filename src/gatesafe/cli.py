@@ -78,17 +78,20 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{float(x):g}" for x in v) + ")"
 
 
-def _build_maps(cfg: Config, inflation) -> tuple[DistanceField, DistanceField | None]:
-    """The nominal map and, given a per-axis inflation, the map inflated by it rounded up to whole cells."""
+def _build_maps(cfg: Config, inflation, name: str) -> tuple[DistanceField, DistanceField | None]:
+    """The nominal map and, given an inflation (``name`` in errors), the map inflated by it in whole cells."""
     spec = cfg.grid_spec()
-    quantized = None if inflation is None else quantize_inflation(inflation, spec.resolution)
+    try:
+        quantized = None if inflation is None else quantize_inflation(inflation, spec.resolution)
+    except ValueError as exc:  # the rounded inflation overflows
+        raise ValueError(f"{name}: {exc}") from None
     nominal = build_field(cfg.gate(), spec, safety_radius=cfg.safety.R, inflation=quantized)
     return nominal, None if quantized is None else inflate_field(nominal, quantized)
 
 
 def _cmd_build_map(args) -> int:
     inflation = None if args.inflate is None else _axis_bounds(args.inflate, "--inflate")
-    nominal, inflated = _build_maps(_load_cfg(args.config), inflation)
+    nominal, inflated = _build_maps(_load_cfg(args.config), inflation, "--inflate")
     f = nominal if inflated is None else inflated
     del nominal  # freed before save_field allocates its map-sized buffers
     if inflated is not None and not np.allclose(f.inflated_by, inflation):
@@ -157,7 +160,7 @@ def _cmd_run(args) -> int:
     cfg = parse_config(data)
     run = cfg.run
 
-    nominal, inflated = _build_maps(cfg, cfg.noise.dv if "filtered_uncertainty" in run.modes else None)
+    nominal, inflated = _build_maps(cfg, cfg.noise.dv if "filtered_uncertainty" in run.modes else None, "noise.dv")
     records = run_experiment(
         cfg.sim_env(nominal, inflated),
         levels=run.levels,

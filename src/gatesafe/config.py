@@ -17,13 +17,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import yaml
 
-from .barrier import SafetyParams
+from .barrier import SafetyParams, _noise_bounds
 from .field import DistanceField, GridSpec, _check_map_axis
-from .geometry import GateGeometry, _axis_bounds, _positive
+from .geometry import GateGeometry, _check_level, _positive
 from .report import _g
 from .sim import (
-    MODES, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, _check_track_length, generate_track,
-    run_experiment,
+    MODES, SimEnv, _check_count, _check_dt, _check_non_negative, _check_track_length, generate_track, run_experiment,
 )
 
 
@@ -123,8 +122,8 @@ class SafetyConfig:
 
 @dataclass
 class NoiseConfig:
-    dw: tuple[float, float, float] = _setting(_default(SafetyParams, "dw"), _numbers, _axis_bounds, n=3)
-    dv: tuple[float, float, float] = _setting(_default(SafetyParams, "dv"), _numbers, _axis_bounds, n=3)
+    dw: tuple[float, float, float] = _setting(_default(SafetyParams, "dw"), _numbers, _noise_bounds, n=3)
+    dv: tuple[float, float, float] = _setting(_default(SafetyParams, "dv"), _numbers, _noise_bounds, n=3)
 
 
 @dataclass
@@ -143,7 +142,7 @@ class TrackConfig:
 @dataclass
 class PolicyConfig:
     gain: float = _setting(_default(SimEnv, "gain"), _number, _positive)
-    pass_offset: float = _setting(_default(SimEnv, "pass_offset"), _number, _check_non_negative)
+    pass_offset: float = _setting(_default(SimEnv, "pass_offset"), _number, _check_level)
 
 
 @dataclass

@@ -96,12 +96,15 @@ class Pose:
     """Rigid gate pose: world position of the opening center plus yaw [rad].
 
     Yaw is rotation about world +z and is normalized to (-pi, pi] on
-    construction, which also copies the position and builds the
-    world-to-gate rotation. Gates never pitch or roll.
+    construction, which also copies the position and takes the heading
+    (cos yaw, sin yaw) once: the world-to-gate rotation ``to_gate`` is built
+    from it, and every other use of the gate's orientation reads it. Gates
+    never pitch or roll.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
+    heading: tuple[float, float] = field(init=False, repr=False, compare=False)
     to_gate: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -114,8 +117,10 @@ class Pose:
         if yaw <= -math.pi:  # remainder can return exactly -pi
             yaw = math.pi
         object.__setattr__(self, "position", position)
+        c, s = math.cos(yaw), math.sin(yaw)
         object.__setattr__(self, "yaw", yaw)
-        object.__setattr__(self, "to_gate", _rot_z(-yaw))
+        object.__setattr__(self, "heading", (c, s))
+        object.__setattr__(self, "to_gate", np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -155,6 +160,19 @@ def _axis_bounds(v, name: str) -> np.ndarray:
     if v.shape != (3,) or not np.all(np.isfinite(v)) or np.any(v < 0.0):
         raise ValueError(f"{name} must be three finite non-negative values, got {v}")
     return v
+
+
+def _check_level(level: float, name: str) -> None:
+    """Raise ValueError naming ``name`` unless 0 <= level <= MAX_LEVEL (NaN fails).
+
+    Gate offsets drift by up to one level per gate, so with MAX_LEVEL also
+    bounding the unrolled track, a track that drifts a thousand levels off
+    axis keeps every squared clearance finite.
+    """
+    if not 0.0 <= level <= MAX_LEVEL:
+        raise ValueError(
+            f"{name} must lie in [0, {MAX_LEVEL:g}] m, where squared clearances stay finite, got {level}"
+        )
 
 
 def _positive(v, name: str) -> float:
@@ -227,11 +245,6 @@ def _clearance(cols, gate: GateGeometry, grow=0.0) -> np.ndarray:
     return d
 
 
-def _rot_z(yaw: float) -> np.ndarray:
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def world_to_gate(x: np.ndarray, pose: Pose) -> np.ndarray:
     """Map a world point into the gate's local frame."""
     return _to_gate(_finite_point(x)[1], pose)
@@ -249,8 +262,8 @@ def _to_gate(x: list[float], pose: Pose) -> np.ndarray:
 
 def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
     """Map a gate-frame point back to world coordinates."""
-    q = _finite_point(q)[0]
-    return _rot_z(pose.yaw) @ q + pose.position
+    c, s = pose.heading
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ _finite_point(q)[0] + pose.position
 
 
 def _slab_hit(p0, d, lo, hi) -> bool:

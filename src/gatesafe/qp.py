@@ -33,6 +33,7 @@ from .field import _EDGE_CELLS, SAMPLE_OK, DistanceField, GridSpec, sample_batch
 from .geometry import _norm, _points, _positive
 
 _DEGENERATE_NORM = 1e-300
+_KKT_TOL = 1e-7  # verify_kkt's residual bound, relative to the instance magnitude
 
 
 class FilterStatus(Enum):
@@ -224,13 +225,7 @@ def _circle_rows(U, A, B, alpha, na2) -> np.ndarray:
     return c0 + perp * (r / pn)[:, None]
 
 
-def verify_kkt(
-    u_nom: np.ndarray,
-    con: BarrierConstraint,
-    params: SafetyParams,
-    decision: FilterDecision,
-    tol: float = 1e-7,
-) -> bool:
+def verify_kkt(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParams, decision: FilterDecision) -> bool:
     """Independently certify a feasible decision's optimality via KKT.
 
     Checks primal feasibility, then stationarity with nonnegative multipliers
@@ -239,7 +234,7 @@ def verify_kkt(
     multipliers come from a nonnegative least-squares fit found by
     enumerating the active sets of the (at most two) active constraints, so
     dual feasibility is enforced rather than assumed; the stationarity
-    residual must fall within ``tol`` scaled by the instance magnitude. Not
+    residual must fall within ``_KKT_TOL`` scaled by the instance magnitude. Not
     applicable to infeasible fallbacks.
     """
     if decision.status is FilterStatus.INFEASIBLE_FALLBACK:
@@ -251,7 +246,7 @@ def verify_kkt(
     alpha = params.alpha
 
     scale = 1.0 + float(np.linalg.norm(u_nom)) + float(np.linalg.norm(a)) + abs(b) + alpha
-    tol_s = tol * scale
+    tol_s = _KKT_TOL * scale
 
     # Primal feasibility.
     plane_slack = float(a @ u) - b

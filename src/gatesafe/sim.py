@@ -49,8 +49,8 @@ import numpy as np
 from .barrier import SafetyParams, _barrier_value, _constraint, _world_sample
 from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
-    MAX_LEVEL, GateGeometry, Pose, _finite_point, _norm, _positive, _segment_hits, _slab_boxes, _to_gate,
-    exact_distance_batch, world_to_gate,
+    MAX_LEVEL, GateGeometry, Pose, _check_level, _finite_point, _norm, _positive, _segment_hits, _slab_boxes,
+    _to_gate, exact_distance_batch, world_to_gate,
 )
 from .qp import _DEGENERATE, _FALLBACK, _PROJECTED, _UNCHANGED, FILTER_STATUS_ORDER, _project
 
@@ -96,12 +96,9 @@ class TrackSpec:
 
 @dataclass
 class SimState:
-    """The input of :func:`nominal_policy`, which reads only the position ``x``."""
+    """The input of :func:`nominal_policy`: the robot's world position ``x``, all the policy reads."""
 
     x: np.ndarray
-    t: float = 0.0
-    gate_index: int = 0
-    gates_passed: int = 0
 
 
 @dataclass
@@ -158,7 +155,7 @@ class SimEnv:
         _check_dt(self.dt, "dt")
         _check_count(self.max_steps, "max_steps")
         self.gain = _positive(self.gain, "gain")
-        _check_non_negative(self.pass_offset, "pass_offset")
+        _check_level(self.pass_offset, "pass_offset")
 
 
 def _check_dt(dt: float, name: str) -> None:
@@ -174,19 +171,6 @@ def _check_count(n: int, name: str) -> None:
 def _check_non_negative(v: float, name: str) -> None:
     if not 0.0 <= v < math.inf:  # an integer too large for a float compares too
         raise ValueError(f"{name} must be finite and >= 0, got {v}")
-
-
-def _check_level(level: float, name: str) -> None:
-    """Raise ValueError naming ``name`` unless 0 <= level <= MAX_LEVEL (NaN fails).
-
-    Gate offsets drift by up to one level per gate, so with MAX_LEVEL also
-    bounding the unrolled track, a track that drifts a thousand levels off
-    axis keeps every squared clearance finite.
-    """
-    if not 0.0 <= level <= MAX_LEVEL:
-        raise ValueError(
-            f"{name} must lie in [0, {MAX_LEVEL:g}] m, where squared clearances stay finite, got {level}"
-        )
 
 
 def _check_track_length(spacing: float, num_gates: int, laps: int, name: str) -> None:
@@ -275,7 +259,7 @@ def nominal_policy(state: SimState, estimate: Pose, gain: float, alpha: float, p
 
 def _policy_target(estimate: Pose, pass_offset: float) -> list[float]:
     """The point :func:`nominal_policy` pursues, as three floats."""
-    c, s = math.cos(estimate.yaw), math.sin(estimate.yaw)
+    c, s = estimate.heading
     ex, ey, ez = estimate.position.tolist()
     # Element-wise, as position + pass_offset * (c, s, 0) on arrays; the 0
     # term keeps the sign of zeros.
@@ -286,8 +270,10 @@ def _policy_action(target: list[float], x: list[float], gain: float, alpha: floa
     """:func:`nominal_policy`'s action at position x, all as three floats.
 
     u = gain * (target - x) element-wise, clipped to norm alpha; the norm is
-    BLAS's (see ``_norm``). Where |u|^2 overflows, the direction target - x,
-    whose square stays finite on any track, is clipped instead.
+    BLAS's (see ``_norm``). Where |u|^2 overflows, the direction target - x is
+    clipped instead. Its square stays finite on any track: gate offsets, dv,
+    pass_offset and each step's noise dw dt are held to MAX_LEVEL = 1e150,
+    under a thousandth of 2**510 (about 3.4e153), past which a square overflows.
     """
     u = [gain * (target[0] - x[0]), gain * (target[1] - x[1]), gain * (target[2] - x[2])]
     if max(abs(u[0]), abs(u[1]), abs(u[2])) < _SQUARE_SAFE:
@@ -305,13 +291,8 @@ def _policy_action(target: list[float], x: list[float], gain: float, alpha: floa
     return u
 
 
-def step_dynamics(x: np.ndarray, u: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """Single-integrator Euler step of a 3-vector position under action u and disturbance w."""
-    return np.array(_step(*(np.asarray(v, dtype=float).tolist() for v in (x, u, w)), dt))
-
-
 def _step(x: list[float], u: list[float], w: list[float], dt: float) -> list[float]:
-    """:func:`step_dynamics` on three floats each: x + (u + w) dt element-wise."""
+    """Single-integrator Euler step on three floats each: x + (u + w) dt element-wise."""
     return [x[0] + (u[0] + w[0]) * dt, x[1] + (u[1] + w[1]) * dt, x[2] + (u[2] + w[2]) * dt]
 
 
@@ -396,7 +377,7 @@ def run_trial(
         dev = 0.0
         if fld is not None:
             try:
-                d, grad = _world_sample(fld, _to_gate(x, estimate).tolist(), estimate.yaw)
+                d, grad = _world_sample(fld, _to_gate(x, estimate).tolist(), estimate.heading)
             except OutOfBoundsError:
                 status = STEP_OFF_MAP
             except InsideObstacleError:

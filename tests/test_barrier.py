@@ -14,7 +14,7 @@ from gatesafe.barrier import (
     eval_barrier_world,
 )
 from gatesafe.field import GridSpec, build_field, inflate_field, sample
-from gatesafe.geometry import GateGeometry, Pose
+from gatesafe.geometry import MAX_LEVEL, GateGeometry, Pose
 from gatesafe.qp import FilterStatus, filter_action
 
 
@@ -193,7 +193,13 @@ def test_safety_params_validation():
         SafetyParams(dw=np.array([0.1, -0.1, 0.1]))
     with pytest.raises(ValueError, match="dv"):
         SafetyParams(dv=np.array([0.1, 0.1]))
-    p = SafetyParams(dw=[0.1, 0.2, 0.3])
+    # Noise bounds are held to the level bound, where squares stay finite.
+    for v in (1e200, math.nextafter(MAX_LEVEL, math.inf)):
+        for name in ("dw", "dv"):
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1e\+150\] m"):
+                SafetyParams(**{name: [0.1, v, 0.1]})
+    assert SafetyParams(dv=np.full(3, MAX_LEVEL)).dv.tolist() == [MAX_LEVEL] * 3
+    p = SafetyParams(dw=[0.1, 0.2, MAX_LEVEL])
     assert isinstance(p.dw, np.ndarray) and p.dw.dtype == float
 
 

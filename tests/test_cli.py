@@ -89,17 +89,40 @@ def test_inflated_map_with_bars_thinner_than_a_cell_is_built(tmp_path):
 
 
 def test_inflation_that_overflows_in_whole_cells_is_config_error_and_writes_nothing(tmp_path, capsys):
-    # 1e308 m over 0.05 m cells overflows; with RuntimeWarnings as errors it must not end in a traceback.
+    # 1e308 m over 0.1 m cells overflows, and so does noise.dv's bound 1e150 m over
+    # 1e-200 m cells; with RuntimeWarnings as errors neither may end in a traceback.
     cfg = tmp_path / "dv.yaml"
-    cfg.write_text("noise: {dv: [1.0e+308, 0, 0]}\n")
-    for argv in (
-        ["build-map", "--out", tmp_path / "m.esdf", "--inflate", "1e308,0,0"],
-        ["run", "--config", cfg, "--tracks", "1", "--levels", "0", "--modes", "filtered_uncertainty",
-         "--out", tmp_path / "r"],
+    cfg.write_text("map: {resolution: 1.0e-200}\nnoise: {dv: [1.0e+150, 0, 0]}\n")
+    for argv, want in (
+        (["build-map", "--out", tmp_path / "m.esdf", "--inflate", "1e308,0,0"],
+         "error: --inflate: eps [1e+308, 0.0, 0.0] overflows when rounded up to whole 0.1 m cells"),
+        (["run", "--config", cfg, "--tracks", "1", "--levels", "0", "--modes", "filtered_uncertainty",
+          "--out", tmp_path / "r"],
+         "error: noise.dv: eps [1e+150, 0.0, 0.0] overflows when rounded up to whole 1e-200 m cells"),
     ):
         assert run_cli(argv) == 1, argv
-        assert "overflows when rounded up to whole 0.1 m cells" in capsys.readouterr().err, argv
+        assert capsys.readouterr().err.strip() == want, argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dv.yaml"]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("noise: {dw: [1.0e+200, 0, 0]}", "noise.dw"), ("noise: {dv: [1.0e+200, 0, 0]}", "noise.dv"),
+     ("policy: {pass_offset: 1.0e+200}", "policy.pass_offset")],
+    ids=["dw", "dv", "pass_offset"],
+)
+def test_length_past_the_level_bound_is_config_error_naming_the_key(tmp_path, capsys, text, key):
+    # At 1e200 the robot's distance to its target squares to inf: refused before any trial.
+    cfg = tmp_path / "far.yaml"
+    cfg.write_text(text + "\n")
+    argv = ["run", "--config", cfg, "--tracks", "1", "--levels", "0", "--modes", "baseline"]
+    assert run_cli([*argv, "--out", tmp_path / "r"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must lie in [0, 1e+150] m")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.yaml"]
+    # The bound itself flies.
+    cfg.write_text(text.replace("1.0e+200", "1.0e+150") + "\nsim: {max_steps: 200}\n")
+    assert run_cli([*argv, "--out", tmp_path / "ok"]) == 0
+    assert (tmp_path / "ok" / "metrics.csv").exists()
 
 
 def test_build_map_rejects_malformed_inflate(tmp_path):

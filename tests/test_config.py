@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 import yaml
 
-from gatesafe.barrier import SafetyParams
+from gatesafe.barrier import SafetyParams, _noise_bounds
 from gatesafe.config import Config, ConfigError, dump_manifest, load_config, parse_config
 from gatesafe.field import DistanceField, _check_map_axis
-from gatesafe.geometry import GateGeometry, _axis_bounds, _positive
+from gatesafe.geometry import GateGeometry, _positive
 from gatesafe.sim import (
     MAX_LEVEL, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, generate_track,
     nominal_policy, run_experiment,
@@ -176,15 +176,15 @@ LIBRARY_RULES = [
     ("safety.R", -1.0, _positive),
     ("safety.gamma", 0.0, _positive),
     ("safety.alpha", math.nan, _positive),
-    ("noise.dw", [0.1, 0.1, -0.1], _axis_bounds),
-    ("noise.dv", [0.25, math.inf, 0.25], _axis_bounds),
+    ("noise.dw", [0.1, 0.1, -0.1], _noise_bounds),
+    ("noise.dv", [0.25, math.inf, 0.25], _noise_bounds),
     ("sim.dt", 1.5, _check_dt),
     ("sim.laps", 0, _check_count),
     ("sim.max_steps", -1, _check_count),
     ("track.num_gates", 0, _check_count),
     ("track.spacing", 0.0, _positive),
     ("policy.gain", -2.0, _positive),
-    ("policy.pass_offset", -0.5, _check_non_negative),
+    ("policy.pass_offset", -0.5, _check_level),
     ("run.levels", [0.0, -1.0], _check_level),  # the rule checks one entry
     ("run.tracks", 0, _check_count),
     ("run.seed_base", -1, _check_non_negative),
@@ -194,7 +194,7 @@ LIBRARY_RULES = [
 @pytest.mark.parametrize("path, value, rule", LIBRARY_RULES, ids=[p for p, _, _ in LIBRARY_RULES])
 def test_out_of_range_value_is_rejected_in_the_words_of_the_library_rule(path, value, rule):
     with pytest.raises(ValueError) as want:
-        rule(value[-1] if rule is _check_level else value, path)
+        rule(value[-1] if path == "run.levels" else value, path)
     assert type(want.value) is ValueError
     section, key = path.split(".")
     with pytest.raises(ConfigError) as got:
@@ -220,6 +220,23 @@ def test_noise_needs_three_components():
         parse_config({"noise": {"dw": [0.1, 0.1]}})
     with pytest.raises(ConfigError, match=r"noise\.dv"):
         parse_config({"noise": {"dv": [0.1, 0.1, -0.1]}})
+
+
+@pytest.mark.parametrize(
+    "path, axis", [("noise.dw", 0), ("noise.dv", 2), ("policy.pass_offset", None)], ids=["dw", "dv", "pass_offset"]
+)
+def test_noise_and_pass_offset_are_held_to_the_level_bound(path, axis):
+    # Past MAX_LEVEL the robot's distance to its target could square to inf.
+    section, key = path.split(".")
+
+    def value(v):  # v on one axis of a noise bound, or the pass_offset itself
+        return v if axis is None else tuple(v if k == axis else 0.1 for k in range(3))
+
+    for v in (1e200, math.nextafter(MAX_LEVEL, math.inf)):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must lie in \[0, 1e\+150\] m"):
+            parse_config({section: {key: value(v)}})
+    cfg = parse_config({section: {key: value(MAX_LEVEL)}})
+    assert getattr(getattr(cfg, section), key) == value(MAX_LEVEL)
 
 
 def test_run_modes_validated():

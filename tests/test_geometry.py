@@ -404,9 +404,21 @@ def test_world_to_gate_is_bit_identical_to_matmul_reference():
         assert world_to_gate(x, pose).tobytes() == want.tobytes()
 
 
+def test_gate_to_world_is_bit_identical_to_matmul_reference():
+    rng = np.random.default_rng(44)
+    for _ in range(10_000):
+        yaw = float(rng.choice([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)]))
+        pose = Pose(position=rng.uniform(-100.0, 100.0, size=3), yaw=yaw)
+        q = rng.normal(scale=float(rng.choice([0.01, 1.0, 30.0])), size=3)
+        c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+        assert pose.heading == (c, s)
+        want = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ q + pose.position
+        assert gate_to_world(q, pose).tobytes() == want.tobytes()
+
+
 def test_pose_is_immutable():
     pose = Pose(position=np.array([1.0, 2.0, 3.0]), yaw=0.5)
-    for name, value in (("position", np.zeros(3)), ("yaw", 0.0), ("to_gate", np.eye(3))):
+    for name, value in (("position", np.zeros(3)), ("yaw", 0.0), ("heading", (1.0, 0.0)), ("to_gate", np.eye(3))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(pose, name, value)
     assert pose.yaw == 0.5 and pose.position.tolist() == [1.0, 2.0, 3.0]

@@ -26,7 +26,6 @@ from gatesafe.sim import (
     nominal_policy,
     run_experiment,
     run_trial,
-    step_dynamics,
     virtual_gate_pose,
 )
 
@@ -134,11 +133,6 @@ def test_nominal_policy_rotated_target():
     est = Pose(position=np.array([2.0, 1.0, 0.0]), yaw=math.pi / 2)
     u = nominal_policy(state, est, gain=1.0, alpha=10.0, pass_offset=1.0)
     assert np.allclose(u, [2.0, 2.0, 0.0], atol=1e-12), "offset must rotate with gate yaw"
-
-
-def test_step_dynamics():
-    x = step_dynamics(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, -1.0]), np.array([0.1, -0.1, 0.0]), 0.02)
-    assert np.allclose(x, [1.022, 1.998, 2.98])
 
 
 def test_trial_difficulty_zero_filtered_full_success(default_env):
@@ -288,7 +282,7 @@ def test_trial_without_inflated_field(default_env):
 @pytest.mark.parametrize(
     "knob, value",
     [("gain", math.nan), ("gain", math.inf), ("gain", 0.0),
-     ("pass_offset", math.nan), ("pass_offset", math.inf), ("pass_offset", -0.5),
+     ("pass_offset", math.nan), ("pass_offset", math.inf), ("pass_offset", -0.5), ("pass_offset", 1e200),
      ("dt", 0.0), ("dt", 1.0), ("max_steps", 0)],
 )
 def test_sim_env_rejects_knobs_the_config_rejects(default_env, knob, value):
@@ -310,6 +304,18 @@ def test_the_largest_level_flies_every_mode_without_overflow(default_env):
         for mode in MODES:
             r = run_trial(default_env, track, mode, seed=5)
             assert r.steps > 0 and math.isfinite(r.min_distance)
+
+
+def test_noise_and_pass_offset_at_the_level_bound_fly_without_overflow(default_env):
+    # pytest turns a RuntimeWarning (an overflowing square) into an error.
+    env = SimEnv(gate=default_env.gate, nominal_field=default_env.nominal_field, inflated_field=None,
+                 params=SafetyParams(dw=np.full(3, MAX_LEVEL), dv=np.full(3, MAX_LEVEL)),
+                 max_steps=1000, pass_offset=MAX_LEVEL)
+    for track in (generate_track(difficulty=0.0, seed=0), generate_track(difficulty=MAX_LEVEL, seed=3)):
+        for mode in ("baseline", "filtered"):
+            r = run_trial(env, track, mode, seed=5)
+            assert r.steps > 0 and math.isfinite(r.min_distance)
+            assert np.all(np.isfinite(r.log.x)) and np.abs(r.log.x).max() > 1e149
 
 
 def test_sim_env_accepts_zero_pass_offset(default_env):
@@ -464,23 +470,25 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     if spawn is None:
         spawn = track.gate_poses[0].position - np.array([track.spacing, 0.0, 0.0])
     rng = np.random.default_rng(seed)
-    state = SimState(x=np.asarray(spawn, dtype=float).copy())
+    x = np.asarray(spawn, dtype=float).copy()
+    t = 0.0
+    gate_index = gates_passed = 0
     total = track.total_gates
     rows = {k: [] for k in ("t", "x", "q", "h", "status", "deviation")}
     pose = virtual_gate_pose(track, 0)
-    q = world_to_gate(state.x, pose)
+    q = world_to_gate(x, pose)
     estimate = Pose(position=pose.position + rng.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
     prev_pose = None
     exit_window = env.gate.half_depth + (params.alpha + float(np.max(params.dw))) * env.dt * 2.0
     safe = True
     hit_previous = False
     steps = 0
-    while steps < env.max_steps and state.gate_index < total:
-        u = nominal_policy(state, estimate, env.gain, params.alpha, env.pass_offset)
+    while steps < env.max_steps and gate_index < total:
+        u = nominal_policy(SimState(x=x), estimate, env.gain, params.alpha, env.pass_offset)
         status, h_val, dev = STEP_UNCHANGED, math.nan, 0.0
         if fld is not None:
             try:
-                ev = eval_barrier_world(fld, state.x, estimate, params)
+                ev = eval_barrier_world(fld, x, estimate, params)
             except OutOfBoundsError:
                 status = STEP_OFF_MAP
             except InsideObstacleError:
@@ -490,14 +498,14 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
                 dec = filter_action(u, assemble_constraint(ev, params), params)
                 u, dev, status = dec.u_star, dec.deviation, FILTER_STATUS_ORDER.index(dec.status)
         w = rng.uniform(-1.0, 1.0, size=3) * params.dw
-        x_new = step_dynamics(state.x, u, w, env.dt)
-        for k, v in zip(rows, (state.t, state.x, q, h_val, status, dev)):
+        x_new = x + (u + w) * env.dt
+        for k, v in zip(rows, (t, x, q, h_val, status, dev)):
             rows[k].append(v)
         steps += 1
         q_new = world_to_gate(x_new, pose)
         hit = segment_hits_frame(q, q_new, env.gate)
         if not hit and prev_pose is not None:
-            qp0 = world_to_gate(state.x, prev_pose)
+            qp0 = world_to_gate(x, prev_pose)
             if qp0[0] <= exit_window:
                 hit = hit_previous = segment_hits_frame(qp0, world_to_gate(x_new, prev_pose), env.gate)
             else:
@@ -509,19 +517,19 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
             frac = -q[0] / (q_new[0] - q[0])
             cross = q + frac * (q_new - q)
             if max(abs(cross[1]), abs(cross[2])) < env.gate.inner_half - PASS_MARGIN:
-                state.gates_passed += 1
+                gates_passed += 1
             prev_pose = pose
-            state.gate_index += 1
-            if state.gate_index < total:
-                pose = virtual_gate_pose(track, state.gate_index)
+            gate_index += 1
+            if gate_index < total:
+                pose = virtual_gate_pose(track, gate_index)
                 q_new = world_to_gate(x_new, pose)
                 estimate = Pose(position=pose.position + rng.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
-        state.x = x_new
-        state.t += env.dt
+        x = x_new
+        t += env.dt
         q = q_new
     if safe:
         rows["q"].append(q)
-    return safe, state.gates_passed, state.gate_index, hit_previous, {k: np.array(v) for k, v in rows.items()}
+    return safe, gates_passed, gate_index, hit_previous, {k: np.array(v) for k, v in rows.items()}
 
 
 def _env(default_env, params: SafetyParams, max_steps: int = 150) -> SimEnv:

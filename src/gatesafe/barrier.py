@@ -90,7 +90,8 @@ def eval_barrier_world(
     on world-frame actions; ``Pose()`` makes the world frame the gate frame.
     Propagates the field's out-of-bounds / inside-obstacle errors.
     """
-    d, grad = _world_sample(f, _to_gate(_finite_point(x_world)[1], gate_pose).tolist(), gate_pose.heading)
+    x = _finite_point(x_world)[1]
+    d, grad = _world_sample(f, _to_gate(x, gate_pose.heading, gate_pose.position.tolist()), gate_pose.heading)
     return BarrierEval(d=d, grad=np.array(grad), h=_barrier_value(d, params))
 
 
@@ -102,21 +103,28 @@ def _world_sample(f: DistanceField, q: list[float], heading: tuple[float, float]
     return d, [c * gx - s * gy, s * gx + c * gy, gz]
 
 
-def _constraint(d, grad: np.ndarray, h, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
-    """The robust constraint's (a, b) for one sample or for N rows.
+def _constraint(d, grad, h, gamma: float, dw) -> tuple[list, object]:
+    """The robust constraint's a, as three components, and b, for one sample or N rows.
 
-    One sample takes floats d and h with grad of shape (3,); N rows take (N,)
-    arrays with grad (N, 3), where ``.dot`` equals ``@`` bit for bit (einsum does not).
+    With k = 2d::
+
+        a = (k gx, k gy, k gz),   b = -gamma h + k (|gx| dwx + |gy| dwy + |gz| dwz)
+
+    written per component, the sum left to right. One sample takes floats d
+    and h and three float gradient components; N rows take (N,) arrays for
+    each. ``dw`` is three floats. Every operation is element-wise, so a
+    sample and a row holding the same values give the same bits.
     """
-    a = ((2.0 * d) * grad.T).T
-    b = -params.gamma * h + 2.0 * d * np.abs(grad).dot(params.dw)
-    return a, b
+    gx, gy, gz = grad
+    k = 2.0 * d
+    return [k * gx, k * gy, k * gz], -gamma * h + k * (abs(gx) * dw[0] + abs(gy) * dw[1] + abs(gz) * dw[2])
 
 
 def assemble_constraint(ev: BarrierEval, params: SafetyParams) -> BarrierConstraint:
     """Build the disturbance-robust linear constraint from a barrier sample."""
-    a, b = _constraint(ev.d, ev.grad, ev.h, params)
-    return BarrierConstraint(a=a, b=float(b))
+    grad = np.asarray(ev.grad, dtype=float).tolist()
+    a, b = _constraint(float(ev.d), grad, float(ev.h), params.gamma, params.dw.tolist())
+    return BarrierConstraint(a=np.array(a), b=b)
 
 
 def admissible(u: np.ndarray, con: BarrierConstraint, params: SafetyParams) -> bool:

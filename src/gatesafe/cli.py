@@ -29,6 +29,7 @@ from .config import Config, dump_manifest, load_config, parse_config
 from .field import (
     DistanceField,
     MapFormatError,
+    _check_extent,
     build_field,
     inflate_field,
     load_field,
@@ -79,13 +80,20 @@ def _fmt_vec(v) -> str:
 
 
 def _build_maps(cfg: Config, inflation, name: str) -> tuple[DistanceField, DistanceField | None]:
-    """The nominal map and, given an inflation (``name`` in errors), the map inflated by it in whole cells."""
+    """The nominal map and, given an inflation (``name`` in errors), the map inflated by it in whole cells.
+
+    A grid too small for the margins is refused naming the ``map`` axis and the
+    margins' sources (``safety.R``, and ``name``), before anything is built.
+    """
     spec = cfg.grid_spec()
     try:
         quantized = None if inflation is None else quantize_inflation(inflation, spec.resolution)
     except ValueError as exc:  # the rounded inflation overflows
         raise ValueError(f"{name}: {exc}") from None
-    nominal = build_field(cfg.gate(), spec, safety_radius=cfg.safety.R, inflation=quantized)
+    gate = cfg.gate()
+    margins = "safety.R" if quantized is None else f"safety.R and {name}"
+    _check_extent(gate, spec, cfg.safety.R, quantized, "map.{}", margins)
+    nominal = build_field(gate, spec, safety_radius=cfg.safety.R, inflation=quantized)
     return nominal, None if quantized is None else inflate_field(nominal, quantized)
 
 

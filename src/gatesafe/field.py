@@ -112,6 +112,10 @@ class DistanceField:
     first time a query touches the block, and kept. Each block runs
     :func:`_node_gradients` on its nodes plus a one-node halo, so every
     gradient is bit-identical to a whole-grid derivation.
+
+    The grid's lookup constants are taken once, on construction: the origin
+    as three floats for :func:`sample`, and the bounds, strides and corner
+    offsets of :func:`sample_batch` as arrays.
     """
 
     spec: GridSpec
@@ -121,6 +125,8 @@ class DistanceField:
     _grads: np.ndarray = field(init=False, repr=False, compare=False)
     _blocks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     _done: bytearray = field(init=False, repr=False, compare=False)  # one flag per block, x-major
+    _origin: list[float] = field(init=False, repr=False, compare=False)
+    _batch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.inflated_by = np.asarray(self.inflated_by, dtype=float)
@@ -130,6 +136,18 @@ class DistanceField:
         self._grads = np.zeros(self.spec.dims + (3,), dtype=np.float32)
         self._blocks = tuple(-(-(n - 1) // _GRAD_BLOCK) for n in self.spec.dims)
         self._done = bytearray(math.prod(self._blocks))
+        self._origin = self.spec.origin.tolist()
+        nx, ny, nz = self.spec.dims
+        _, by, bz = self._blocks
+        sx = ny * nz
+        self._batch = (
+            np.array((nx - 1 + _EDGE_CELLS, ny - 1 + _EDGE_CELLS, nz - 1 + _EDGE_CELLS)),  # in-bounds limit
+            np.array((nx - 1, ny - 1, nz - 1), dtype=float),  # last node
+            np.array((nx - 2, ny - 2, nz - 2), dtype=float),  # last cell
+            np.array((by * bz, bz, 1), dtype=np.intp),  # block strides
+            np.array((sx, nz, 1), dtype=np.intp),  # node strides
+            np.array((0, 1, nz, nz + 1, sx, sx + 1, sx + nz, sx + nz + 1), dtype=np.intp)[:, None],  # corner offsets
+        )
 
     @property
     def gradients(self) -> np.ndarray:
@@ -166,6 +184,32 @@ def _check_map_axis(ends, name: str) -> None:
         )
 
 
+def _check_extent(
+    gate: GateGeometry,
+    spec: GridSpec,
+    safety_radius: float,
+    inflation: np.ndarray | None,
+    axis: str = "grid extent on axis '{}'",
+    margins: str = "margins",
+) -> None:
+    """:func:`build_field`'s rule on the grid extent, per axis in x, y, z order.
+
+    Errors name axis k as ``axis.format(k's letter)`` and the margins as
+    ``margins``, so a caller can name them in its own terms.
+    """
+    infl = np.zeros(3) if inflation is None else _axis_bounds(inflation, "inflation")
+    required = np.array([gate.half_depth, gate.outer_half, gate.outer_half])
+    required = required + _axis_bounds(np.full(3, safety_radius), "safety_radius") + infl
+    for k, letter in enumerate("xyz"):
+        lo, hi = spec.origin[k], spec.max_corner[k]
+        _check_map_axis((lo, hi), axis.format(letter))
+        if lo > -required[k] or hi < required[k]:
+            raise ValueError(
+                f"{axis.format(letter)} [{lo:g}, {hi:g}] does not cover the gate "
+                f"plus {margins} (need at least [-{required[k]:g}, {required[k]:g}])"
+            )
+
+
 def build_field(
     gate: GateGeometry,
     spec: GridSpec,
@@ -185,18 +229,7 @@ def build_field(
     side, and lie within ``MAP_BOUND`` of the origin; otherwise a
     ``ValueError`` names the offending axis.
     """
-    infl = np.zeros(3) if inflation is None else _axis_bounds(inflation, "inflation")
-    required = np.array([gate.half_depth, gate.outer_half, gate.outer_half])
-    required = required + _axis_bounds(np.full(3, safety_radius), "safety_radius") + infl
-    for k, name in enumerate("xyz"):
-        lo, hi = spec.origin[k], spec.max_corner[k]
-        _check_map_axis((lo, hi), f"grid extent on axis '{name}'")
-        if lo > -required[k] or hi < required[k]:
-            raise ValueError(
-                f"grid extent on axis '{name}' [{lo:g}, {hi:g}] does not cover the gate "
-                f"plus margins (need at least [-{required[k]:g}, {required[k]:g}])"
-            )
-
+    _check_extent(gate, spec, safety_radius, inflation)
     values = _clearance(spec.node_axes(), gate).astype(np.float32)
     return DistanceField(spec=spec, values=values, gate=gate)
 
@@ -281,7 +314,7 @@ def _sample(f: DistanceField, q, qx: float, qy: float, qz: float) -> tuple[float
 
     ``q`` is the point as the caller holds it, named in the errors.
     """
-    ox, oy, oz = f.spec.origin.tolist()
+    ox, oy, oz = f._origin
     nx, ny, nz = f.spec.dims
     res = f.spec.resolution
     # Grid coordinates, checked per axis in x, y, z order; a NaN fails the
@@ -370,22 +403,20 @@ def sample_batch(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One block of :func:`sample_batch`: a (4, N) value-and-gradient array and status."""
     n = pts.shape[0]
-    nx, ny, nz = f.spec.dims
+    hi, last_node, last_cell, block_strides, node_strides, corners = f._batch
     # A coordinate far outside the grid may overflow to inf; it is out of bounds.
     with np.errstate(over="ignore"):
         rel = (pts - f.spec.origin) / f.spec.resolution
     # A non-finite coordinate fails both comparisons, so its row is out of bounds.
-    hi = (nx - 1 + _EDGE_CELLS, ny - 1 + _EDGE_CELLS, nz - 1 + _EDGE_CELLS)
     inside = np.logical_and.reduce((rel >= -_EDGE_CELLS) & (rel <= hi), axis=1)
     # Clamping to the node range keeps each in-bounds row's cell and leaves its
     # fraction in [0, 1]; fmax/fmin also map NaN to a node, so the cast and
     # gather below are safe.
-    np.fmin(np.fmax(rel, 0.0, out=rel), (nx - 1, ny - 1, nz - 1), out=rel)
-    cell = np.fmin(np.floor(rel), (nx - 2, ny - 2, nz - 2))
+    np.fmin(np.fmax(rel, 0.0, out=rel), last_node, out=rel)
+    cell = np.fmin(np.floor(rel), last_cell)
     frac = rel - cell
     cell = cell.astype(np.intp)
-    _, by, bz = f._blocks
-    blocks = ((cell // _GRAD_BLOCK) @ (by * bz, bz, 1))[inside]  # rows out of bounds read no gradients
+    blocks = ((cell // _GRAD_BLOCK) @ block_strides)[inside]  # rows out of bounds read no gradients
     if not np.frombuffer(f._done, dtype=np.uint8)[blocks].all():
         f._derive(blocks)
 
@@ -393,9 +424,7 @@ def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     # holds corner k's value and gradient components of every point. A
     # leading-axis reduce over it adds the corners one by one, while a lone
     # (8,) column (N = 1) would be summed pairwise.
-    sx = ny * nz
-    corners = np.array((0, 1, nz, nz + 1, sx, sx + 1, sx + nz, sx + nz + 1))[:, None]
-    flat = cell @ (sx, nz, 1) + corners
+    flat = cell @ node_strides + corners
     vg = np.empty((8, 4, n))
     vg[:, 0] = np.take(f.values, flat)
     in_obs = np.minimum.reduce(vg[:, 0], axis=0) == INSIDE_SENTINEL

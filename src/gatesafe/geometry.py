@@ -97,15 +97,13 @@ class Pose:
 
     Yaw is rotation about world +z and is normalized to (-pi, pi] on
     construction, which also copies the position and takes the heading
-    (cos yaw, sin yaw) once: the world-to-gate rotation ``to_gate`` is built
-    from it, and every other use of the gate's orientation reads it. Gates
-    never pitch or roll.
+    (cos yaw, sin yaw) once: every use of the gate's orientation reads it.
+    Gates never pitch or roll.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
     heading: tuple[float, float] = field(init=False, repr=False, compare=False)
-    to_gate: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         position = np.array(self.position, dtype=float)
@@ -117,22 +115,19 @@ class Pose:
         if yaw <= -math.pi:  # remainder can return exactly -pi
             yaw = math.pi
         object.__setattr__(self, "position", position)
-        c, s = math.cos(yaw), math.sin(yaw)
         object.__setattr__(self, "yaw", yaw)
-        object.__setattr__(self, "heading", (c, s))
-        object.__setattr__(self, "to_gate", np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]))
+        object.__setattr__(self, "heading", (math.cos(yaw), math.sin(yaw)))
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float vector, bit for bit float(np.linalg.norm(v)).
+def _norm(v) -> float:
+    """Euclidean norm of a 3-vector given as three floats: ``sqrt((x*x + y*y) + z*z)``.
 
-    This is numpy's own formula, sqrt of the dot product of the raveled
-    vector, minus its wrapper overhead. It is not a Python-float sum of
-    squares: the dot product runs in BLAS, whose kernels may fuse
-    multiply-adds, so summing the squares in Python can move the last bit.
+    The squares are summed left to right in Python floats and ``math.sqrt``
+    takes the root, so the bits depend on no BLAS kernel. A square past the
+    largest float is inf, without a warning, and so is the norm.
     """
-    v = v.ravel()
-    return math.sqrt(v.dot(v))
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def _finite_point(q) -> tuple[np.ndarray, list[float]]:
@@ -247,23 +242,28 @@ def _clearance(cols, gate: GateGeometry, grow=0.0) -> np.ndarray:
 
 def world_to_gate(x: np.ndarray, pose: Pose) -> np.ndarray:
     """Map a world point into the gate's local frame."""
-    return _to_gate(_finite_point(x)[1], pose)
+    return np.array(_to_gate(_finite_point(x)[1], pose.heading, pose.position.tolist()))
 
 
-def _to_gate(x: list[float], pose: Pose) -> np.ndarray:
-    """:func:`world_to_gate` of a finite point given as three floats.
+def _to_gate(x: list[float], heading: tuple[float, float], position: list[float]) -> list[float]:
+    """:func:`world_to_gate` of a finite point, for a gate with this ``Pose.heading``
+    and position, all as Python floats; returns three floats.
 
-    The offset from the gate is taken element-wise on floats; the rotation
-    stays ``to_gate.dot``, whose BLAS kernel sets the bits.
+    With (c, s) the heading and (dx, dy, dz) the offset from the gate, the
+    gate-frame point is ``[c*dx + s*dy, c*dy - s*dx, dz]``.
     """
-    px, py, pz = pose.position.tolist()
-    return pose.to_gate.dot(np.array([x[0] - px, x[1] - py, x[2] - pz]))
+    c, s = heading
+    dx, dy = x[0] - position[0], x[1] - position[1]
+    return [c * dx + s * dy, c * dy - s * dx, x[2] - position[2]]
 
 
 def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
-    """Map a gate-frame point back to world coordinates."""
+    """Map a gate-frame point back to world coordinates: the inverse rotation of
+    :func:`world_to_gate`, ``[c*qx - s*qy, s*qx + c*qy, qz]``, plus the gate's position."""
     c, s = pose.heading
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ _finite_point(q)[0] + pose.position
+    qx, qy, qz = _finite_point(q)[1]
+    px, py, pz = pose.position.tolist()
+    return np.array([(c * qx - s * qy) + px, (s * qx + c * qy) + py, qz + pz])
 
 
 def _slab_hit(p0, d, lo, hi) -> bool:

@@ -17,6 +17,11 @@ Cases:
 - a = 0 degenerates: b <= 0 means every direction is admissible (keep the
   action, clipped to the ball); b > 0 means no direction helps at all.
 
+A projection of an action that is admissible within ``ADMISSIBLE_TOL`` (an
+ulp past the norm bound, say) is still made, but reported as unchanged.
+Every dot product and norm is a left-to-right float sum, so a decision's
+bits depend on no BLAS kernel, and both kernels give the same ones.
+
 verify_kkt independently certifies a decision through stationarity, primal
 feasibility, dual nonnegativity, and complementary slackness.
 """
@@ -28,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import BarrierConstraint, SafetyParams, _barrier_value, _constraint
+from .barrier import ADMISSIBLE_TOL, BarrierConstraint, SafetyParams, _barrier_value, _constraint
 from .field import _EDGE_CELLS, SAMPLE_OK, DistanceField, GridSpec, sample_batch
 from .geometry import _norm, _points, _positive
 
@@ -65,58 +70,71 @@ class FilterDecision:
 
 def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParams) -> FilterDecision:
     """Project a nominal action into the admissible set with minimal deviation."""
-    u_nom = np.asarray(u_nom, dtype=float)
-    u, code, margin, deviation = _project(u_nom, np.asarray(con.a, dtype=float), float(con.b), float(params.alpha))
-    return FilterDecision(u.copy() if u is u_nom else u, FILTER_STATUS_ORDER[code], margin, deviation)
+    u, a = np.asarray(u_nom, dtype=float), np.asarray(con.a, dtype=float)
+    if u.shape != (3,) or a.shape != (3,):
+        raise ValueError(f"expected 3-vectors u_nom and a, got shapes {u.shape} and {a.shape}")
+    u_star, code, margin, deviation = _project(u.tolist(), a.tolist(), float(con.b), float(params.alpha))
+    return FilterDecision(np.array(u_star), FILTER_STATUS_ORDER[code], margin, deviation)
 
 
-def _project(ua: np.ndarray, aa: np.ndarray, b: float, alpha: float) -> tuple[np.ndarray, int, float, float]:
-    """:func:`filter_action` on 3-vectors u_nom and a: (u_star, status code, margin, deviation).
+def _project(u: list[float], a: list[float], b: float, alpha: float) -> tuple[list[float], int, float, float]:
+    """:func:`filter_action` on u_nom and a given as three floats each:
+    (u_star as three floats, status code, margin, deviation).
 
-    u_star is ``ua`` itself where the nominal action is kept. Element-wise
-    steps run on Python floats; every dot product and norm runs on arrays in
-    BLAS ``dot``, whose kernel sets the bits (see ``_norm``).
+    u_star is ``u`` itself where the nominal action is kept. Every dot
+    product and norm is a left-to-right sum of float products with its root
+    taken by ``math.sqrt`` (:func:`_dot`, ``geometry._norm``), so the bits
+    depend on no BLAS kernel; :func:`filter_action_batch` takes the same sums
+    row by row and gives the same bits.
+
+    A solvable instance whose u_nom is admissible within ``ADMISSIBLE_TOL``
+    (``barrier.admissible``'s rule) but not exactly is reported unchanged:
+    u_star, margin and deviation are still the projection's, a move of the
+    order of an ulp, as when ``nominal_policy`` clips |u| to alpha by an ulp
+    past it.
     """
-    na2 = float(aa.dot(aa))
+    na2 = _dot(a, a)
     if na2 <= _DEGENERATE_NORM:
-        nu = _norm(ua)
+        nu = _norm(u)
         if b <= 0.0:
             if nu <= alpha:
-                return ua, _DEGENERATE, -b, 0.0
-            u = ua.tolist()
+                return u, _DEGENERATE, -b, 0.0
             clip = _scaled(u, alpha / nu)
-            return np.array(clip), _DEGENERATE, -b, _distance(u, clip)
-        return np.zeros(3), _FALLBACK, -b, nu
+            return clip, _DEGENERATE, -b, _distance(u, clip)
+        return [0.0, 0.0, 0.0], _FALLBACK, -b, nu
 
     na = math.sqrt(na2)
     if alpha * na < b:
-        v = _scaled(aa.tolist(), alpha / na)
-        return np.array(v), _FALLBACK, alpha * na - b, _distance(ua.tolist(), v)
+        v = _scaled(a, alpha / na)
+        return v, _FALLBACK, alpha * na - b, _distance(u, v)
 
-    au = float(aa.dot(ua))
-    nu = _norm(ua)
+    au = _dot(a, u)
+    nu = _norm(u)
     if au >= b and nu <= alpha:
-        return ua, _UNCHANGED, au - b, 0.0
+        return u, _UNCHANGED, au - b, 0.0
+    code = _UNCHANGED if au >= b - ADMISSIBLE_TOL and nu <= alpha + ADMISSIBLE_TOL else _PROJECTED
 
-    u, a = ua.tolist(), aa.tolist()
     if au < b:
         # Halfspace violated: the plane foot, kept when it lies in the ball.
         lam = (b - au) / na2
         foot = [u[0] + lam * a[0], u[1] + lam * a[1], u[2] + lam * a[2]]
-        fa = np.array(foot)
-        if _norm(fa) <= alpha * (1.0 + 1e-12):
-            return fa, _PROJECTED, float(aa.dot(fa)) - b, _distance(u, foot)
+        if _norm(foot) <= alpha * (1.0 + 1e-12):
+            return foot, code, _dot(a, foot) - b, _distance(u, foot)
     if nu > alpha:
         # Ball violated: the clip onto the sphere, kept when the halfspace still
         # holds (a projection onto one set landing in the other is optimal).
         clip = _scaled(u, alpha / nu)
-        ca = np.array(clip)
-        margin = float(aa.dot(ca)) - b
+        margin = _dot(a, clip) - b
         if margin >= -1e-12 * max(1.0, abs(b)):
-            return ca, _PROJECTED, margin, _distance(u, clip)
+            return clip, code, margin, _distance(u, clip)
     # Both single-set projections failed, so both boundaries are active.
-    va = _circle_rows(ua[None, :], aa[None, :], np.array([b]), alpha, np.array([na2]))[0]
-    return va, _PROJECTED, float(aa.dot(va)) - b, _distance(u, va.tolist())
+    v = _circle_rows(np.array([u]), np.array([a]), np.array([b]), alpha, np.array([na2]))[0].tolist()
+    return v, code, _dot(a, v) - b, _distance(u, v)
+
+
+def _dot(a: list[float], v: list[float]) -> float:
+    """a . v for three-float vectors, summed left to right."""
+    return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
 
 
 def _scaled(v: list[float], k: float) -> list[float]:
@@ -125,8 +143,18 @@ def _scaled(v: list[float], k: float) -> list[float]:
 
 
 def _distance(u: list[float], v: list[float]) -> float:
-    """|u - v| for three-float vectors, bit for bit ``_norm(u - v)`` on arrays."""
-    return _norm(np.array([u[0] - v[0], u[1] - v[1], u[2] - v[2]]))
+    """|u - v| for three-float vectors."""
+    return _norm((u[0] - v[0], u[1] - v[1], u[2] - v[2]))
+
+
+def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, 3) arrays, each summed left to right like :func:`_dot`."""
+    return np.add.reduce(X * Y, axis=1)
+
+
+def _row_norm(X: np.ndarray) -> np.ndarray:
+    """Row-wise norms of an (N, 3) array, the bits of ``geometry._norm`` per row."""
+    return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
 def filter_action_batch(
@@ -135,11 +163,13 @@ def filter_action_batch(
     """Vectorized :func:`filter_action` over N independent instances.
 
     Returns (u_star (N,3), status codes (N,), margins (N,), deviations (N,)).
-    Status codes index into FILTER_STATUS_ORDER. Both paths run the same case
-    analysis and circle step, but this one reduces with ``np.linalg.norm`` and
-    ``einsum``, not BLAS ``dot``, so a row near a case boundary (``|u| =
-    alpha``, ``a.u = b``) may get another status than in :func:`filter_action`.
-    Rows in the same case agree to rounding.
+    Status codes index into FILTER_STATUS_ORDER. Each row gets the bits
+    :func:`filter_action` gives it, status included: both paths run the same
+    case analysis and circle step, sum every row's products left to right
+    (``np.add.reduce`` along a row of three adds them in order, as the
+    scalar path does), take a fallback's margin as ``alpha |a| - b`` and a
+    degenerate row's as ``-b``, and report a solvable row that is admissible
+    within ``ADMISSIBLE_TOL`` as unchanged.
 
     Each row takes the first case that applies: degenerate (``|a|^2 <=
     1e-300``), infeasible (``alpha |a| < b``), unchanged, plane foot (``a.u <
@@ -156,10 +186,10 @@ def filter_action_batch(
     if A.shape != U.shape or B.shape != U.shape[:1]:
         raise ValueError(f"expected A of shape {U.shape} and B of shape {U.shape[:1]}, got {A.shape}, {B.shape}")
 
-    na2 = np.einsum("ij,ij->i", A, A)
+    na2 = _row_dot(A, A)
     na = np.sqrt(na2)
-    nu = np.linalg.norm(U, axis=1)
-    au = np.einsum("ij,ij->i", A, U)
+    nu = _row_norm(U)
+    au = _row_dot(A, U)
 
     degenerate = na2 <= _DEGENERATE_NORM
     infeasible = ~degenerate & (alpha * na < B)
@@ -171,33 +201,36 @@ def filter_action_batch(
     # that do not take it get lam = 0, so no row divides by zero or overflows.
     lam = np.where(half, B - au, 0.0) / np.where(degenerate, 1.0, na2)
     foot = U + lam[:, None] * A
-    use_foot = half & (np.linalg.norm(foot, axis=1) <= alpha * (1.0 + 1e-12))
+    use_foot = half & (_row_norm(foot) <= alpha * (1.0 + 1e-12))
     # Ball violated: the clip onto the sphere, kept when the halfspace still
     # holds. Rows inside the ball scale by alpha / alpha = 1 and stay U bit for
     # bit, which is also the unchanged and the degenerate-safe result.
     clip = U * (alpha / np.maximum(nu, alpha))[:, None]
-    clip_ok = (nu > alpha) & (np.einsum("ij,ij->i", A, clip) - B >= -1e-12 * np.maximum(1.0, np.abs(B)))
+    clip_ok = (nu > alpha) & (_row_dot(A, clip) - B >= -1e-12 * np.maximum(1.0, np.abs(B)))
 
     out = np.where(use_foot[:, None], foot, clip)
-    status = np.where(ok, np.int8(_UNCHANGED), np.int8(_PROJECTED))
+    admissible = (au >= B - ADMISSIBLE_TOL) & (nu <= alpha + ADMISSIBLE_TOL)
+    status = np.where(admissible, np.int8(_UNCHANGED), np.int8(_PROJECTED))
 
     # Both boundaries active.
     circle = solvable & ~(ok | use_foot | clip_ok)
     if circle.any():
         out[circle] = _circle_rows(U[circle], A[circle], B[circle], alpha, na2[circle])
+    margins = _row_dot(A, out) - B
     # Infeasible: best-effort along a.
     if infeasible.any():
         out[infeasible] = A[infeasible] * (alpha / na[infeasible])[:, None]
         status[infeasible] = _FALLBACK
+        margins[infeasible] = alpha * na[infeasible] - B[infeasible]
     # Degenerate: b <= 0 keeps the clip to the ball; b > 0 gives no direction.
     if degenerate.any():
         stuck = degenerate & (B > 0.0)
         out[stuck] = 0.0
         status[degenerate] = _DEGENERATE
         status[stuck] = _FALLBACK
+        margins[degenerate] = -B[degenerate]
 
-    margins = np.einsum("ij,ij->i", A, out) - B
-    deviations = np.linalg.norm(U - out, axis=1)
+    deviations = _row_norm(U - out)
     return out, status, margins, deviations
 
 
@@ -206,11 +239,12 @@ def _circle_rows(U, A, B, alpha, na2) -> np.ndarray:
 
     With c0 = (b/|a|^2) a the circle's centre and perp the component of u
     orthogonal to a, the nearest circle point is c0 + r perp/|perp| with
-    r = sqrt(alpha^2 - b^2/|a|^2).
+    r = sqrt(alpha^2 - b^2/|a|^2). Row sums run left to right, as in
+    :func:`_project`, so a row gets the same bits alone or in a batch.
     """
     c0 = A * (B / na2)[:, None]
-    perp = U - A * (np.einsum("ij,ij->i", A, U) / na2)[:, None]
-    pn = np.linalg.norm(perp, axis=1)
+    perp = U - A * (_row_dot(A, U) / na2)[:, None]
+    pn = _row_norm(perp)
     r = np.sqrt(np.maximum(alpha * alpha - B * B / na2, 0.0))
     # Deterministic orthogonal direction for nominal actions parallel to a.
     par = pn < 1e-12
@@ -219,7 +253,7 @@ def _circle_rows(U, A, B, alpha, na2) -> np.ndarray:
         e = np.zeros_like(ap)
         e[np.arange(ap.shape[0]), np.argmin(np.abs(ap), axis=1)] = 1.0
         alt = np.cross(ap, e)
-        alt /= np.linalg.norm(alt, axis=1)[:, None]
+        alt /= _row_norm(alt)[:, None]
         perp[par] = alt
         pn[par] = 1.0
     return c0 + perp * (r / pn)[:, None]
@@ -284,7 +318,7 @@ def _nnls_residual(M: np.ndarray, rhs: np.ndarray) -> float:
             m = M[:, cols[0]]
             mm = float(m.dot(m))
             x = max(float(m.dot(rhs)), 0.0) / mm if mm > 0.0 else 0.0
-            r = _norm(m * x - rhs)
+            r = _norm((m * x - rhs).tolist())
         else:
             sub = M[:, cols]
             x = np.linalg.lstsq(sub, rhs, rcond=None)[0]
@@ -378,8 +412,8 @@ def safest_action_field(
     dirs[:, au] = np.cos(theta)
     dirs[:, av] = np.sin(theta)
 
-    a, b = _constraint(d, grad, _barrier_value(d, params), params)
-    margins = speed * (a @ dirs.T) - b[:, None]
+    a, b = _constraint(d, grad.T, _barrier_value(d, params), params.gamma, params.dw.tolist())
+    margins = speed * (np.array(a).T @ dirs.T) - b[:, None]
     margins[~valid] = -np.inf
     best = np.argmax(margins, axis=1)
     best_margin = margins[np.arange(flat.shape[0]), best]

@@ -31,13 +31,12 @@ The trial loop keeps its state, actions and gate-frame points as Python
 floats, made once per step, and calls the private float cores behind the
 public functions (``geometry._to_gate`` and ``_segment_hits``,
 ``barrier._world_sample`` and ``_constraint``, ``qp._project``), so a
-trial gives the same bits as the public calls step by step. Element-wise
-steps (the dynamics, the noise, the policy action and the crossing
-interpolation) are float arithmetic with the bits of the array operations
-they replace. A numpy call is kept only where BLAS sets the bits: a 3-element
-``dot`` may fuse multiply-adds, so the policy norm, the QP's a.a, a.u and
-norms, the constraint's |grad|.dw and the world-to-gate rotations stay
-``ndarray.dot``.
+trial gives the same bits as the public calls step by step. Every step is
+plain float arithmetic: the dynamics, the noise, the policy action, the
+crossing interpolation, and also every dot product, norm and rotation, whose
+sums run left to right with ``math.sqrt`` taking the roots. No BLAS kernel
+sets a bit, so a run's outputs do not depend on the BLAS build or the CPU it
+picks; the only numpy calls per step are the field's two cell slices.
 """
 from __future__ import annotations
 
@@ -240,11 +239,6 @@ def _uniform_rows(rng: np.random.Generator):
         yield from rng.uniform(-1.0, 1.0, size=(1024, 3)).tolist()
 
 
-# Below this magnitude a float's square is finite, and so is a sum of three
-# such squares (3 * 2**1020 < 2**1024), fused multiply-adds or not.
-_SQUARE_SAFE = 2.0**510
-
-
 def nominal_policy(state: SimState, estimate: Pose, gain: float, alpha: float, pass_offset: float) -> np.ndarray:
     """Proportional pursuit of a point pass_offset beyond the estimated gate.
 
@@ -269,23 +263,18 @@ def _policy_target(estimate: Pose, pass_offset: float) -> list[float]:
 def _policy_action(target: list[float], x: list[float], gain: float, alpha: float) -> list[float]:
     """:func:`nominal_policy`'s action at position x, all as three floats.
 
-    u = gain * (target - x) element-wise, clipped to norm alpha; the norm is
-    BLAS's (see ``_norm``). Where |u|^2 overflows, the direction target - x is
+    u = gain * (target - x) element-wise, clipped to norm alpha (``_norm``).
+    Where |u|^2 overflows, the norm is inf and the direction target - x is
     clipped instead. Its square stays finite on any track: gate offsets, dv,
     pass_offset and each step's noise dw dt are held to MAX_LEVEL = 1e150,
-    under a thousandth of 2**510 (about 3.4e153), past which a square overflows.
+    far below about 1.3e154, past which a square overflows.
     """
     u = [gain * (target[0] - x[0]), gain * (target[1] - x[1]), gain * (target[2] - x[2])]
-    if max(abs(u[0]), abs(u[1]), abs(u[2])) < _SQUARE_SAFE:
-        n = _norm(np.array(u))
-    else:
-        with np.errstate(over="ignore"):
-            n = _norm(np.array(u))
-        if not math.isfinite(n):
-            u = [t - p for t, p in zip(target, x)]
-            k = alpha / _norm(np.array(u))
-            return [v * k for v in u]
+    n = _norm(u)
     if n > alpha:
+        if n == math.inf:
+            u = [target[0] - x[0], target[1] - x[1], target[2] - x[2]]
+            n = _norm(u)
         k = alpha / n
         u = [u[0] * k, u[1] * k, u[2] * k]
     return u
@@ -309,11 +298,19 @@ def _validate_spawn(x: np.ndarray, env: SimEnv, track: TrackSpec) -> None:
         raise SetupError(f"spawn {x} starts unsafe: clearance {d[0]:.3f} < R = {env.params.R}")
 
 
-def _approach(track: TrackSpec, index: int, draw: list[float], env: SimEnv) -> tuple[Pose, Pose, list[float]]:
-    """Gate ``index``'s true pose, its estimate, and the policy's target for that estimate."""
+def _approach(track: TrackSpec, index: int, draw: list[float], env: SimEnv) -> tuple[tuple, tuple, list[float]]:
+    """Gate ``index``'s true frame, its estimated frame and the policy's target for the estimate.
+
+    A frame is a pose's (heading, position as three floats), the arguments
+    ``geometry._to_gate`` takes after the point.
+    """
     pose = virtual_gate_pose(track, index)
     estimate = _estimate(pose, draw, env.params.dv)
-    return pose, estimate, _policy_target(estimate, env.pass_offset)
+    return (
+        (pose.heading, pose.position.tolist()),
+        (estimate.heading, estimate.position.tolist()),
+        _policy_target(estimate, env.pass_offset),
+    )
 
 
 def run_trial(
@@ -355,17 +352,17 @@ def run_trial(
     draws = _uniform_rows(np.random.default_rng(seed))
     total = track.total_gates
     cap = env.max_steps
-    dt, gain, alpha = env.dt, env.gain, params.alpha
+    dt, gain, alpha, gamma = env.dt, env.gain, params.alpha, params.gamma
     dw = params.dw.tolist()
     outer, bars = _slab_boxes(env.gate)
     pass_half = env.gate.inner_half - PASS_MARGIN
     rows = []  # (t, x, q, h, status, deviation) at each step start
 
-    pose, estimate, target = _approach(track, 0, next(draws), env)
-    q = _to_gate(x, pose).tolist()
+    frame, estimate, target = _approach(track, 0, next(draws), env)
+    q = _to_gate(x, *frame)
     gate_index = gates_passed = 0
-    prev_pose: Pose | None = None  # last passed gate, checked during slab exit
-    q_prev = q  # gate-frame position in prev_pose's frame, while prev_pose is set
+    prev_frame = None  # last passed gate, checked during slab exit
+    q_prev = q  # gate-frame position in prev_frame, while prev_frame is set
     exit_window = env.gate.half_depth + (alpha + float(np.max(params.dw))) * dt * 2.0
 
     safe = True
@@ -377,16 +374,15 @@ def run_trial(
         dev = 0.0
         if fld is not None:
             try:
-                d, grad = _world_sample(fld, _to_gate(x, estimate).tolist(), estimate.heading)
+                d, grad = _world_sample(fld, _to_gate(x, *estimate), estimate[0])
             except OutOfBoundsError:
                 status = STEP_OFF_MAP
             except InsideObstacleError:
                 status = STEP_IN_OBSTACLE
             else:
                 h = _barrier_value(d, params)
-                a, b = _constraint(d, np.array(grad), h, params)
-                u_star, status, _, dev = _project(np.array(u), a, float(b), alpha)
-                u = u_star.tolist()
+                a, b = _constraint(d, grad, h, gamma, dw)
+                u, status, _, dev = _project(u, a, b, alpha)
 
         r = next(draws)
         x_new = _step(x, u, [r[0] * dw[0], r[1] * dw[1], r[2] * dw[2]], dt)
@@ -397,15 +393,15 @@ def run_trial(
         steps += 1
 
         # Closed boxes: a start point inside the solid is a hit too.
-        q_new = _to_gate(x_new, pose).tolist()
+        q_new = _to_gate(x_new, *frame)
         hit = _segment_hits(q, q_new, outer, bars)
-        if not hit and prev_pose is not None:
+        if not hit and prev_frame is not None:
             if q_prev[0] <= exit_window:
-                q_prev_new = _to_gate(x_new, prev_pose).tolist()
+                q_prev_new = _to_gate(x_new, *prev_frame)
                 hit = _segment_hits(q_prev, q_prev_new, outer, bars)
                 q_prev = q_prev_new
             else:
-                prev_pose = None
+                prev_frame = None
         if hit:
             safe = False
             break
@@ -416,12 +412,12 @@ def run_trial(
             cross_z = q[2] + frac * (q_new[2] - q[2])
             if max(abs(cross_y), abs(cross_z)) < pass_half:
                 gates_passed += 1
-            prev_pose = pose
+            prev_frame = frame
             q_prev = q_new
             gate_index += 1
             if gate_index < total:
-                pose, estimate, target = _approach(track, gate_index, next(draws), env)
-                q_new = _to_gate(x_new, pose).tolist()
+                frame, estimate, target = _approach(track, gate_index, next(draws), env)
+                q_new = _to_gate(x_new, *frame)
 
         x = x_new
         t += dt

@@ -203,21 +203,22 @@ def test_safety_params_validation():
     assert isinstance(p.dw, np.ndarray) and p.dw.dtype == float
 
 
-def _matmul_eval_barrier_world(f, x_world, pose, params):
-    """eval_barrier_world with the gate transform as R @ (x - p) and numpy-scalar rotation."""
-    c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
-    q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ (x_world - pose.position)
-    d, (gx, gy, gz) = sample(f, q)
+def _float_eval_barrier_world(f, x_world, pose, params):
+    """eval_barrier_world with both rotations written out in Python floats."""
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    dx, dy, dz = (float(xk) - float(pk) for xk, pk in zip(x_world, pose.position))
+    d, (gx, gy, gz) = sample(f, np.array([c * dx + s * dy, c * dy - s * dx, dz]))
     return BarrierEval(d=d, grad=np.array([c * gx - s * gy, s * gx + c * gy, gz]), h=d * d - params.R * params.R)
 
 
-def _linalg_assemble_constraint(ev, params):
-    """assemble_constraint with @, plus alpha |a| >= b with np.linalg.norm: (a, b, feasible)."""
-    a = 2.0 * ev.d * ev.grad
-    c_robust = 2.0 * ev.d * float(np.abs(ev.grad) @ params.dw)
-    b = float(-params.gamma * ev.h + c_robust)
-    return a, b, params.alpha * float(np.linalg.norm(a)) >= b
+def _float_assemble_constraint(ev, params):
+    """assemble_constraint in Python floats, sums left to right, plus alpha |a| >= b: (a, b, feasible)."""
+    k = 2.0 * ev.d
+    gx, gy, gz = ev.grad.tolist()
+    dwx, dwy, dwz = params.dw.tolist()
+    ax, ay, az = k * gx, k * gy, k * gz
+    b = -params.gamma * ev.h + k * ((abs(gx) * dwx + abs(gy) * dwy) + abs(gz) * dwz)
+    return np.array([ax, ay, az]), b, params.alpha * math.sqrt((ax * ax + ay * ay) + az * az) >= b
 
 
 def _bits(x) -> bytes:
@@ -239,7 +240,7 @@ def test_eval_barrier_world_is_bit_identical_to_matmul_reference(default_env):
                 local[2],
             ])
             try:
-                want = _matmul_eval_barrier_world(fld, x, pose, params)
+                want = _float_eval_barrier_world(fld, x, pose, params)
             except ValueError as exc:
                 with pytest.raises(type(exc)):
                     eval_barrier_world(fld, x, pose, params)
@@ -265,7 +266,7 @@ def test_assemble_constraint_is_bit_identical_to_linalg_reference():
         grad = rng.normal(size=3) * rng.choice([0.0, 1e-3, 1.0, 1e3], p=[0.02, 0.08, 0.8, 0.1])
         d = float(rng.uniform(0.0, 6.0)) if rng.random() < 0.95 else 0.0
         ev = BarrierEval(d=d, grad=grad, h=d * d - params.R * params.R)
-        a, b, ok = _linalg_assemble_constraint(ev, params)
+        a, b, ok = _float_assemble_constraint(ev, params)
         con = assemble_constraint(ev, params)
         assert con.a.tobytes() == a.tobytes()
         assert type(con.b) is float and _bits(con.b) == _bits(b)
@@ -275,9 +276,11 @@ def test_assemble_constraint_is_bit_identical_to_linalg_reference():
 
 
 def inline_constraint_rows(d, grad, params):
-    """The constraint formula safest_action_field used to write inline: (A, B) per row."""
+    """The constraint formula per row, on columns: (A, B), the robust term summed left to right."""
     a = 2.0 * d[:, None] * grad
-    c_robust = 2.0 * d * (np.abs(grad) @ params.dw)
+    g = np.abs(grad)
+    dwx, dwy, dwz = params.dw.tolist()
+    c_robust = 2.0 * d * ((g[:, 0] * dwx + g[:, 1] * dwy) + g[:, 2] * dwz)
     b = -params.gamma * (d * d - params.R * params.R) + c_robust
     return a, b
 
@@ -295,10 +298,14 @@ def test_constraint_kernel_rows_are_bit_identical_to_the_inline_formula(n):
     d[off_map] = np.nan
     grad[off_map] = np.nan
     want_a, want_b = inline_constraint_rows(d, grad, params)
-    a, b = _constraint(d, grad, d * d - params.R * params.R, params)
+    dw = params.dw.tolist()
+    a, b = _constraint(d, grad.T, d * d - params.R * params.R, params.gamma, dw)
+    a = np.stack(a, axis=1)
     assert a.shape == (n, 3) and b.shape == (n,)
     assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
-    if n == 1:
-        # The one-sample form, as assemble_constraint calls it, gives the same bits.
-        a1, b1 = _constraint(float(d[0]), grad[0], float(d[0] * d[0] - params.R * params.R), params)
-        assert a1.tobytes() == want_a[0].tobytes() and _bits(b1) == _bits(want_b[0])
+    # The one-sample form, as assemble_constraint and the trial step call it,
+    # gives every row's bits.
+    for i in range(min(n, 200)):
+        di = float(d[i])
+        ai, bi = _constraint(di, grad[i].tolist(), di * di - params.R * params.R, params.gamma, dw)
+        assert type(bi) is float and np.array(ai).tobytes() == want_a[i].tobytes() and _bits(bi) == _bits(want_b[i])

@@ -106,6 +106,26 @@ def test_inflation_that_overflows_in_whole_cells_is_config_error_and_writes_noth
 
 
 @pytest.mark.parametrize(
+    "text, extra, want",
+    [
+        ("noise: {dv: [6.0, 0, 0]}", ["run", "--tracks", "1", "--levels", "0"],
+         "error: map.x [-6, 6] does not cover the gate plus safety.R and noise.dv (need at least [-6.425, 6.425])"),
+        ("safety: {R: 6.0}", ["build-map"],
+         "error: map.x [-6, 6] does not cover the gate plus safety.R (need at least [-6.125, 6.125])"),
+        ("safety: {R: 0.3}", ["build-map", "--inflate", "0,6,0"],
+         "error: map.y [-6, 6] does not cover the gate plus safety.R and --inflate (need at least [-7.3, 7.3])"),
+    ],
+    ids=["run-noise.dv", "build-map-safety.R", "build-map-inflate"],
+)
+def test_map_too_small_for_the_margins_names_the_config_keys_and_writes_nothing(tmp_path, capsys, text, extra, want):
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text(text + "\n")
+    assert run_cli([*extra, "--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.strip() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.yaml"]
+
+
+@pytest.mark.parametrize(
     "text, key",
     [("noise: {dw: [1.0e+200, 0, 0]}", "noise.dw"), ("noise: {dv: [1.0e+200, 0, 0]}", "noise.dv"),
      ("policy: {pass_offset: 1.0e+200}", "policy.pass_offset")],

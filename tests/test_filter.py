@@ -476,7 +476,8 @@ def _inline_safest_action_field(f, params, speed, plane, offset, angular_samples
     dirs[:, au] = np.cos(theta)
     dirs[:, av] = np.sin(theta)
     a = 2.0 * d[:, None] * grad
-    c_robust = 2.0 * d * (np.abs(grad) @ params.dw)
+    g = np.abs(grad)
+    c_robust = 2.0 * d * ((g[:, 0] * params.dw[0] + g[:, 1] * params.dw[1]) + g[:, 2] * params.dw[2])
     b = -params.gamma * (d * d - params.R * params.R) + c_robust
     margins = speed * (a @ dirs.T) - b[:, None]
     margins[code != SAMPLE_OK] = -np.inf
@@ -498,46 +499,59 @@ def test_safest_action_field_is_bit_identical_to_the_inline_formula(default_env,
             assert 0 < unsafe.sum() < unsafe.size
 
 
-def _linalg_filter_action(u_nom, con, params):
-    """filter_action with np.linalg.norm and @, plus the name of the branch taken."""
-    u_nom = np.asarray(u_nom, dtype=float)
-    a = np.asarray(con.a, dtype=float)
+def _dot3(a, v) -> float:
+    """a . v on three floats each, summed left to right."""
+    return (a[0] * v[0] + a[1] * v[1]) + a[2] * v[2]
+
+
+def _norm3(v) -> float:
+    return math.sqrt(_dot3(v, v))
+
+
+def _float_filter_action(u_nom, con, params):
+    """filter_action in Python floats, sums left to right and math.sqrt, plus the name of the branch taken."""
+    u = np.asarray(u_nom, dtype=float).tolist()
+    a = np.asarray(con.a, dtype=float).tolist()
     b = float(con.b)
     alpha = float(params.alpha)
-    na2 = float(a @ a)
+
+    def decision(v, status, margin):
+        dev = _norm3([u[0] - v[0], u[1] - v[1], u[2] - v[2]])
+        return FilterDecision(np.array(v), status, margin, dev)
+
+    na2 = _dot3(a, a)
     if na2 <= 1e-300:
-        nu = float(np.linalg.norm(u_nom))
+        nu = _norm3(u)
         if b <= 0.0:
-            u = u_nom if nu <= alpha else u_nom * (alpha / nu)
-            dec = FilterDecision(u, FilterStatus.DEGENERATE_SAFE, -b, float(np.linalg.norm(u_nom - u)))
-            return dec, "degenerate_safe"
+            v = u if nu <= alpha else [c * (alpha / nu) for c in u]
+            return decision(v, FilterStatus.DEGENERATE_SAFE, -b), "degenerate_safe"
         return FilterDecision(np.zeros(3), FilterStatus.INFEASIBLE_FALLBACK, -b, nu), "degenerate_stuck"
     na = math.sqrt(na2)
     if alpha * na < b:
-        u = a * (alpha / na)
-        dec = FilterDecision(u, FilterStatus.INFEASIBLE_FALLBACK, alpha * na - b, float(np.linalg.norm(u_nom - u)))
-        return dec, "infeasible"
-    au = float(a @ u_nom)
-    nu = float(np.linalg.norm(u_nom))
+        v = [c * (alpha / na) for c in a]
+        return decision(v, FilterStatus.INFEASIBLE_FALLBACK, alpha * na - b), "infeasible"
+    au = _dot3(a, u)
+    nu = _norm3(u)
     if au >= b and nu <= alpha:
-        return FilterDecision(u_nom.copy(), FilterStatus.UNCHANGED, au - b, 0.0), "unchanged"
+        return FilterDecision(np.array(u), FilterStatus.UNCHANGED, au - b, 0.0), "unchanged"
+    # Projected, but reported unchanged when u_nom is admissible within
+    # ADMISSIBLE_TOL (barrier.admissible's rule).
+    status = FilterStatus.UNCHANGED if au >= b - 1e-9 and nu <= alpha + 1e-9 else FilterStatus.PROJECTED
     if b <= -alpha * na:
-        u = u_nom * (alpha / nu)
-        dec = FilterDecision(u, FilterStatus.PROJECTED, float(a @ u) - b, float(np.linalg.norm(u_nom - u)))
-        return dec, "ball_inside_halfspace"
+        v = [c * (alpha / nu) for c in u]
+        return decision(v, status, _dot3(a, v) - b), "ball_inside_halfspace"
     if au < b:
-        u = u_nom + ((b - au) / na2) * a
-        if float(np.linalg.norm(u)) <= alpha * (1.0 + 1e-12):
-            dec = FilterDecision(u, FilterStatus.PROJECTED, float(a @ u) - b, float(np.linalg.norm(u_nom - u)))
-            return dec, "plane_foot"
+        lam = (b - au) / na2
+        v = [u[0] + lam * a[0], u[1] + lam * a[1], u[2] + lam * a[2]]
+        if _norm3(v) <= alpha * (1.0 + 1e-12):
+            return decision(v, status, _dot3(a, v) - b), "plane_foot"
     if nu > alpha:
-        u = u_nom * (alpha / nu)
-        m = float(a @ u) - b
+        v = [c * (alpha / nu) for c in u]
+        m = _dot3(a, v) - b
         if m >= -1e-12 * max(1.0, abs(b)):
-            return FilterDecision(u, FilterStatus.PROJECTED, m, float(np.linalg.norm(u_nom - u))), "ball_clip"
-    u = _circle_rows(u_nom[None, :], a[None, :], np.array([b]), alpha, np.array([na2]))[0]
-    dec = FilterDecision(u, FilterStatus.PROJECTED, float(a @ u) - b, float(np.linalg.norm(u_nom - u)))
-    return dec, "circle"
+            return decision(v, status, m), "ball_clip"
+    v = _circle_rows(np.array([u]), np.array([a]), np.array([b]), alpha, np.array([na2]))[0].tolist()
+    return decision(v, status, _dot3(a, v) - b), "circle"
 
 
 def _bits(x) -> bytes:
@@ -559,7 +573,7 @@ def test_filter_action_is_bit_identical_to_linalg_reference():
     branches = {}
     for u, a, b in zip(U, A, B):
         con = make_con(a, b)
-        want, branch = _linalg_filter_action(u, con, PARAMS)
+        want, branch = _float_filter_action(u, con, PARAMS)
         got = filter_action(u, con, PARAMS)
         branches[branch] = branches.get(branch, 0) + 1
         assert got.status is want.status, branch
@@ -572,8 +586,13 @@ def test_filter_action_is_bit_identical_to_linalg_reference():
     }, branches
 
 
+def _row_dot3(X, Y):
+    """Row-wise a . v on (N, 3) arrays, column by column, left to right."""
+    return (X[:, 0] * Y[:, 0] + X[:, 1] * Y[:, 1]) + X[:, 2] * Y[:, 2]
+
+
 def _masked_filter_action_batch(U, A, B, alpha):
-    """filter_action_batch with one boolean-mask scatter per case."""
+    """filter_action_batch with one boolean-mask scatter per case, sums written per column."""
     U = np.asarray(U, dtype=float)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -581,10 +600,10 @@ def _masked_filter_action_batch(U, A, B, alpha):
     out = np.empty_like(U)
     status = np.empty(n, dtype=np.int8)
 
-    na2 = np.einsum("ij,ij->i", A, A)
+    na2 = _row_dot3(A, A)
     na = np.sqrt(na2)
-    nu = np.linalg.norm(U, axis=1)
-    au = np.einsum("ij,ij->i", A, U)
+    nu = np.sqrt(_row_dot3(U, U))
+    au = _row_dot3(A, U)
 
     degenerate = na2 <= _DEGENERATE_NORM
     deg_safe = degenerate & (B <= 0.0)
@@ -604,7 +623,6 @@ def _masked_filter_action_batch(U, A, B, alpha):
 
     ok = solvable & (au >= B) & (nu <= alpha)
     out[ok] = U[ok]
-    status[ok] = _STATUS_CODE[FilterStatus.UNCHANGED]
 
     todo = solvable & ~ok
 
@@ -612,28 +630,33 @@ def _masked_filter_action_batch(U, A, B, alpha):
     if np.any(half_v):
         lam = (B[half_v] - au[half_v]) / na2[half_v]
         cand = U[half_v] + lam[:, None] * A[half_v]
-        good = np.linalg.norm(cand, axis=1) <= alpha * (1.0 + 1e-12)
+        good = np.sqrt(_row_dot3(cand, cand)) <= alpha * (1.0 + 1e-12)
         idx = np.flatnonzero(half_v)[good]
         out[idx] = cand[good]
-        status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
         todo[idx] = False
 
     clip_v = todo & (nu > alpha)
     if np.any(clip_v):
         cand = U[clip_v] * (alpha / nu[clip_v])[:, None]
-        m = np.einsum("ij,ij->i", A[clip_v], cand) - B[clip_v]
+        m = _row_dot3(A[clip_v], cand) - B[clip_v]
         keep = m >= -1e-12 * np.maximum(1.0, np.abs(B[clip_v]))
         idx = np.flatnonzero(clip_v)[keep]
         out[idx] = cand[keep]
-        status[idx] = _STATUS_CODE[FilterStatus.PROJECTED]
         todo[idx] = False
 
     if np.any(todo):
         out[todo] = _circle_rows(U[todo], A[todo], B[todo], alpha, na2[todo])
-        status[todo] = _STATUS_CODE[FilterStatus.PROJECTED]
 
-    margins = np.einsum("ij,ij->i", A, out) - B
-    deviations = np.linalg.norm(U - out, axis=1)
+    # Solvable rows: unchanged when u_nom is admissible within ADMISSIBLE_TOL.
+    admissible = (au >= B - 1e-9) & (nu <= alpha + 1e-9)
+    status[solvable & admissible] = _STATUS_CODE[FilterStatus.UNCHANGED]
+    status[solvable & ~admissible] = _STATUS_CODE[FilterStatus.PROJECTED]
+
+    margins = _row_dot3(A, out) - B
+    margins[infeasible] = alpha * na[infeasible] - B[infeasible]
+    margins[degenerate] = -B[degenerate]
+    diff = U - out
+    deviations = np.sqrt(_row_dot3(diff, diff))
     return out, status, margins, deviations
 
 
@@ -676,7 +699,7 @@ def test_filter_action_batch_is_bit_identical_to_masked_reference():
             if n == 20_000:
                 params = SafetyParams(alpha=alpha)
                 for u, a, b in zip(U[:4000], A[:4000], B[:4000]):
-                    _, branch = _linalg_filter_action(u, make_con(a, b), params)
+                    _, branch = _float_filter_action(u, make_con(a, b), params)
                     if branch == "circle":
                         perp = u - a * (float(a @ u) / float(a @ a))
                         branch = "circle_parallel" if np.linalg.norm(perp) < 1e-12 else branch
@@ -685,6 +708,66 @@ def test_filter_action_batch_is_bit_identical_to_masked_reference():
         "degenerate_safe", "degenerate_stuck", "infeasible", "unchanged",
         "ball_inside_halfspace", "plane_foot", "ball_clip", "circle", "circle_parallel",
     }, branches
+
+
+def test_filter_action_batch_matches_filter_action_row_by_row():
+    # Every row of the batch kernel gets the scalar kernel's bits and status,
+    # on every case, and on the case boundaries |u| = alpha and a.u = b.
+    rng = np.random.default_rng(53)
+    alpha = 3.0
+    params = SafetyParams(alpha=alpha)
+    U, A, B = _branch_instances(rng, 6000, alpha)
+    edge = rng.integers(0, 4, size=U.shape[0])
+    rows = (edge == 1) & np.any(U != 0.0, axis=1)  # |u| = alpha to an ulp, as nominal_policy clips it
+    U[rows] *= (alpha / np.sqrt(_row_dot3(U[rows], U[rows])))[:, None]
+    rows = edge >= 2  # a.u = b exactly, on rows at the norm bound too
+    B[rows] = _row_dot3(A[rows], U[rows])
+    u_b, codes, margins, devs = filter_action_batch(U, A, B, alpha)
+    branches, statuses = set(), set()
+    for i, (u, a, b) in enumerate(zip(U, A, B)):
+        con = make_con(a, b)
+        got = filter_action(u, con, params)
+        assert FILTER_STATUS_ORDER[int(codes[i])] is got.status, i
+        assert u_b[i].tobytes() == got.u_star.tobytes(), i
+        assert _bits(margins[i]) == _bits(got.margin) and _bits(devs[i]) == _bits(got.deviation), i
+        branches.add(_float_filter_action(u, con, params)[1])
+        statuses.add(got.status)
+    assert set(FilterStatus) == statuses
+    cases = {"degenerate_safe", "degenerate_stuck", "infeasible", "unchanged", "plane_foot", "ball_clip", "circle"}
+    assert cases <= branches, branches
+
+
+def test_an_ulp_past_the_norm_bound_on_a_satisfied_constraint_is_unchanged():
+    # nominal_policy's clip can leave |u| = alpha (1 + 2**-52). The constraint
+    # holds, so the action is admissible within ADMISSIBLE_TOL: both kernels
+    # report it unchanged, yet still return the clip onto the sphere with its
+    # margin and ulp-sized deviation.
+    alpha = 2.0
+    u = np.array([alpha * (1.0 + 2.0**-52), 0.0, 0.0])
+    assert math.sqrt(u[0] * u[0]) == alpha * (1.0 + 2.0**-52) > alpha
+    con = make_con([1.0, 0.0, 0.0], 0.5)
+    params = SafetyParams(alpha=alpha)
+    clip = u * (alpha / u[0])
+    dec = filter_action(u, con, params)
+    assert dec.status is FilterStatus.UNCHANGED
+    assert dec.u_star.tobytes() == clip.tobytes() and dec.margin == clip[0] - 0.5
+    assert 0.0 < dec.deviation == u[0] - clip[0]
+    u_b, codes, margins, devs = filter_action_batch(u[None, :], con.a[None, :], np.array([con.b]), alpha)
+    assert FILTER_STATUS_ORDER[int(codes[0])] is FilterStatus.UNCHANGED
+    assert u_b[0].tobytes() == clip.tobytes() and margins[0] == dec.margin and devs[0] == dec.deviation
+    # Past the tolerance the same clip is a projection.
+    far = np.array([alpha + 2e-9, 0.0, 0.0])
+    assert filter_action(far, con, params).status is FilterStatus.PROJECTED
+    codes = filter_action_batch(far[None, :], con.a[None, :], np.array([con.b]), alpha)[1]
+    assert FILTER_STATUS_ORDER[int(codes[0])] is FilterStatus.PROJECTED
+    # So is a constraint missed by more than the tolerance, inside the ball.
+    assert filter_action(np.array([0.5 - 2e-9, 0.0, 0.0]), con, params).status is FilterStatus.PROJECTED
+
+
+@pytest.mark.parametrize("u, a", [(np.ones(4), np.ones(3)), (np.ones(3), np.ones(4)), (np.ones((3, 1)), np.ones(3))])
+def test_filter_action_rejects_vectors_that_are_not_3_vectors(u, a):
+    with pytest.raises(ValueError, match="3-vectors"):
+        filter_action(u, BarrierConstraint(a=a, b=0.0), PARAMS)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0, 0.0])

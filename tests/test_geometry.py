@@ -384,27 +384,44 @@ def test_segment_hits_frame_is_bit_identical_to_reference(default_gate):
 
 
 def test_norm_helper_is_bit_identical_to_linalg_norm():
+    # The oracle is the float formula: squares summed left to right, then
+    # math.sqrt. np.linalg.norm of a 3-vector runs a BLAS dot, whose kernel
+    # may fuse multiply-adds, so _norm follows the formula, not the kernel.
     rng = np.random.default_rng(41)
     vecs = rng.normal(size=(10_000, 6)) * rng.choice([0.0, 1e-160, 1e-3, 1.0, 1e3, 1e150], size=(10_000, 1))
     vecs[rng.random(vecs.shape) < 0.05] = -0.0
     for v in vecs:
-        for part in (v[:3], v[3:], v[::2], v[::-2]):  # contiguous and strided views
-            got = _norm(part)
-            assert type(got) is float and np.float64(got).tobytes() == np.float64(np.linalg.norm(part)).tobytes()
+        for part in (v[:3], v[3:], v[::2], v[::-2]):
+            x, y, z = part.tolist()
+            got, want = _norm(part.tolist()), math.sqrt((x * x + y * y) + z * z)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert _norm([1e160, 0.0, 0.0]) == math.inf  # a square past the largest float is inf, with no warning
+
+
+def _float_to_gate(x, pose):
+    """world_to_gate as floats: (c dx + s dy, c dy - s dx, dz) for the offset from the gate."""
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    dx, dy, dz = (float(xk) - float(pk) for xk, pk in zip(x, pose.position))
+    return [c * dx + s * dy, c * dy - s * dx, dz]
 
 
 def test_world_to_gate_is_bit_identical_to_matmul_reference():
+    # The reference is the rotation written out in Python floats, which equals
+    # R(-yaw) @ (x - p) to rounding but fixes the order of every sum.
     rng = np.random.default_rng(43)
     for _ in range(10_000):
         yaw = float(rng.choice([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)]))
         pose = Pose(position=rng.uniform(-100.0, 100.0, size=3), yaw=yaw)
         x = pose.position + rng.normal(scale=float(rng.choice([0.01, 1.0, 30.0])), size=3)
+        got = world_to_gate(x, pose)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(_float_to_gate(x, pose)).tobytes()
         c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
-        want = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ (x - pose.position)
-        assert world_to_gate(x, pose).tobytes() == want.tobytes()
+        matmul = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ (x - pose.position)
+        np.testing.assert_allclose(got, matmul, rtol=0.0, atol=1e-12)
 
 
 def test_gate_to_world_is_bit_identical_to_matmul_reference():
+    # As above, for the inverse: (c qx - s qy, s qx + c qy, qz) + p in floats.
     rng = np.random.default_rng(44)
     for _ in range(10_000):
         yaw = float(rng.choice([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)]))
@@ -412,13 +429,16 @@ def test_gate_to_world_is_bit_identical_to_matmul_reference():
         q = rng.normal(scale=float(rng.choice([0.01, 1.0, 30.0])), size=3)
         c, s = math.cos(pose.yaw), math.sin(pose.yaw)
         assert pose.heading == (c, s)
-        want = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ q + pose.position
-        assert gate_to_world(q, pose).tobytes() == want.tobytes()
+        (qx, qy, qz), (px, py, pz) = q.tolist(), pose.position.tolist()
+        want = np.array([(c * qx - s * qy) + px, (s * qx + c * qy) + py, qz + pz])
+        got = gate_to_world(q, pose)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(world_to_gate(got, pose), q, rtol=0.0, atol=1e-12)
 
 
 def test_pose_is_immutable():
     pose = Pose(position=np.array([1.0, 2.0, 3.0]), yaw=0.5)
-    for name, value in (("position", np.zeros(3)), ("yaw", 0.0), ("heading", (1.0, 0.0)), ("to_gate", np.eye(3))):
+    for name, value in (("position", np.zeros(3)), ("yaw", 0.0), ("heading", (1.0, 0.0))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(pose, name, value)
     assert pose.yaw == 0.5 and pose.position.tolist() == [1.0, 2.0, 3.0]

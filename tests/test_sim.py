@@ -405,11 +405,12 @@ def test_unclean_trial_flags(default_env):
 
 
 def _array_nominal_policy(state, estimate, gain, alpha, pass_offset):
-    """nominal_policy on numpy arrays with np.linalg.norm, plus whether it clipped."""
+    """nominal_policy on numpy arrays, its norm summed left to right in floats, plus whether it clipped."""
     c, s = math.cos(estimate.yaw), math.sin(estimate.yaw)
     target = estimate.position + pass_offset * np.array([c, s, 0.0])
     u = gain * (target - state.x)
-    n = float(np.linalg.norm(u))
+    ux, uy, uz = u.tolist()
+    n = math.sqrt((ux * ux + uy * uy) + uz * uz)
     if n > alpha:
         u *= alpha / n
     return u, n > alpha
@@ -438,13 +439,13 @@ def test_nominal_policy_is_bit_identical_to_array_reference():
 def test_nominal_policy_clips_the_direction_when_the_action_norm_overflows(default_env):
     est = Pose(position=np.array([1.0, 2.0, -2.0]), yaw=0.0)
     x = np.array([0.0, 0.0, 1.0])
-    # gain * (target - x) = 1e300 * (4, 2, -3): its squared norm overflows (a
-    # RuntimeWarning, an error under pytest), so the direction is clipped.
+    # gain * (target - x) = 1e300 * (4, 2, -3): its squared norm overflows to
+    # inf (silently, in floats), so the direction is clipped.
     u = nominal_policy(SimState(x=x), est, gain=1e300, alpha=3.0, pass_offset=3.0)
     d = np.array([4.0, 2.0, -3.0])
-    assert u.tobytes() == (d * (3.0 / math.sqrt(d.dot(d)))).tobytes()
-    # Where the squared norm stays finite, near or past the screening bound
-    # 2**510, the action keeps the bits of the array reference.
+    assert u.tobytes() == (d * (3.0 / math.sqrt(29.0))).tobytes()
+    # Where the squared norm stays finite, near 2**510 and past it, the
+    # action keeps the bits of the array reference.
     for gain in (1e150, 2.0**510 / 4.0, 1e153):
         args = (SimState(x=x), est, gain, 3.0, 3.0)
         assert nominal_policy(*args).tobytes() == _array_nominal_policy(*args)[0].tobytes()

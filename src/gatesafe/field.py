@@ -114,8 +114,16 @@ class DistanceField:
     gradient is bit-identical to a whole-grid derivation.
 
     The grid's lookup constants are taken once, on construction: the origin
-    as three floats for :func:`sample`, and the bounds, strides and corner
-    offsets of :func:`sample_batch` as arrays.
+    as three floats and the two corner formats for :func:`sample`, and the
+    bounds, strides and corner offsets of :func:`sample_batch` as arrays.
+
+    :func:`sample` reads a cell's corners straight from the arrays' buffers:
+    one ``struct.unpack_from`` of ``values`` at byte ``4 * node`` and one of
+    the gradients at ``12 * node``, where ``node = (i*ny + j)*nz + l`` is the
+    cell's lowest corner. Each format reads two floats per (dx, dy) pair of
+    corners and skips the bytes between them, so ``values`` must be float32
+    (another dtype raises ``ValueError``) and is made C-ordered. The formats
+    are plain strings, so a field pickles and deep-copies like its arrays.
     """
 
     spec: GridSpec
@@ -127,11 +135,16 @@ class DistanceField:
     _done: bytearray = field(init=False, repr=False, compare=False)  # one flag per block, x-major
     _origin: list[float] = field(init=False, repr=False, compare=False)
     _batch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _value_corners: str = field(init=False, repr=False, compare=False)  # struct formats of a cell's corners
+    _grad_corners: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.inflated_by = np.asarray(self.inflated_by, dtype=float)
         if self.values.shape != self.spec.dims:
             raise ValueError(f"values shape {self.values.shape} != dims {self.spec.dims}")
+        if self.values.dtype != np.float32:
+            raise ValueError(f"values dtype {self.values.dtype} is not float32")
+        self.values = np.ascontiguousarray(self.values)  # the corner reads take the C node order
         # Zero-filled, so the pages of blocks never derived are never resident.
         self._grads = np.zeros(self.spec.dims + (3,), dtype=np.float32)
         self._blocks = tuple(-(-(n - 1) // _GRAD_BLOCK) for n in self.spec.dims)
@@ -148,6 +161,9 @@ class DistanceField:
             np.array((sx, nz, 1), dtype=np.intp),  # node strides
             np.array((0, 1, nz, nz + 1, sx, sx + 1, sx + nz, sx + nz + 1), dtype=np.intp)[:, None],  # corner offsets
         )
+        # Corners (dx, dy, 0) and (dx, dy, 1) are adjacent nodes, dx*sx + dy*nz past the lowest.
+        self._value_corners = "=2f{}x2f{}x2f{}x2f".format(4 * (nz - 2), 4 * (sx - nz - 2), 4 * (nz - 2))
+        self._grad_corners = "=6f{}x6f{}x6f{}x6f".format(12 * (nz - 2), 12 * (sx - nz - 2), 12 * (nz - 2))
 
     @property
     def gradients(self) -> np.ndarray:
@@ -312,7 +328,10 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
 def _sample(f: DistanceField, q, qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
     """:func:`sample` at the point (qx, qy, qz): the value and the three gradient components.
 
-    ``q`` is the point as the caller holds it, named in the errors.
+    ``q`` is the point as the caller holds it, named in the errors. The
+    cell's eight corner values and 24 gradient floats come from two
+    ``struct.unpack_from`` reads of the field's buffers (see
+    :class:`DistanceField`), widened to float exactly as ``tolist`` would.
     """
     ox, oy, oz = f._origin
     nx, ny, nz = f.spec.dims
@@ -337,7 +356,8 @@ def _sample(f: DistanceField, q, qx: float, qy: float, qz: float) -> tuple[float
     tz = min(max(rz - l, 0.0), 1.0)
 
     # Corner k is (i + dx, j + dy, l + dz) with k = 4 dx + 2 dy + dz.
-    ((c0, c1), (c2, c3)), ((c4, c5), (c6, c7)) = f.values[i:i + 2, j:j + 2, l:l + 2].tolist()
+    node = (i * ny + j) * nz + l
+    c0, c1, c2, c3, c4, c5, c6, c7 = struct.unpack_from(f._value_corners, f.values, 4 * node)
     if min(c0, c1, c2, c3, c4, c5, c6, c7) == INSIDE_SENTINEL:
         raise InsideObstacleError(f"query {np.asarray(q).tolist()} touches an inside-solid cell")
     _, by, bz = f._blocks
@@ -345,11 +365,18 @@ def _sample(f: DistanceField, q, qx: float, qy: float, qz: float) -> tuple[float
     if not f._done[block]:
         f._derive(np.array([block]))
     (x0, y0, z0, x1, y1, z1, x2, y2, z2, x3, y3, z3,
-     x4, y4, z4, x5, y5, z5, x6, y6, z6, x7, y7, z7) = f._grads[i:i + 2, j:j + 2, l:l + 2].ravel().tolist()
+     x4, y4, z4, x5, y5, z5, x6, y6, z6, x7, y7, z7) = struct.unpack_from(f._grad_corners, f._grads, 12 * node)
 
     sx, sy, sz = 1 - tx, 1 - ty, 1 - tz
-    w0, w1, w2, w3 = sx * sy * sz, sx * sy * tz, sx * ty * sz, sx * ty * tz
-    w4, w5, w6, w7 = tx * sy * sz, tx * sy * tz, tx * ty * sz, tx * ty * tz
+    # Each weight is (wx * wy) * wz; corners 2m and 2m + 1 share wx * wy.
+    w = sx * sy
+    w0, w1 = w * sz, w * tz
+    w = sx * ty
+    w2, w3 = w * sz, w * tz
+    w = tx * sy
+    w4, w5 = w * sz, w * tz
+    w = tx * ty
+    w6, w7 = w * sz, w * tz
     # Sums start at 0.0 and add the corners in order 0..7 (pinned in test_field).
     d = 0.0 + w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3 + w4 * c4 + w5 * c5 + w6 * c6 + w7 * c7
     gx = 0.0 + w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4 + w5 * x5 + w6 * x6 + w7 * x7

@@ -36,7 +36,10 @@ plain float arithmetic: the dynamics, the noise, the policy action, the
 crossing interpolation, and also every dot product, norm and rotation, whose
 sums run left to right with ``math.sqrt`` taking the roots. No BLAS kernel
 sets a bit, so a run's outputs do not depend on the BLAS build or the CPU it
-picks; the only numpy calls per step are the field's two cell slices.
+picks. The step makes no numpy call: the field reads a cell's corners with
+``struct`` from its arrays' buffers. Only the first query in a block of
+cells calls numpy, to derive that block's gradients (and the noise rows are
+drawn 1024 at a time, a gate's estimate once per gate).
 """
 from __future__ import annotations
 

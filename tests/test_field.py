@@ -7,7 +7,9 @@ Oracles:
   independently (to 1e-12 m), AND a dense set of gate translations,
 - interpolation against the exact distance with the res*sqrt(3)/2 bound.
 """
+import copy
 import math
+import pickle
 import struct
 import tracemalloc
 import warnings
@@ -211,6 +213,12 @@ def test_field_arrays_must_match_the_grid(small_field):
     with pytest.raises(TypeError, match="gradients"):  # derived from the values, never passed in
         DistanceField(spec, values, gradients=small_field.gradients)
     assert np.array_equal(DistanceField(spec, values).gradients, _node_gradients(values, spec.resolution))
+    # The scalar sample reads float32 corners from the values' C-ordered buffer.
+    with pytest.raises(ValueError, match="values dtype float64 is not float32"):
+        DistanceField(spec, values.astype(np.float64))
+    fortran = DistanceField(spec, np.asfortranarray(values))
+    assert fortran.values.flags.c_contiguous and fortran.values.dtype == np.float32
+    assert np.array_equal(fortran.values, values)
 
 
 def _grown_box_clearance(gate: GateGeometry, spec: GridSpec, eps: np.ndarray) -> np.ndarray:
@@ -915,15 +923,63 @@ def test_sample_batch_is_bit_identical_to_per_corner_reference(small_field, defa
     assert seen == {SAMPLE_OK, SAMPLE_OOB, SAMPLE_IN_OBSTACLE}
 
 
+def _last_cell_queries(rng, spec: GridSpec, n: int) -> np.ndarray:
+    """Points in the last cell along one axis and along all three, and the grid's far corner."""
+    lo, res = spec.origin, spec.resolution
+    last = np.array(spec.dims) - 2
+    pts = [lo + res * rng.uniform(0.0, np.array(spec.dims) - 1.0, size=(n, 3)) for _ in range(4)]
+    for axis in range(3):
+        pts[axis][:, axis] = lo[axis] + res * (last[axis] + rng.random(n))
+    pts[3] = lo + res * (last + rng.random((n, 3)))
+    return np.concatenate(pts + [spec.max_corner[None, :]])
+
+
 def test_sample_batch_single_rows_match_scalar_sample_bit_for_bit(small_field):
-    # A batch of one row sums its eight corners in order as well.
+    # A batch of one row sums its eight corners in order as well. sample_batch
+    # gathers with numpy, so it checks sample's corner reads, also on grids
+    # whose reads skip no byte between corner pairs, in the last cell of each
+    # axis (a read that ends at the buffer's last byte) and on a field built
+    # from Fortran-ordered values.
     rng = np.random.default_rng(43)
-    for q in _query_mix(rng, small_field.spec, 3000):
-        vals, grads, status = sample_batch(small_field, q[None, :])
-        if status[0] != SAMPLE_OK:
-            continue
-        d, grad = sample(small_field, q)
-        assert np.float64(d).tobytes() == vals[0].tobytes() and grad.tobytes() == grads[0].tobytes()
+    fields = [(small_field, _query_mix(rng, small_field.spec, 3000))]
+    for dims in ((2, 2, 2), (3, 2, 5), (4, 3, 2), small_field.spec.dims):
+        spec = GridSpec(origin=np.array([-0.3, 0.2, -1.0]), resolution=0.1, dims=dims)
+        values = _blob_values(rng, dims)
+        pts = np.concatenate([_query_mix(rng, spec, 300), _last_cell_queries(rng, spec, 100)])
+        fields += [(DistanceField(spec, values), pts), (DistanceField(spec, np.asfortranarray(values)), pts)]
+    errors = {SAMPLE_OOB: (OutOfBoundsError, ValueError), SAMPLE_IN_OBSTACLE: InsideObstacleError}
+    for fld, pts in fields:
+        ok = 0
+        for q in pts:
+            vals, grads, status = sample_batch(fld, q[None, :])
+            if status[0] != SAMPLE_OK:
+                with pytest.raises(errors[status[0]]):
+                    sample(fld, q)
+                continue
+            d, grad = sample(fld, q)
+            assert np.float64(d).tobytes() == vals[0].tobytes() and grad.tobytes() == grads[0].tobytes(), q.tolist()
+            ok += 1
+        assert ok > len(pts) // 10, fld.spec.dims
+
+
+def _sample_bits(f: DistanceField, q) -> bytes | tuple:
+    """sample's value and gradient as bytes, or its error's type and message."""
+    try:
+        d, grad = sample(f, q)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return np.float64(d).tobytes() + grad.tobytes()
+
+
+def test_pickled_and_copied_maps_sample_like_the_original(small_field, tmp_path):
+    save_field(small_field, tmp_path / "gate.esdf")
+    rng = np.random.default_rng(44)
+    for original in (small_field, load_field(tmp_path / "gate.esdf")):
+        pts = _query_mix(rng, original.spec, 2000)
+        sample_batch(original, pts[:200])  # some blocks derived before the copy, the rest after
+        for twin in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert twin.values is not original.values and np.array_equal(twin.values, original.values)
+            assert [_sample_bits(twin, q) for q in pts] == [_sample_bits(original, q) for q in pts]
 
 
 def _roll_gradients(values: np.ndarray, res: float) -> np.ndarray:

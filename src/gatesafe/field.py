@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import GateGeometry, _axis_bounds, _clearance, _points, _positive
+from .geometry import GateGeometry, _axis_bounds, _clearance, _points, _positive, _vector
 
 MAGIC = b"ESDF"
 FORMAT_VERSION = 3
@@ -113,9 +113,13 @@ class DistanceField:
     :func:`_node_gradients` on its nodes plus a one-node halo, so every
     gradient is bit-identical to a whole-grid derivation.
 
-    The grid's lookup constants are taken once, on construction: the origin
-    as three floats and the two corner formats for :func:`sample`, and the
-    bounds, strides and corner offsets of :func:`sample_batch` as arrays.
+    The grid's lookup constants are taken once, on construction. For
+    :func:`sample` they are one plain tuple, ``_lookup``: the origin as three
+    floats, the resolution, ``ny`` and ``nz``, the three upper range limits
+    ``(n - 1) + _EDGE_CELLS``, the last cell's index per axis and the block
+    strides ``by`` and ``bz``; and the two corner formats. For
+    :func:`sample_batch` they are the bounds, strides and corner offsets as
+    arrays.
 
     :func:`sample` reads a cell's corners straight from the arrays' buffers:
     one ``struct.unpack_from`` of ``values`` at byte ``4 * node`` and one of
@@ -123,7 +127,8 @@ class DistanceField:
     cell's lowest corner. Each format reads two floats per (dx, dy) pair of
     corners and skips the bytes between them, so ``values`` must be float32
     (another dtype raises ``ValueError``) and is made C-ordered. The formats
-    are plain strings, so a field pickles and deep-copies like its arrays.
+    and the lookup tuple are plain Python values, so a field pickles and
+    deep-copies like its arrays.
     """
 
     spec: GridSpec
@@ -133,7 +138,7 @@ class DistanceField:
     _grads: np.ndarray = field(init=False, repr=False, compare=False)
     _blocks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     _done: bytearray = field(init=False, repr=False, compare=False)  # one flag per block, x-major
-    _origin: list[float] = field(init=False, repr=False, compare=False)
+    _lookup: tuple = field(init=False, repr=False, compare=False)  # sample's grid constants, see __post_init__
     _batch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _value_corners: str = field(init=False, repr=False, compare=False)  # struct formats of a cell's corners
     _grad_corners: str = field(init=False, repr=False, compare=False)
@@ -149,14 +154,16 @@ class DistanceField:
         self._grads = np.zeros(self.spec.dims + (3,), dtype=np.float32)
         self._blocks = tuple(-(-(n - 1) // _GRAD_BLOCK) for n in self.spec.dims)
         self._done = bytearray(math.prod(self._blocks))
-        self._origin = self.spec.origin.tolist()
         nx, ny, nz = self.spec.dims
         _, by, bz = self._blocks
+        hi = ((nx - 1) + _EDGE_CELLS, (ny - 1) + _EDGE_CELLS, (nz - 1) + _EDGE_CELLS)  # in-bounds limits
+        last = (nx - 2, ny - 2, nz - 2)  # last cell
+        self._lookup = (*self.spec.origin.tolist(), self.spec.resolution, ny, nz, *hi, *last, by, bz)
         sx = ny * nz
         self._batch = (
-            np.array((nx - 1 + _EDGE_CELLS, ny - 1 + _EDGE_CELLS, nz - 1 + _EDGE_CELLS)),  # in-bounds limit
+            np.array(hi),
             np.array((nx - 1, ny - 1, nz - 1), dtype=float),  # last node
-            np.array((nx - 2, ny - 2, nz - 2), dtype=float),  # last cell
+            np.array(last, dtype=float),
             np.array((by * bz, bz, 1), dtype=np.intp),  # block strides
             np.array((sx, nz, 1), dtype=np.intp),  # node strides
             np.array((0, 1, nz, nz + 1, sx, sx + 1, sx + nz, sx + nz + 1), dtype=np.intp)[:, None],  # corner offsets
@@ -318,9 +325,10 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
 
     Raises :class:`OutOfBoundsError` outside the grid extent and
     :class:`InsideObstacleError` when any corner of the enclosing cell is an
-    inside-solid node.
+    inside-solid node; a point that is no 3-vector or not finite raises
+    ``ValueError``.
     """
-    qx, qy, qz = np.asarray(q, dtype=float).tolist()
+    qx, qy, qz = _vector(q).tolist()
     d, *grad = _sample(f, q, qx, qy, qz)
     return d, np.array(grad)
 
@@ -328,39 +336,60 @@ def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
 def _sample(f: DistanceField, q, qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
     """:func:`sample` at the point (qx, qy, qz): the value and the three gradient components.
 
-    ``q`` is the point as the caller holds it, named in the errors. The
-    cell's eight corner values and 24 gradient floats come from two
-    ``struct.unpack_from`` reads of the field's buffers (see
+    ``q`` is the point as the caller holds it, named in the errors; a list
+    of floats is named as it is, with no numpy call. Every grid constant
+    comes from the field's ``_lookup`` tuple. The cell indices and the
+    fractions are clamped by comparisons that replace a value only where
+    ``min`` or ``max`` would, so they equal the builtins' results, ``-0.0``
+    included. The cell's eight corner values and 24 gradient floats come
+    from two ``struct.unpack_from`` reads of the field's buffers (see
     :class:`DistanceField`), widened to float exactly as ``tolist`` would.
     """
-    ox, oy, oz = f._origin
-    nx, ny, nz = f.spec.dims
-    res = f.spec.resolution
+    ox, oy, oz, res, ny, nz, hx, hy, hz, lx, ly, lz, by, bz = f._lookup
     # Grid coordinates, checked per axis in x, y, z order; a NaN fails the
     # range test as well and is rejected as non-finite.
     rx = (qx - ox) / res
-    if not -_EDGE_CELLS <= rx <= (nx - 1) + _EDGE_CELLS:
+    if not -_EDGE_CELLS <= rx <= hx:
         _reject_query(q, qx, 0)
     ry = (qy - oy) / res
-    if not -_EDGE_CELLS <= ry <= (ny - 1) + _EDGE_CELLS:
+    if not -_EDGE_CELLS <= ry <= hy:
         _reject_query(q, qy, 1)
     rz = (qz - oz) / res
-    if not -_EDGE_CELLS <= rz <= (nz - 1) + _EDGE_CELLS:
+    if not -_EDGE_CELLS <= rz <= hz:
         _reject_query(q, qz, 2)
     # int() truncates towards zero, so r >= -_EDGE_CELLS gives an index >= 0.
-    i = min(int(rx), nx - 2)
-    j = min(int(ry), ny - 2)
-    l = min(int(rz), nz - 2)
-    tx = min(max(rx - i, 0.0), 1.0)
-    ty = min(max(ry - j, 0.0), 1.0)
-    tz = min(max(rz - l, 0.0), 1.0)
+    # Each clamp replaces a value only where min() or max() would, so a
+    # fraction of -0.0 stays -0.0.
+    i = int(rx)
+    if i > lx:
+        i = lx
+    j = int(ry)
+    if j > ly:
+        j = ly
+    l = int(rz)
+    if l > lz:
+        l = lz
+    tx = rx - i
+    if tx < 0.0:
+        tx = 0.0
+    elif tx > 1.0:
+        tx = 1.0
+    ty = ry - j
+    if ty < 0.0:
+        ty = 0.0
+    elif ty > 1.0:
+        ty = 1.0
+    tz = rz - l
+    if tz < 0.0:
+        tz = 0.0
+    elif tz > 1.0:
+        tz = 1.0
 
     # Corner k is (i + dx, j + dy, l + dz) with k = 4 dx + 2 dy + dz.
     node = (i * ny + j) * nz + l
     c0, c1, c2, c3, c4, c5, c6, c7 = struct.unpack_from(f._value_corners, f.values, 4 * node)
     if min(c0, c1, c2, c3, c4, c5, c6, c7) == INSIDE_SENTINEL:
-        raise InsideObstacleError(f"query {np.asarray(q).tolist()} touches an inside-solid cell")
-    _, by, bz = f._blocks
+        raise InsideObstacleError(f"query {_listed(q)} touches an inside-solid cell")
     block = (i // _GRAD_BLOCK * by + j // _GRAD_BLOCK) * bz + l // _GRAD_BLOCK
     if not f._done[block]:
         f._derive(np.array([block]))
@@ -389,7 +418,14 @@ def _reject_query(q, qk: float, axis: int) -> None:
     """Raise for a query coordinate that failed the grid range test."""
     if not math.isfinite(qk):
         raise ValueError(f"query must be finite, got {q}")
-    raise OutOfBoundsError(f"query {np.asarray(q).tolist()} outside grid extent on axis {'xyz'[axis]}")
+    raise OutOfBoundsError(f"query {_listed(q)} outside grid extent on axis {'xyz'[axis]}")
+
+
+def _listed(q) -> list:
+    """``np.asarray(q).tolist()``, for an error message; a list of floats is already that list."""
+    if type(q) is list and all(type(v) is float for v in q):
+        return q
+    return np.asarray(q).tolist()
 
 
 # Status codes returned by sample_batch.

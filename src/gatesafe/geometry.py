@@ -130,11 +130,17 @@ def _norm(v) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
-def _finite_point(q) -> tuple[np.ndarray, list[float]]:
-    """A finite 3-vector as a float array and as its three Python floats."""
+def _vector(q) -> np.ndarray:
+    """A 3-vector as a float array; any other shape raises ``ValueError``."""
     q = np.asarray(q, dtype=float)
     if q.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {q.shape}")
+    return q
+
+
+def _finite_point(q) -> tuple[np.ndarray, list[float]]:
+    """A finite 3-vector as a float array and as its three Python floats."""
+    q = _vector(q)
     x, y, z = coords = q.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"point must be finite, got {q}")
@@ -267,19 +273,53 @@ def gate_to_world(q: np.ndarray, pose: Pose) -> np.ndarray:
 
 
 def _slab_hit(p0, d, lo, hi) -> bool:
-    """Slab test: does the segment p0 + t d, t in [0, 1], touch the closed box [lo, hi]? (Three floats each.)"""
+    """Slab test: does the segment p0 + t d, t in [0, 1], touch the closed box [lo, hi]? (Three floats each.)
+
+    The axes are taken in x, y, z order. On each, a zero direction needs p0
+    within the slab; otherwise the slab's entry and exit parameters narrow
+    [tmin, tmax], which must stay non-empty.
+    """
     tmin, tmax = 0.0, 1.0
-    for pk, dk, lk, hk in zip(p0, d, lo, hi):
-        if dk == 0.0:
-            if pk < lk or pk > hk:
-                return False
-            continue
-        t0, t1 = (lk - pk) / dk, (hk - pk) / dk
+    px, py, pz = p0
+    dx, dy, dz = d
+    lx, ly, lz = lo
+    hx, hy, hz = hi
+    if dx == 0.0:
+        if px < lx or px > hx:
+            return False
+    else:
+        t0, t1 = (lx - px) / dx, (hx - px) / dx
         if t0 > t1:
             t0, t1 = t1, t0
         if t0 > tmin:  # tmin = max(tmin, t0)
             tmin = t0
         if t1 < tmax:  # tmax = min(tmax, t1)
+            tmax = t1
+        if tmin > tmax:
+            return False
+    if dy == 0.0:
+        if py < ly or py > hy:
+            return False
+    else:
+        t0, t1 = (ly - py) / dy, (hy - py) / dy
+        if t0 > t1:
+            t0, t1 = t1, t0
+        if t0 > tmin:
+            tmin = t0
+        if t1 < tmax:
+            tmax = t1
+        if tmin > tmax:
+            return False
+    if dz == 0.0:
+        if pz < lz or pz > hz:
+            return False
+    else:
+        t0, t1 = (lz - pz) / dz, (hz - pz) / dz
+        if t0 > t1:
+            t0, t1 = t1, t0
+        if t0 > tmin:
+            tmin = t0
+        if t1 < tmax:
             tmax = t1
         if tmin > tmax:
             return False
@@ -310,4 +350,7 @@ def _segment_hits(p0: list[float], p1: list[float], outer, bars) -> bool:
     d = [p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]]
     if not _slab_hit(p0, d, *outer):
         return False
-    return any(_slab_hit(p0, d, box_lo, box_hi) for box_lo, box_hi in bars)
+    for box_lo, box_hi in bars:
+        if _slab_hit(p0, d, box_lo, box_hi):
+            return True
+    return False

@@ -37,9 +37,11 @@ crossing interpolation, and also every dot product, norm and rotation, whose
 sums run left to right with ``math.sqrt`` taking the roots. No BLAS kernel
 sets a bit, so a run's outputs do not depend on the BLAS build or the CPU it
 picks. The step makes no numpy call: the field reads a cell's corners with
-``struct`` from its arrays' buffers. Only the first query in a block of
-cells calls numpy, to derive that block's gradients (and the noise rows are
-drawn 1024 at a time, a gate's estimate once per gate).
+``struct`` from its arrays' buffers, and an off-map or in-obstacle step
+names its three-float query in the error it raises and the loop catches,
+also without numpy. Only the first query in a block of cells calls numpy,
+to derive that block's gradients (and the noise rows are drawn 1024 at a
+time, a gate's estimate once per gate); ``test_sim`` counts the calls.
 """
 from __future__ import annotations
 
@@ -248,9 +250,10 @@ def nominal_policy(state: SimState, estimate: Pose, gain: float, alpha: float, p
     Aiming past the plane (rather than at the center) keeps the commanded
     speed up through the crossing; the action is clipped to the norm bound.
     A gain so large that the action's squared norm overflows gives the
-    clipped direction to the target.
+    clipped direction to the target. A position that is no finite
+    3-vector raises ``ValueError``.
     """
-    x = np.asarray(state.x, dtype=float).tolist()
+    x = _finite_point(state.x)[1]
     return np.array(_policy_action(_policy_target(estimate, pass_offset), x, gain, alpha))
 
 

@@ -10,6 +10,7 @@ Oracles:
 import copy
 import math
 import pickle
+import re
 import struct
 import tracemalloc
 import warnings
@@ -839,6 +840,19 @@ def test_sample_batch_flags_non_finite_rows_out_of_bounds(small_field):
     assert vals[0] == pytest.approx(d, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3), (2,), (4,), ()])
+def test_sample_rejects_a_point_that_is_no_3_vector(small_field, shape):
+    with pytest.raises(ValueError, match=rf"^expected a 3-vector, got shape {re.escape(str(shape))}$"):
+        sample(small_field, np.zeros(shape))
+
+
+@pytest.mark.parametrize("q", [[5.0, 0.0, 0.0], [0.0, 0.875, 0.0], [0, 5, 0]])
+def test_sample_errors_name_a_list_query_as_its_array_does(small_field, q):
+    # A list of floats is named as is, without numpy; every other query as
+    # np.asarray(q).tolist() names it.
+    assert _outcome(sample, small_field, q) == _outcome(sample, small_field, np.array(q))
+
+
 @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 1)])
 def test_sample_batch_rejects_non_n_by_3_points(small_field, shape):
     with pytest.raises(ValueError, match=r"expected an \(N, 3\) array"):
@@ -889,7 +903,7 @@ def _per_corner_sample_batch(f: DistanceField, pts: np.ndarray):
 
 
 def _query_mix(rng, spec, n: int) -> np.ndarray:
-    """Grid-wide points plus cells at the frame, nodes, upper faces and non-finite or overflowing rows."""
+    """Grid-wide points plus cells at the frame, nodes, upper and lower faces and non-finite or overflowing rows."""
     lo, hi, res = spec.origin, spec.max_corner, spec.resolution
     pts = rng.uniform(lo - 0.05, hi + 0.05, size=(n, 3))
     kind = rng.integers(0, 6, size=n)
@@ -902,6 +916,13 @@ def _query_mix(rng, spec, n: int) -> np.ndarray:
     pts[face, axis] = hi[axis] + rng.choice([0.0, 1e-11, -1e-11], size=face.size)
     bad = np.flatnonzero(kind == 4)
     pts[bad, rng.integers(0, 3, size=bad.size)] = rng.choice([math.nan, math.inf, -math.inf, 1e308, -1e308], size=bad.size)
+    # On a lower face, a hair (inside the tolerance) below it, or -0.0 on a
+    # face at 0; picked by row number, so the stream of draws stays as it was.
+    low = np.flatnonzero(kind == 5)
+    axis = low % 3
+    offset = np.array([0.0, -1e-11, -0.0])[low // 3 % 3]
+    pts[low, axis] = np.where(lo[axis] == 0.0, offset, lo[axis] + offset)
+    pts[low[::4]] = lo  # the grid's min corner itself
     return pts
 
 
@@ -942,8 +963,10 @@ def test_sample_batch_single_rows_match_scalar_sample_bit_for_bit(small_field):
     # from Fortran-ordered values.
     rng = np.random.default_rng(43)
     fields = [(small_field, _query_mix(rng, small_field.spec, 3000))]
-    for dims in ((2, 2, 2), (3, 2, 5), (4, 3, 2), small_field.spec.dims):
-        spec = GridSpec(origin=np.array([-0.3, 0.2, -1.0]), resolution=0.1, dims=dims)
+    grids = [((-0.3, 0.2, -1.0), dims) for dims in ((2, 2, 2), (3, 2, 5), (4, 3, 2), small_field.spec.dims)]
+    grids.append(((0.0, -0.2, 0.0), (5, 4, 3)))  # faces at 0, where a query may be -0.0
+    for origin, dims in grids:
+        spec = GridSpec(origin=np.array(origin), resolution=0.1, dims=dims)
         values = _blob_values(rng, dims)
         pts = np.concatenate([_query_mix(rng, spec, 300), _last_cell_queries(rng, spec, 100)])
         fields += [(DistanceField(spec, values), pts), (DistanceField(spec, np.asfortranarray(values)), pts)]

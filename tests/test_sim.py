@@ -1,5 +1,8 @@
 """Track generation, perception, policy, and closed-loop trial behavior."""
+import copy
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from gatesafe.sim import (
     TrackSpec,
     generate_track,
     _estimate,
+    _uniform_rows,
     nominal_policy,
     run_experiment,
     run_trial,
@@ -133,6 +137,19 @@ def test_nominal_policy_rotated_target():
     est = Pose(position=np.array([2.0, 1.0, 0.0]), yaw=math.pi / 2)
     u = nominal_policy(state, est, gain=1.0, alpha=10.0, pass_offset=1.0)
     assert np.allclose(u, [2.0, 2.0, 0.0], atol=1e-12), "offset must rotate with gate yaw"
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.zeros(4), r"^expected a 3-vector, got shape \(4,\)$"),
+    (np.zeros(2), r"^expected a 3-vector, got shape \(2,\)$"),
+    (np.zeros((3, 1)), r"^expected a 3-vector, got shape \(3, 1\)$"),
+    (np.array([math.nan, 0.0, 0.0]), r"^point must be finite"),
+    ([0.0, math.inf, 0.0], r"^point must be finite"),
+])
+def test_nominal_policy_rejects_a_position_that_is_no_finite_3_vector(x, message):
+    est = Pose(position=np.array([1.0, 0.0, 0.0]), yaw=0.0)
+    with pytest.raises(ValueError, match=message):
+        nominal_policy(SimState(x=x), est, gain=2.0, alpha=3.0, pass_offset=3.0)
 
 
 def test_trial_difficulty_zero_filtered_full_success(default_env):
@@ -601,3 +618,66 @@ def test_run_trial_matches_per_step_draw_loop(default_env):
     assert crossings == 24, "some grid trial flies every gate"
     assert endings == {"done", "timeout", "collision", "slab exit"}
     assert {STEP_UNCHANGED, STEP_PROJECTED, STEP_OFF_MAP, STEP_IN_OBSTACLE} <= statuses
+
+
+_NUMPY_DIR = os.path.dirname(np.__file__)
+
+
+def _numpy_code(code) -> bool:
+    # The argument dispatchers of numpy's array-function protocol run as
+    # part of the call they dispatch.
+    return code.co_filename.startswith(_NUMPY_DIR) and not code.co_name.endswith("_dispatcher")
+
+
+def _numpy_builtin(fn) -> bool:
+    owner = getattr(fn, "__self__", None)
+    return (getattr(fn, "__module__", None) or "").startswith("numpy") or type(owner).__module__.startswith("numpy")
+
+
+def _numpy_calls(fn):
+    """``fn()`` and how often code outside numpy called into numpy meanwhile.
+
+    ``sys.setprofile`` sees calls of numpy's Python functions and of its
+    builtin functions and methods (``np.array``, ``ndarray.tolist``, ...);
+    a ufunc call makes no profile event and is not counted.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += _numpy_code(frame.f_code) and not (frame.f_back and _numpy_code(frame.f_back.f_code))
+        elif event == "c_call":
+            calls += _numpy_builtin(arg) and not _numpy_code(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_trial_steps_make_no_numpy_call(default_env):
+    # On fully derived maps a trial calls numpy a fixed number of times, then
+    # a fixed number per gate (its poses, the spawn check) and once per block
+    # of 1,024 noise rows, however many steps it flies: off-map steps and
+    # in-obstacle steps, whose errors are raised and caught, included.
+    nominal, inflated = copy.deepcopy(default_env.nominal_field), copy.deepcopy(default_env.inflated_field)
+    nominal.gradients, inflated.gradients
+    env = SimEnv(gate=default_env.gate, nominal_field=nominal, inflated_field=inflated, params=default_env.params)
+    rows = _uniform_rows(np.random.default_rng(0))
+    assert _numpy_calls(lambda: next(rows))[1] == 1  # the block's tolist; the draw makes no profile event
+    # The last case flies its first steps in cells with an inside-solid corner.
+    cases = [(env, generate_track(difficulty=level, seed=seed), None) for level, seed in ((0.0, 1001), (1.0, 3002))]
+    close = _env(env, SafetyParams(R=0.05, dw=np.zeros(3), dv=np.zeros(3)))
+    cases.append((close, generate_track(num_gates=3, difficulty=1.0, laps=1, seed=1234), np.array([-0.5, 0.7, 0.0])))
+    steps = {"off_map": 0, "in_obstacle": 0}
+    for trial_env, track, spawn in cases:
+        for mode in ("filtered", "filtered_uncertainty"):
+            r, calls = _numpy_calls(lambda: run_trial(trial_env, track, mode, seed=99, spawn=spawn))
+            rows = r.steps + r.total_gates  # a noise row per step and per gate estimate, at most
+            assert calls <= 40 + 18 * r.total_gates + (rows // 1024 + 1), (mode, r.steps, calls)
+            for status in steps:
+                steps[status] += getattr(r, f"{status}_steps")
+    assert steps["off_map"] > 0 and steps["in_obstacle"] > 0

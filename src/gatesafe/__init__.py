@@ -55,6 +55,7 @@ from .qp import (
     FilterDecision,
     FilterStatus,
     PlaneActionField,
+    SafetyFilter,
     filter_action,
     filter_action_batch,
     safest_action_field,
@@ -109,6 +110,7 @@ __all__ = [
     "PlaneActionField",
     "Pose",
     "ReportError",
+    "SafetyFilter",
     "SafetyParams",
     "SetupError",
     "SimEnv",

@@ -76,9 +76,9 @@ class BarrierConstraint:
     b: float
 
 
-def _barrier_value(d, params: SafetyParams):
+def _barrier_value(d, R: float):
     """h = d^2 - R^2 for a float clearance or an array of them."""
-    return d * d - params.R * params.R
+    return d * d - R * R
 
 
 def eval_barrier_world(
@@ -92,7 +92,7 @@ def eval_barrier_world(
     """
     x = _finite_point(x_world)[1]
     d, grad = _world_sample(f, _to_gate(x, gate_pose.heading, gate_pose.position.tolist()), gate_pose.heading)
-    return BarrierEval(d=d, grad=np.array(grad), h=_barrier_value(d, params))
+    return BarrierEval(d=d, grad=np.array(grad), h=_barrier_value(d, params.R))
 
 
 def _world_sample(f: DistanceField, q: list[float], heading: tuple[float, float]) -> tuple[float, list[float]]:

@@ -145,7 +145,7 @@ def _cmd_field(args) -> int:
     params = _load_cfg(args.config).safety_params()
     _check_speed(args.speed, params.alpha, "--speed")
     f = load_field(args.map)
-    _check_offset(args.offset, f.spec, args.plane, "--offset")
+    _check_offset(args.offset, f, args.plane, "--offset")
     fld = safest_action_field(
         f,
         params,

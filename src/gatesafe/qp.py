@@ -33,9 +33,9 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import ADMISSIBLE_TOL, BarrierConstraint, SafetyParams, _barrier_value, _constraint
-from .field import _EDGE_CELLS, SAMPLE_OK, DistanceField, GridSpec, sample_batch
-from .geometry import _norm, _points, _positive
+from .barrier import ADMISSIBLE_TOL, BarrierConstraint, SafetyParams, _barrier_value, _constraint, _world_sample
+from .field import _EDGE_CELLS, SAMPLE_OK, DistanceField, sample_batch
+from .geometry import _norm, _points, _positive, _to_gate
 
 _DEGENERATE_NORM = 1e-300
 _KKT_TOL = 1e-7  # verify_kkt's residual bound, relative to the instance magnitude
@@ -145,6 +145,31 @@ def _scaled(v: list[float], k: float) -> list[float]:
 def _distance(u: list[float], v: list[float]) -> float:
     """|u - v| for three-float vectors."""
     return _norm((u[0] - v[0], u[1] - v[1], u[2] - v[2]))
+
+
+class SafetyFilter:
+    """The filter that wraps a nominal policy: one call per control step.
+
+    ``filt(x, heading, position, u_nom)`` takes the world position, the estimated
+    gate's ``Pose.heading`` and position, and the nominal action, as floats. It
+    returns ``(u, code, h, deviation)``, ``code`` indexing ``FILTER_STATUS_ORDER``,
+    with the bits of ``eval_barrier_world``, ``assemble_constraint`` and
+    :func:`filter_action` chained, and raises their ``OutOfBoundsError`` or
+    ``InsideObstacleError``. ``params`` is read once; numpy is called only to derive
+    a map block's gradients and in the QP's circle case.
+    """
+
+    def __init__(self, field: DistanceField, params: SafetyParams) -> None:
+        self.field = field
+        self._constants = (params.R, params.gamma, params.alpha, params.dw.tolist())
+
+    def __call__(self, x: list, heading: tuple, position: list, u_nom: list) -> tuple[list, int, float, float]:
+        R, gamma, alpha, dw = self._constants
+        d, grad = _world_sample(self.field, _to_gate(x, heading, position), heading)
+        h = _barrier_value(d, R)
+        a, b = _constraint(d, grad, h, gamma, dw)
+        u, code, _, deviation = _project(u_nom, a, b, alpha)
+        return u, code, h, deviation
 
 
 def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -362,17 +387,17 @@ def _check_speed(speed: float, alpha: float, name: str) -> None:
 _PLANE_AXES = {"xy": (0, 1, 2), "yz": (1, 2, 0)}
 
 
-def _check_offset(offset: float, spec: GridSpec, plane: str, name: str) -> None:
+def _check_offset(offset: float, f: DistanceField, plane: str, name: str) -> None:
     """Raise ValueError naming ``name`` unless the plane at ``offset`` can be sampled.
 
-    The sampling rule: the plane lies within _EDGE_CELLS of the grid on its fixed axis.
+    The sampling rule: the plane lies within the map's ``_lookup`` limits on its fixed axis.
     """
     axis = _PLANE_AXES[plane][2]
     if not math.isfinite(offset):
         raise ValueError(f"{name} must be finite, got {offset}")
-    lo, hi = spec.origin[axis], spec.max_corner[axis]
-    r = (offset - lo) / spec.resolution
-    if not -_EDGE_CELLS <= r <= (spec.dims[axis] - 1) + _EDGE_CELLS:
+    lo, hi = f.spec.origin[axis], f.spec.max_corner[axis]
+    r = (offset - lo) / f.spec.resolution
+    if not -_EDGE_CELLS <= r <= f._lookup[6 + axis]:
         raise ValueError(f"{name} {offset} outside grid extent [{lo:g}, {hi:g}] on axis {'xyz'[axis]}")
 
 
@@ -394,7 +419,7 @@ def safest_action_field(
         raise ValueError(f"plane must be 'xy' or 'yz', got {plane!r}")
     _check_speed(speed, params.alpha, "speed")
     _check_samples(angular_samples, "angular_samples")
-    _check_offset(offset, f.spec, plane, "offset")
+    _check_offset(offset, f, plane, "offset")
     au, av, fixed = _PLANE_AXES[plane]
 
     uu, vv = np.meshgrid(f.spec.axis_nodes(au), f.spec.axis_nodes(av), indexing="ij")
@@ -412,7 +437,7 @@ def safest_action_field(
     dirs[:, au] = np.cos(theta)
     dirs[:, av] = np.sin(theta)
 
-    a, b = _constraint(d, grad.T, _barrier_value(d, params), params.gamma, params.dw.tolist())
+    a, b = _constraint(d, grad.T, _barrier_value(d, params.R), params.gamma, params.dw.tolist())
     margins = speed * (np.array(a).T @ dirs.T) - b[:, None]
     margins[~valid] = -np.inf
     best = np.argmax(margins, axis=1)

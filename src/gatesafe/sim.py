@@ -28,20 +28,20 @@ steps are unprotected from the gate just passed: on the default grid they
 come as close as 0.42 m to it (level 1.5, filtered_uncertainty).
 
 The trial loop keeps its state, actions and gate-frame points as Python
-floats, made once per step, and calls the private float cores behind the
-public functions (``geometry._to_gate`` and ``_segment_hits``,
-``barrier._world_sample`` and ``_constraint``, ``qp._project``), so a
-trial gives the same bits as the public calls step by step. Every step is
-plain float arithmetic: the dynamics, the noise, the policy action, the
-crossing interpolation, and also every dot product, norm and rotation, whose
-sums run left to right with ``math.sqrt`` taking the roots. No BLAS kernel
-sets a bit, so a run's outputs do not depend on the BLAS build or the CPU it
-picks. The step makes no numpy call: the field reads a cell's corners with
-``struct`` from its arrays' buffers, and an off-map or in-obstacle step
-names its three-float query in the error it raises and the loop catches,
-also without numpy. Only the first query in a block of cells calls numpy,
-to derive that block's gradients (and the noise rows are drawn 1024 at a
-time, a gate's estimate once per gate); ``test_sim`` counts the calls.
+floats, made once per step, and the gate frames as floats, made once per
+trial. A filtered mode corrects each action with one
+:class:`~gatesafe.qp.SafetyFilter` call, which gives the bits of the public
+filter chain. Every step is plain float arithmetic: the dynamics, the noise,
+the policy action, the crossing interpolation, and also every dot product,
+norm and rotation, whose sums run left to right with ``math.sqrt`` taking
+the roots. No BLAS kernel sets a bit, so a run's outputs do not depend on
+the BLAS build or the CPU it picks. The step makes no numpy call outside the
+QP's circle case: the field reads a cell's corners with ``struct`` from its
+arrays' buffers, and an off-map or in-obstacle step names its three-float
+query in the error it raises and the loop catches, also without numpy. Only
+the first query in a block of cells calls numpy, to derive that block's
+gradients (and the noise rows are drawn 1024 at a time, a gate's estimate
+once per gate); ``test_sim`` counts the calls.
 """
 from __future__ import annotations
 
@@ -50,13 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import SafetyParams, _barrier_value, _constraint, _world_sample
+from .barrier import SafetyParams
 from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
     MAX_LEVEL, GateGeometry, Pose, _check_level, _finite_point, _norm, _positive, _segment_hits, _slab_boxes,
-    _to_gate, exact_distance_batch, world_to_gate,
+    _to_gate, exact_distance_batch,
 )
-from .qp import _DEGENERATE, _FALLBACK, _PROJECTED, _UNCHANGED, FILTER_STATUS_ORDER, _project
+from .qp import _DEGENERATE, _FALLBACK, _PROJECTED, _UNCHANGED, FILTER_STATUS_ORDER, SafetyFilter
 
 MODES = ("baseline", "filtered", "filtered_uncertainty")
 
@@ -229,11 +229,6 @@ def virtual_gate_pose(track: TrackSpec, index: int) -> Pose:
     return Pose(position=base.position + shift, yaw=base.yaw)
 
 
-def _estimate(true: Pose, draw, dv: np.ndarray) -> Pose:
-    """The estimate of a gate pose for one uniform(-1, 1) draw per axis."""
-    return Pose(position=true.position + draw * np.asarray(dv, dtype=float), yaw=true.yaw)
-
-
 def _uniform_rows(rng: np.random.Generator):
     """Rows of rng.uniform(-1, 1, size=3) as float lists, drawn 1024 rows at a time.
 
@@ -254,13 +249,13 @@ def nominal_policy(state: SimState, estimate: Pose, gain: float, alpha: float, p
     3-vector raises ``ValueError``.
     """
     x = _finite_point(state.x)[1]
-    return np.array(_policy_action(_policy_target(estimate, pass_offset), x, gain, alpha))
+    target = _policy_target((estimate.heading, estimate.position.tolist()), pass_offset)
+    return np.array(_policy_action(target, x, gain, alpha))
 
 
-def _policy_target(estimate: Pose, pass_offset: float) -> list[float]:
-    """The point :func:`nominal_policy` pursues, as three floats."""
-    c, s = estimate.heading
-    ex, ey, ez = estimate.position.tolist()
+def _policy_target(frame: tuple, pass_offset: float) -> list[float]:
+    """The point :func:`nominal_policy` pursues for an estimated gate frame, as three floats."""
+    (c, s), (ex, ey, ez) = frame
     # Element-wise, as position + pass_offset * (c, s, 0) on arrays; the 0
     # term keeps the sign of zeros.
     return [ex + pass_offset * c, ey + pass_offset * s, ez + pass_offset * 0.0]
@@ -291,9 +286,9 @@ def _step(x: list[float], u: list[float], w: list[float], dt: float) -> list[flo
     return [x[0] + (u[0] + w[0]) * dt, x[1] + (u[1] + w[1]) * dt, x[2] + (u[2] + w[2]) * dt]
 
 
-def _validate_spawn(x: np.ndarray, env: SimEnv, track: TrackSpec) -> None:
-    # The spawn in every gate's frame; row 0 is gate 0 of the first lap.
-    q = np.array([world_to_gate(x, virtual_gate_pose(track, m)) for m in range(track.total_gates)])
+def _validate_spawn(x: np.ndarray, xs: list[float], env: SimEnv, frames: list[tuple]) -> None:
+    # The spawn (x, and xs as floats) in every gate's frame; row 0 is gate 0 of the first lap.
+    q = np.array([_to_gate(xs, *frame) for frame in frames])
     d = exact_distance_batch(q, env.gate)
     inside = np.flatnonzero(d < 0.0)
     if inside.size:
@@ -304,19 +299,16 @@ def _validate_spawn(x: np.ndarray, env: SimEnv, track: TrackSpec) -> None:
         raise SetupError(f"spawn {x} starts unsafe: clearance {d[0]:.3f} < R = {env.params.R}")
 
 
-def _approach(track: TrackSpec, index: int, draw: list[float], env: SimEnv) -> tuple[tuple, tuple, list[float]]:
-    """Gate ``index``'s true frame, its estimated frame and the policy's target for the estimate.
+def _approach(frame: tuple, draw: list[float], dv: list[float], pass_offset: float) -> tuple[tuple, list[float]]:
+    """The estimate of a gate's frame for one uniform(-1, 1) draw per axis, and the policy's target for it.
 
     A frame is a pose's (heading, position as three floats), the arguments
-    ``geometry._to_gate`` takes after the point.
+    ``geometry._to_gate`` takes after the point. The estimate keeps the
+    heading and moves the position by ``draw * dv`` element-wise.
     """
-    pose = virtual_gate_pose(track, index)
-    estimate = _estimate(pose, draw, env.params.dv)
-    return (
-        (pose.heading, pose.position.tolist()),
-        (estimate.heading, estimate.position.tolist()),
-        _policy_target(estimate, env.pass_offset),
-    )
+    heading, p = frame
+    estimate = (heading, [p[0] + draw[0] * dv[0], p[1] + draw[1] * dv[1], p[2] + draw[2] * dv[2]])
+    return estimate, _policy_target(estimate, pass_offset)
 
 
 def run_trial(
@@ -336,35 +328,31 @@ def run_trial(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "filtered":
-        fld = env.nominal_field
-    elif mode == "filtered_uncertainty":
-        if env.inflated_field is None:
-            raise ValueError("filtered_uncertainty mode requires an inflated field")
-        fld = env.inflated_field
-    else:
-        fld = None
-
+    if mode == "filtered_uncertainty" and env.inflated_field is None:
+        raise ValueError("filtered_uncertainty mode requires an inflated field")
     params = env.params
+    fld = {"filtered": env.nominal_field, "filtered_uncertainty": env.inflated_field}.get(mode)
+    filt = None if fld is None else SafetyFilter(fld, params)
+
+    total = track.total_gates
+    frames = [(p.heading, p.position.tolist()) for p in (virtual_gate_pose(track, m) for m in range(total))]
     if spawn is None:
         spawn = track.gate_poses[0].position - np.array([track.spacing, 0.0, 0.0])
-    spawn = np.asarray(spawn, dtype=float)
-    _validate_spawn(spawn, env, track)
-
     # Loop state as Python floats: positions, actions and gate-frame points
     # are three-float lists, made once and never converted again.
-    x = spawn.tolist()
+    spawn, x = _finite_point(spawn)
+    _validate_spawn(spawn, x, env, frames)
     t = 0.0
     draws = _uniform_rows(np.random.default_rng(seed))
-    total = track.total_gates
     cap = env.max_steps
-    dt, gain, alpha, gamma = env.dt, env.gain, params.alpha, params.gamma
-    dw = params.dw.tolist()
+    dt, gain, alpha, pass_offset = env.dt, env.gain, params.alpha, env.pass_offset
+    dw, dv = params.dw.tolist(), params.dv.tolist()
     outer, bars = _slab_boxes(env.gate)
     pass_half = env.gate.inner_half - PASS_MARGIN
     rows = []  # (t, x, q, h, status, deviation) at each step start
 
-    frame, estimate, target = _approach(track, 0, next(draws), env)
+    frame = frames[0]
+    estimate, target = _approach(frame, next(draws), dv, pass_offset)
     q = _to_gate(x, *frame)
     gate_index = gates_passed = 0
     prev_frame = None  # last passed gate, checked during slab exit
@@ -378,17 +366,13 @@ def run_trial(
         status = STEP_UNCHANGED
         h = math.nan
         dev = 0.0
-        if fld is not None:
+        if filt is not None:
             try:
-                d, grad = _world_sample(fld, _to_gate(x, *estimate), estimate[0])
+                u, status, h, dev = filt(x, *estimate, u)
             except OutOfBoundsError:
                 status = STEP_OFF_MAP
             except InsideObstacleError:
                 status = STEP_IN_OBSTACLE
-            else:
-                h = _barrier_value(d, params)
-                a, b = _constraint(d, grad, h, gamma, dw)
-                u, status, _, dev = _project(u, a, b, alpha)
 
         r = next(draws)
         x_new = _step(x, u, [r[0] * dw[0], r[1] * dw[1], r[2] * dw[2]], dt)
@@ -422,7 +406,8 @@ def run_trial(
             q_prev = q_new
             gate_index += 1
             if gate_index < total:
-                frame, estimate, target = _approach(track, gate_index, next(draws), env)
+                frame = frames[gate_index]
+                estimate, target = _approach(frame, next(draws), dv, pass_offset)
                 q_new = _to_gate(x_new, *frame)
 
         x = x_new

@@ -1,4 +1,5 @@
 """Minimal-deviation projection: case analysis, optimality, and batch parity."""
+import copy
 import math
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gatesafe import qp
-from gatesafe.barrier import BarrierConstraint, BarrierEval, SafetyParams, admissible, assemble_constraint
+from gatesafe.barrier import (
+    BarrierConstraint, BarrierEval, SafetyParams, admissible, assemble_constraint, eval_barrier_world,
+)
 from gatesafe.field import SAMPLE_OK, SAMPLE_OOB, GridSpec, build_field, inflate_field, sample_batch
+from gatesafe.geometry import Pose
 from gatesafe.qp import (
     FILTER_STATUS_ORDER,
     FilterDecision,
@@ -818,3 +822,46 @@ def test_safest_action_field_offset_follows_the_sampling_rule(default_gate):
         assert sample_batch(f, np.array([[0.0, 0.0, offset]]))[2][0] == SAMPLE_OOB, offset
         with pytest.raises(ValueError, match="outside grid extent"):
             safest_action_field(f, SafetyParams(R=0.3), speed=1.0, plane="xy", offset=offset)
+
+
+def test_safety_filter_is_bit_identical_to_the_public_chain(default_env, monkeypatch):
+    # Seeded positions around a gate whose estimated frame is at rest or yawed,
+    # on the nominal and the inflated map: on the map, in inside-solid cells and off it.
+    from test_sim import _numpy_calls
+
+    circled = []
+    circle_rows = qp._circle_rows
+    monkeypatch.setattr(qp, "_circle_rows", lambda *args: circled.append(1) or circle_rows(*args))
+    rng = np.random.default_rng(37)
+    outcomes = set()
+    for fld in (default_env.nominal_field, default_env.inflated_field):
+        fld = copy.deepcopy(fld)
+        fld.gradients  # derived: a call reads the map without numpy
+        for params in (default_env.params, SafetyParams(R=0.05, gamma=1.5, alpha=2.0, dw=(0.0, 0.3, 0.05))):
+            filt = qp.SafetyFilter(fld, params)
+            for _ in range(2000):
+                yaw = float(rng.choice([0.0, rng.uniform(-0.3, 0.3), rng.uniform(-math.pi, math.pi)]))
+                pose = Pose(position=rng.uniform(-20.0, 20.0, size=3), yaw=yaw)
+                c, s = pose.heading
+                lx, ly, lz = rng.uniform(-1.0, 1.0, size=3) * rng.choice([0.6, 1.5, 7.0])
+                x = pose.position + np.array([c * lx - s * ly, s * lx + c * ly, lz])
+                u_nom = rng.uniform(-1.0, 1.0, size=3) * rng.choice([0.5, 3.0, 6.0])
+                args = (x.tolist(), pose.heading, pose.position.tolist(), u_nom.tolist())
+                try:
+                    ev = eval_barrier_world(fld, x, pose, params)
+                except ValueError as exc:
+                    with pytest.raises(type(exc)):
+                        filt(*args)
+                    outcomes.add(type(exc).__name__)
+                    continue
+                dec = filter_action(u_nom, assemble_constraint(ev, params), params)
+                circled.clear()
+                (u, code, h, deviation), calls = _numpy_calls(lambda: filt(*args))
+                assert np.array(u).tobytes() == dec.u_star.tobytes()
+                assert FILTER_STATUS_ORDER[code] is dec.status
+                assert np.float64(h).tobytes() == np.float64(ev.h).tobytes()
+                assert np.float64(deviation).tobytes() == np.float64(dec.deviation).tobytes()
+                assert calls == 0 or circled, (args, calls)
+                outcomes.add(dec.status.value + (" circle" if circled else ""))
+    assert {"OutOfBoundsError", "InsideObstacleError", "unchanged", "projected", "projected circle",
+            "infeasible_fallback"} <= outcomes, outcomes

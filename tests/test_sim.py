@@ -2,6 +2,7 @@
 import copy
 import math
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from gatesafe.sim import (
     SimState,
     TrackSpec,
     generate_track,
-    _estimate,
+    _approach,
     _uniform_rows,
     nominal_policy,
     run_experiment,
@@ -110,14 +111,16 @@ def test_gate_estimate_error_support():
     rng = np.random.default_rng(0)
     true = virtual_gate_pose(track, 3)
     for _ in range(500):
-        est = _estimate(true, rng.uniform(-1.0, 1.0, size=3), dv)
-        err = est.position - true.position
+        draw = rng.uniform(-1.0, 1.0, size=3)
+        (heading, position), target = _approach((true.heading, true.position.tolist()), draw.tolist(), dv.tolist(), 3.0)
+        # The bits of the array estimate, which keeps the true gate inside its inflation box.
+        assert position == (true.position + draw * dv).tolist()
+        err = np.array(position) - true.position
         assert np.all(np.abs(err) <= dv), f"estimate error {err} outside support"
-        assert est.yaw == true.yaw
-    # True gate is always inside the inflation box around the estimate.
-    for _ in range(500):
-        est = _estimate(true, rng.uniform(-1.0, 1.0, size=3), dv)
-        assert np.all(np.abs(true.position - est.position) <= dv)
+        assert heading == true.heading
+        # The target is nominal_policy's for the estimate: the policy stops there.
+        est = Pose(position=np.array(position), yaw=true.yaw)
+        assert nominal_policy(SimState(x=np.array(target)), est, 2.0, 3.0, 3.0).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_nominal_policy_pinned():
@@ -660,7 +663,7 @@ def _numpy_calls(fn):
 
 def test_trial_steps_make_no_numpy_call(default_env):
     # On fully derived maps a trial calls numpy a fixed number of times, then
-    # a fixed number per gate (its poses, the spawn check) and once per block
+    # a fixed number per gate (its pose, built once per trial) and once per block
     # of 1,024 noise rows, however many steps it flies: off-map steps and
     # in-obstacle steps, whose errors are raised and caught, included.
     nominal, inflated = copy.deepcopy(default_env.nominal_field), copy.deepcopy(default_env.inflated_field)
@@ -677,7 +680,21 @@ def test_trial_steps_make_no_numpy_call(default_env):
         for mode in ("filtered", "filtered_uncertainty"):
             r, calls = _numpy_calls(lambda: run_trial(trial_env, track, mode, seed=99, spawn=spawn))
             rows = r.steps + r.total_gates  # a noise row per step and per gate estimate, at most
-            assert calls <= 40 + 18 * r.total_gates + (rows // 1024 + 1), (mode, r.steps, calls)
+            assert calls <= 40 + 6 * r.total_gates + (rows // 1024 + 1), (mode, r.steps, calls)
             for status in steps:
                 steps[status] += getattr(r, f"{status}_steps")
     assert steps["off_map"] > 0 and steps["in_obstacle"] > 0
+
+
+def test_readme_library_use_blocks_run(capsys):
+    # The README's "Library use" Python blocks, run in order in one namespace.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [part.split("\n```", 1)[0] for part in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    trial, step = capsys.readouterr().out.splitlines()
+    assert trial.split()[0] in ("True", "False") and trial.endswith("/ 24")
+    assert step.split()[0] == "projected"

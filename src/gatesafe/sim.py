@@ -6,10 +6,10 @@ drawn per difficulty level; each lap repeats the same gate row shifted one
 track length further along +x (so lap closure never invents turn geometry).
 
 Perception: the policy sees each gate through a noisy pose estimate whose
-position error is drawn uniformly per axis once per gate approach and held
-until the gate is passed (a persistent miscalibration, the failure mode a
-worst-case-inflated filter is built to absorb; redrawing per step would
-average the error away and hide it).
+position error is drawn uniformly per axis once per gate, from its own
+stream, and held until the gate is passed (a persistent miscalibration, the
+failure mode a worst-case-inflated filter is built to absorb; redrawing per
+step would average the error away and hide it).
 
 Modes:
 - "baseline": the nominal proportional policy acts unfiltered;
@@ -40,8 +40,8 @@ QP's circle case: the field reads a cell's corners with ``struct`` from its
 arrays' buffers, and an off-map or in-obstacle step names its three-float
 query in the error it raises and the loop catches, also without numpy. Only
 the first query in a block of cells calls numpy, to derive that block's
-gradients (and the noise rows are drawn 1024 at a time, a gate's estimate
-once per gate); ``test_sim`` counts the calls.
+gradients (and the noise rows are drawn 1024 at a time, the gate estimates
+once per trial); ``test_sim`` counts the calls.
 """
 from __future__ import annotations
 
@@ -300,11 +300,10 @@ def _validate_spawn(x: np.ndarray, xs: list[float], env: SimEnv, frames: list[tu
 
 
 def _approach(frame: tuple, draw: list[float], dv: list[float], pass_offset: float) -> tuple[tuple, list[float]]:
-    """The estimate of a gate's frame for one uniform(-1, 1) draw per axis, and the policy's target for it.
+    """The estimate of a gate's frame, its position moved by ``draw * dv`` element-wise, and the policy's target.
 
     A frame is a pose's (heading, position as three floats), the arguments
-    ``geometry._to_gate`` takes after the point. The estimate keeps the
-    heading and moves the position by ``draw * dv`` element-wise.
+    ``geometry._to_gate`` takes after the point.
     """
     heading, p = frame
     estimate = (heading, [p[0] + draw[0] * dv[0], p[1] + draw[1] * dv[1], p[2] + draw[2] * dv[2]])
@@ -320,11 +319,11 @@ def run_trial(
 ) -> TrialResult:
     """Fly one trial of the full unrolled track and record every step.
 
-    The per-trial random stream is consumed in a fixed order (gate estimate
-    error at start and after each gate advance; process noise each step), so
-    results are bitwise reproducible given (track, mode, seed). The draws are
-    made in blocks of rows and the rows are taken in that same order, which
-    gives the same doubles as one draw per estimate and per step.
+    ``np.random.SeedSequence(seed).spawn(2)`` gives two streams: the process
+    noise, one row per step (drawn in blocks, taken in order), and the gate
+    estimate errors, one row per gate. So every mode sees the same noise at step
+    k and the same estimate of gate m (common random numbers), and results are
+    bitwise reproducible given (track, mode, seed).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -343,16 +342,19 @@ def run_trial(
     spawn, x = _finite_point(spawn)
     _validate_spawn(spawn, x, env, frames)
     t = 0.0
-    draws = _uniform_rows(np.random.default_rng(seed))
     cap = env.max_steps
     dt, gain, alpha, pass_offset = env.dt, env.gain, params.alpha, env.pass_offset
     dw, dv = params.dw.tolist(), params.dv.tolist()
+    noise_rng, estimate_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    draws = _uniform_rows(noise_rng)
+    # Per gate: the true frame, the estimated frame and the policy's target.
+    errors = estimate_rng.uniform(-1.0, 1.0, size=(total, 3)).tolist()
+    gates = [(frame, *_approach(frame, r, dv, pass_offset)) for frame, r in zip(frames, errors)]
     outer, bars = _slab_boxes(env.gate)
     pass_half = env.gate.inner_half - PASS_MARGIN
     rows = []  # (t, x, q, h, status, deviation) at each step start
 
-    frame = frames[0]
-    estimate, target = _approach(frame, next(draws), dv, pass_offset)
+    frame, estimate, target = gates[0]
     q = _to_gate(x, *frame)
     gate_index = gates_passed = 0
     prev_frame = None  # last passed gate, checked during slab exit
@@ -406,8 +408,7 @@ def run_trial(
             q_prev = q_new
             gate_index += 1
             if gate_index < total:
-                frame = frames[gate_index]
-                estimate, target = _approach(frame, next(draws), dv, pass_offset)
+                frame, estimate, target = gates[gate_index]
                 q_new = _to_gate(x_new, *frame)
 
         x = x_new

@@ -481,6 +481,9 @@ def test_nominal_policy_clips_the_direction_when_the_action_norm_overflows(defau
 def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     """The trial loop with one rng.uniform call per estimate and per step.
 
+    The seed spawns two streams: one draws the noise at each step, the other
+    each gate's estimate error when the trial reaches the gate.
+
     Returns (safe, gates_passed, gate_index, whether the trial ended on
     the gate just passed, StepLog columns t, x, q, h, status, deviation)
     with q holding one more row (the final position) when the trial ended
@@ -490,7 +493,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     params = env.params
     if spawn is None:
         spawn = track.gate_poses[0].position - np.array([track.spacing, 0.0, 0.0])
-    rng = np.random.default_rng(seed)
+    noise, errors = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     x = np.asarray(spawn, dtype=float).copy()
     t = 0.0
     gate_index = gates_passed = 0
@@ -498,7 +501,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
     rows = {k: [] for k in ("t", "x", "q", "h", "status", "deviation")}
     pose = virtual_gate_pose(track, 0)
     q = world_to_gate(x, pose)
-    estimate = Pose(position=pose.position + rng.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
+    estimate = Pose(position=pose.position + errors.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
     prev_pose = None
     exit_window = env.gate.half_depth + (params.alpha + float(np.max(params.dw))) * env.dt * 2.0
     safe = True
@@ -518,7 +521,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
                 h_val = ev.h
                 dec = filter_action(u, assemble_constraint(ev, params), params)
                 u, dev, status = dec.u_star, dec.deviation, FILTER_STATUS_ORDER.index(dec.status)
-        w = rng.uniform(-1.0, 1.0, size=3) * params.dw
+        w = noise.uniform(-1.0, 1.0, size=3) * params.dw
         x_new = x + (u + w) * env.dt
         for k, v in zip(rows, (t, x, q, h_val, status, dev)):
             rows[k].append(v)
@@ -544,7 +547,7 @@ def _per_step_draw_trial(env, track, mode, seed, spawn=None):
             if gate_index < total:
                 pose = virtual_gate_pose(track, gate_index)
                 q_new = world_to_gate(x_new, pose)
-                estimate = Pose(position=pose.position + rng.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
+                estimate = Pose(position=pose.position + errors.uniform(-1.0, 1.0, size=3) * params.dv, yaw=pose.yaw)
         x = x_new
         t += env.dt
         q = q_new
@@ -612,12 +615,15 @@ def test_run_trial_matches_per_step_draw_loop(default_env):
             assert r.min_distance == (float(d.min()) if safe else 0.0)
             endings.add("timeout" if r.timed_out else "done" if safe else "collision" if not hit_previous else "slab exit")
             if mode != "baseline" and safe:
-                assert STEP_PROJECTED in log.status and STEP_OFF_MAP in log.status, mode
+                # A safe filtered trial leaves the map between gates, except where it hovers at the
+                # turn track's second-gate target, 3 cm off the first gate's bar, until it times out.
+                hovers = trk is turn and r.timed_out and STEP_OFF_MAP not in log.status
+                assert STEP_PROJECTED in log.status and (STEP_OFF_MAP in log.status or hovers), mode
             if trk is outside and mode == "baseline":
                 assert hit_previous and gate_index == 2, "the next step after the crossing must hit the passed gate"
             statuses.update(log.status.tolist())
             crossings = max(crossings, gate_index)
-    # Estimates drawn after gate advances sit between noise draws in the stream.
+    # Some grid trial reads the estimate of every gate.
     assert crossings == 24, "some grid trial flies every gate"
     assert endings == {"done", "timeout", "collision", "slab exit"}
     assert {STEP_UNCHANGED, STEP_PROJECTED, STEP_OFF_MAP, STEP_IN_OBSTACLE} <= statuses
@@ -679,7 +685,7 @@ def test_trial_steps_make_no_numpy_call(default_env):
     for trial_env, track, spawn in cases:
         for mode in ("filtered", "filtered_uncertainty"):
             r, calls = _numpy_calls(lambda: run_trial(trial_env, track, mode, seed=99, spawn=spawn))
-            rows = r.steps + r.total_gates  # a noise row per step and per gate estimate, at most
+            rows = r.steps  # a noise row per step; the gate estimates are one draw per trial
             assert calls <= 40 + 6 * r.total_gates + (rows // 1024 + 1), (mode, r.steps, calls)
             for status in steps:
                 steps[status] += getattr(r, f"{status}_steps")

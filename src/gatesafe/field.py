@@ -414,6 +414,11 @@ def _sample(f: DistanceField, q, qx: float, qy: float, qz: float) -> tuple[float
     return d, gx, gy, gz
 
 
+def _in_range(f: DistanceField, axis: int, coord: float) -> bool:
+    """Whether a world coordinate on ``axis`` passes :func:`sample`'s grid range test."""
+    return -_EDGE_CELLS <= (coord - f._lookup[axis]) / f._lookup[3] <= f._lookup[6 + axis]
+
+
 def _reject_query(q, qk: float, axis: int) -> None:
     """Raise for a query coordinate that failed the grid range test."""
     if not math.isfinite(qk):

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .barrier import ADMISSIBLE_TOL, BarrierConstraint, SafetyParams, _barrier_value, _constraint, _world_sample
-from .field import _EDGE_CELLS, SAMPLE_OK, DistanceField, sample_batch
+from .field import SAMPLE_OK, DistanceField, _in_range, sample_batch
 from .geometry import _norm, _points, _positive, _to_gate
 
 _DEGENERATE_NORM = 1e-300
@@ -151,12 +151,13 @@ class SafetyFilter:
     """The filter that wraps a nominal policy: one call per control step.
 
     ``filt(x, heading, position, u_nom)`` takes the world position, the estimated
-    gate's ``Pose.heading`` and position, and the nominal action, as floats. It
-    returns ``(u, code, h, deviation)``, ``code`` indexing ``FILTER_STATUS_ORDER``,
-    with the bits of ``eval_barrier_world``, ``assemble_constraint`` and
-    :func:`filter_action` chained, and raises their ``OutOfBoundsError`` or
-    ``InsideObstacleError``. ``params`` is read once; numpy is called only to derive
-    a map block's gradients and in the QP's circle case.
+    gate's ``Pose.heading`` and position, and the nominal action, as floats, and
+    returns ``(u, code, h, deviation)``, ``code`` indexing ``FILTER_STATUS_ORDER``:
+    the bits of ``eval_barrier_world``, ``assemble_constraint`` and
+    :func:`filter_action` chained, with their ``OutOfBoundsError``,
+    ``InsideObstacleError``, and ``ValueError`` for an input that is not a 3-vector.
+    ``params`` is read once; numpy is called only to derive a map block's
+    gradients and in the QP's circle case.
     """
 
     def __init__(self, field: DistanceField, params: SafetyParams) -> None:
@@ -164,6 +165,8 @@ class SafetyFilter:
         self._constants = (params.R, params.gamma, params.alpha, params.dw.tolist())
 
     def __call__(self, x: list, heading: tuple, position: list, u_nom: list) -> tuple[list, int, float, float]:
+        if not len(x) == len(position) == len(u_nom) == 3:
+            raise ValueError(f"x, position and u_nom must have 3 values, got {len(x)}, {len(position)}, {len(u_nom)}")
         R, gamma, alpha, dw = self._constants
         d, grad = _world_sample(self.field, _to_gate(x, heading, position), heading)
         h = _barrier_value(d, R)
@@ -388,16 +391,12 @@ _PLANE_AXES = {"xy": (0, 1, 2), "yz": (1, 2, 0)}
 
 
 def _check_offset(offset: float, f: DistanceField, plane: str, name: str) -> None:
-    """Raise ValueError naming ``name`` unless the plane at ``offset`` can be sampled.
-
-    The sampling rule: the plane lies within the map's ``_lookup`` limits on its fixed axis.
-    """
+    """Raise ValueError naming ``name`` unless the map samples the plane at ``offset`` on its fixed axis."""
     axis = _PLANE_AXES[plane][2]
     if not math.isfinite(offset):
         raise ValueError(f"{name} must be finite, got {offset}")
-    lo, hi = f.spec.origin[axis], f.spec.max_corner[axis]
-    r = (offset - lo) / f.spec.resolution
-    if not -_EDGE_CELLS <= r <= f._lookup[6 + axis]:
+    if not _in_range(f, axis, offset):
+        lo, hi = f.spec.origin[axis], f.spec.max_corner[axis]
         raise ValueError(f"{name} {offset} outside grid extent [{lo:g}, {hi:g}] on axis {'xyz'[axis]}")
 
 

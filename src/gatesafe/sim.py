@@ -27,21 +27,18 @@ code. The filter sees only the current gate, so right after a crossing these
 steps are unprotected from the gate just passed: on the default grid they
 come as close as 0.42 m to it (level 1.5, filtered_uncertainty).
 
-The trial loop keeps its state, actions and gate-frame points as Python
-floats, made once per step, and the gate frames as floats, made once per
-trial. A filtered mode corrects each action with one
+The trial loop keeps its state, actions and gate frames as Python floats,
+made once, and corrects a filtered mode's action with one
 :class:`~gatesafe.qp.SafetyFilter` call, which gives the bits of the public
-filter chain. Every step is plain float arithmetic: the dynamics, the noise,
-the policy action, the crossing interpolation, and also every dot product,
-norm and rotation, whose sums run left to right with ``math.sqrt`` taking
-the roots. No BLAS kernel sets a bit, so a run's outputs do not depend on
-the BLAS build or the CPU it picks. The step makes no numpy call outside the
-QP's circle case: the field reads a cell's corners with ``struct`` from its
-arrays' buffers, and an off-map or in-obstacle step names its three-float
-query in the error it raises and the loop catches, also without numpy. Only
-the first query in a block of cells calls numpy, to derive that block's
-gradients (and the noise rows are drawn 1024 at a time, the gate estimates
-once per trial); ``test_sim`` counts the calls.
+filter chain. Every step is plain float arithmetic, every dot product, norm
+and rotation included: sums run left to right and ``math.sqrt`` takes the
+roots, so no BLAS kernel sets a bit and a run's outputs do not depend on the
+BLAS build or the CPU it picks. The step calls numpy only in the QP's circle
+case and on a map block's first query, which derives the block's gradients:
+the field reads a cell's corners with ``struct`` from its arrays' buffers,
+and an off-map or in-obstacle error names its three-float query as it is.
+Noise rows are drawn 1024 at a time, the gate estimates once per trial;
+``test_sim`` counts the numpy calls.
 """
 from __future__ import annotations
 
@@ -286,8 +283,9 @@ def _step(x: list[float], u: list[float], w: list[float], dt: float) -> list[flo
     return [x[0] + (u[0] + w[0]) * dt, x[1] + (u[1] + w[1]) * dt, x[2] + (u[2] + w[2]) * dt]
 
 
-def _validate_spawn(x: np.ndarray, xs: list[float], env: SimEnv, frames: list[tuple]) -> None:
-    # The spawn (x, and xs as floats) in every gate's frame; row 0 is gate 0 of the first lap.
+def _validate_spawn(x: np.ndarray, env: SimEnv, frames: list[tuple]) -> None:
+    # The spawn in every gate's frame; row 0 is gate 0 of the first lap.
+    xs = x.tolist()
     q = np.array([_to_gate(xs, *frame) for frame in frames])
     d = exact_distance_batch(q, env.gate)
     inside = np.flatnonzero(d < 0.0)
@@ -340,7 +338,7 @@ def run_trial(
     # Loop state as Python floats: positions, actions and gate-frame points
     # are three-float lists, made once and never converted again.
     spawn, x = _finite_point(spawn)
-    _validate_spawn(spawn, x, env, frames)
+    _validate_spawn(spawn, env, frames)
     t = 0.0
     cap = env.max_steps
     dt, gain, alpha, pass_offset = env.dt, env.gain, params.alpha, env.pass_offset

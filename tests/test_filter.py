@@ -865,3 +865,17 @@ def test_safety_filter_is_bit_identical_to_the_public_chain(default_env, monkeyp
                 outcomes.add(dec.status.value + (" circle" if circled else ""))
     assert {"OutOfBoundsError", "InsideObstacleError", "unchanged", "projected", "projected circle",
             "infeasible_fallback"} <= outcomes, outcomes
+
+
+@pytest.mark.parametrize("name, value", [
+    ("x", [-1.0, 0.9]), ("x", [-1.0, 0.9, 0.0, 5.0]),
+    ("position", [0.0, 0.0]), ("position", [0.0, 0.0, 0.0, 0.0]),
+    ("u_nom", [1.0, 0.0]), ("u_nom", [1.0, 0.0, 0.0, 0.0]),
+])
+def test_safety_filter_rejects_inputs_that_are_not_3_vectors(default_env, name, value):
+    # The public chain refuses these too: eval_barrier_world's point check, filter_action's shape check.
+    args = {"x": [-1.0, 0.9, 0.0], "heading": (1.0, 0.0), "position": [0.0, 0.0, 0.0], "u_nom": [1.0, 0.0, 0.0]}
+    args[name] = value
+    lengths = ", ".join(str(len(args[k])) for k in ("x", "position", "u_nom"))
+    with pytest.raises(ValueError, match=f"x, position and u_nom must have 3 values, got {lengths}$"):
+        qp.SafetyFilter(default_env.nominal_field, default_env.params)(**args)

@@ -18,6 +18,8 @@ report     Run tables: metrics, trajectories and per-(level, mode) summaries.
 cli        Command-line entry points (build-map, field, run, report).
 """
 
+from types import ModuleType as _ModuleType
+
 from .barrier import (
     ADMISSIBLE_TOL,
     BarrierConstraint,
@@ -89,64 +91,8 @@ from .report import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADMISSIBLE_TOL",
-    "BarrierConstraint",
-    "BarrierEval",
-    "BoxStats",
-    "Config",
-    "ConfigError",
-    "DistanceField",
-    "FILTER_STATUS_ORDER",
-    "FilterDecision",
-    "FilterStatus",
-    "GateGeometry",
-    "GridSpec",
-    "GroupSummary",
-    "InsideObstacleError",
-    "MODES",
-    "MapFormatError",
-    "OutOfBoundsError",
-    "PlaneActionField",
-    "Pose",
-    "ReportError",
-    "SafetyFilter",
-    "SafetyParams",
-    "SetupError",
-    "SimEnv",
-    "SimState",
-    "StepLog",
-    "TrackSpec",
-    "TrialRecord",
-    "TrialResult",
-    "admissible",
-    "assemble_constraint",
-    "box_stats",
-    "build_field",
-    "dump_manifest",
-    "eval_barrier_world",
-    "exact_distance",
-    "exact_distance_batch",
-    "filter_action",
-    "filter_action_batch",
-    "gate_to_world",
-    "generate_track",
-    "inflate_field",
-    "load_config",
-    "load_field",
-    "load_metrics",
-    "nominal_policy",
-    "parse_config",
-    "quantize_inflation",
-    "run_experiment",
-    "run_trial",
-    "safest_action_field",
-    "sample",
-    "sample_batch",
-    "save_field",
-    "segment_hits_frame",
-    "summarize",
-    "verify_kkt",
-    "virtual_gate_pose",
-    "write_report",
-]
+# The import block above is the one list of the public names: ``__all__`` is
+# every name it binds, less the private ones and the submodules it loads.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

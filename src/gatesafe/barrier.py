@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import DistanceField, _sample
-from .geometry import Pose, _axis_bounds, _check_level, _finite_point, _positive, _to_gate
+from .geometry import Pose, _axis_bounds, _check_level, _dot, _finite_point, _norm, _positive, _to_gate, _vector
 
 ADMISSIBLE_TOL = 1e-9
 
@@ -128,9 +128,16 @@ def assemble_constraint(ev: BarrierEval, params: SafetyParams) -> BarrierConstra
 
 
 def admissible(u: np.ndarray, con: BarrierConstraint, params: SafetyParams) -> bool:
-    """Whether an action satisfies the constraint and the norm bound."""
-    u = np.asarray(u, dtype=float)
-    return bool(
-        float(con.a @ u) >= con.b - ADMISSIBLE_TOL
-        and float(np.linalg.norm(u)) <= params.alpha + ADMISSIBLE_TOL
-    )
+    """Whether an action satisfies the constraint and the norm bound, within ``ADMISSIBLE_TOL``.
+
+    a . u and |u| are the QP kernels' left-to-right float sums, so an action is
+    admissible here exactly when the QP reports it unchanged. Raises
+    ValueError unless ``u`` and ``con.a`` are 3-vectors.
+    """
+    u, a = _vector(u).tolist(), _vector(con.a).tolist()
+    return _admits(_dot(a, u), _norm(u), float(con.b), float(params.alpha))
+
+
+def _admits(au, nu, b, alpha):
+    """The admissibility rule on a . u and |u|, for floats or (N,) arrays of rows."""
+    return (au >= b - ADMISSIBLE_TOL) & (nu <= alpha + ADMISSIBLE_TOL)

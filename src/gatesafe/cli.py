@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .config import Config, dump_manifest, load_config, parse_config
+from .config import Config, _default, dump_manifest, load_config, parse_config
 from .field import (
     DistanceField,
     MapFormatError,
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plane", required=True, choices=("xy", "yz"), help="slice orientation")
     p.add_argument("--offset", required=True, type=float, help="slice offset on the fixed axis [m]")
     p.add_argument("--speed", required=True, type=float, help="commanded speed [m/s]")
-    p.add_argument("--samples", type=int, default=72, help="candidate directions per node")
+    p.add_argument("--samples", type=int, default=_default(safest_action_field, "angular_samples"),
+                   help="candidate directions per node")
     p.add_argument("--config", help="YAML config for safety parameters (defaults when omitted)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_field)

@@ -119,6 +119,11 @@ class Pose:
         object.__setattr__(self, "heading", (math.cos(yaw), math.sin(yaw)))
 
 
+def _dot(a, v) -> float:
+    """a . v for 3-vectors given as three floats each, summed left to right like :func:`_norm`."""
+    return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
+
+
 def _norm(v) -> float:
     """Euclidean norm of a 3-vector given as three floats: ``sqrt((x*x + y*y) + z*z)``.
 

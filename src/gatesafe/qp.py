@@ -33,11 +33,16 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import ADMISSIBLE_TOL, BarrierConstraint, SafetyParams, _barrier_value, _constraint, _world_sample
+from .barrier import BarrierConstraint, SafetyParams, _admits, _barrier_value, _constraint, _world_sample
 from .field import SAMPLE_OK, DistanceField, _in_range, sample_batch
-from .geometry import _norm, _points, _positive, _to_gate
+from .geometry import _dot, _norm, _points, _positive, _to_gate
 
 _DEGENERATE_NORM = 1e-300
+# The slacks of the two single-set projections' tests, shared by both kernels:
+# the plane foot is kept when |foot| <= alpha * _FOOT_IN_BALL, the ball clip
+# when a . clip - b >= -_CLIP_IN_HALFSPACE * max(1, |b|).
+_FOOT_IN_BALL = 1.0 + 1e-12
+_CLIP_IN_HALFSPACE = 1e-12
 _KKT_TOL = 1e-7  # verify_kkt's residual bound, relative to the instance magnitude
 
 
@@ -83,7 +88,7 @@ def _project(u: list[float], a: list[float], b: float, alpha: float) -> tuple[li
 
     u_star is ``u`` itself where the nominal action is kept. Every dot
     product and norm is a left-to-right sum of float products with its root
-    taken by ``math.sqrt`` (:func:`_dot`, ``geometry._norm``), so the bits
+    taken by ``math.sqrt`` (``geometry._dot``, ``geometry._norm``), so the bits
     depend on no BLAS kernel; :func:`filter_action_batch` takes the same sums
     row by row and gives the same bits.
 
@@ -112,29 +117,24 @@ def _project(u: list[float], a: list[float], b: float, alpha: float) -> tuple[li
     nu = _norm(u)
     if au >= b and nu <= alpha:
         return u, _UNCHANGED, au - b, 0.0
-    code = _UNCHANGED if au >= b - ADMISSIBLE_TOL and nu <= alpha + ADMISSIBLE_TOL else _PROJECTED
+    code = _UNCHANGED if _admits(au, nu, b, alpha) else _PROJECTED
 
     if au < b:
         # Halfspace violated: the plane foot, kept when it lies in the ball.
         lam = (b - au) / na2
         foot = [u[0] + lam * a[0], u[1] + lam * a[1], u[2] + lam * a[2]]
-        if _norm(foot) <= alpha * (1.0 + 1e-12):
+        if _norm(foot) <= alpha * _FOOT_IN_BALL:
             return foot, code, _dot(a, foot) - b, _distance(u, foot)
     if nu > alpha:
         # Ball violated: the clip onto the sphere, kept when the halfspace still
         # holds (a projection onto one set landing in the other is optimal).
         clip = _scaled(u, alpha / nu)
         margin = _dot(a, clip) - b
-        if margin >= -1e-12 * max(1.0, abs(b)):
+        if margin >= -_CLIP_IN_HALFSPACE * max(1.0, abs(b)):
             return clip, code, margin, _distance(u, clip)
     # Both single-set projections failed, so both boundaries are active.
     v = _circle_rows(np.array([u]), np.array([a]), np.array([b]), alpha, np.array([na2]))[0].tolist()
     return v, code, _dot(a, v) - b, _distance(u, v)
-
-
-def _dot(a: list[float], v: list[float]) -> float:
-    """a . v for three-float vectors, summed left to right."""
-    return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
 
 
 def _scaled(v: list[float], k: float) -> list[float]:
@@ -176,7 +176,7 @@ class SafetyFilter:
 
 
 def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (N, 3) arrays, each summed left to right like :func:`_dot`."""
+    """Row-wise dot products of two (N, 3) arrays, each summed left to right like ``geometry._dot``."""
     return np.add.reduce(X * Y, axis=1)
 
 
@@ -229,16 +229,15 @@ def filter_action_batch(
     # that do not take it get lam = 0, so no row divides by zero or overflows.
     lam = np.where(half, B - au, 0.0) / np.where(degenerate, 1.0, na2)
     foot = U + lam[:, None] * A
-    use_foot = half & (_row_norm(foot) <= alpha * (1.0 + 1e-12))
+    use_foot = half & (_row_norm(foot) <= alpha * _FOOT_IN_BALL)
     # Ball violated: the clip onto the sphere, kept when the halfspace still
     # holds. Rows inside the ball scale by alpha / alpha = 1 and stay U bit for
     # bit, which is also the unchanged and the degenerate-safe result.
     clip = U * (alpha / np.maximum(nu, alpha))[:, None]
-    clip_ok = (nu > alpha) & (_row_dot(A, clip) - B >= -1e-12 * np.maximum(1.0, np.abs(B)))
+    clip_ok = (nu > alpha) & (_row_dot(A, clip) - B >= -_CLIP_IN_HALFSPACE * np.maximum(1.0, np.abs(B)))
 
     out = np.where(use_foot[:, None], foot, clip)
-    admissible = (au >= B - ADMISSIBLE_TOL) & (nu <= alpha + ADMISSIBLE_TOL)
-    status = np.where(admissible, np.int8(_UNCHANGED), np.int8(_PROJECTED))
+    status = np.where(_admits(au, nu, B, alpha), np.int8(_UNCHANGED), np.int8(_PROJECTED))
 
     # Both boundaries active.
     circle = solvable & ~(ok | use_foot | clip_ok)

@@ -24,8 +24,9 @@ Modes:
 Far from the current gate the robot may leave the gate-local grid; those
 steps fly the nominal action unfiltered and are logged with their own status
 code. The filter sees only the current gate, so right after a crossing these
-steps are unprotected from the gate just passed: on the default grid they
-come as close as 0.42 m to it (level 1.5, filtered_uncertainty).
+steps are unprotected from the gate just passed. On the default grid at
+level 1.5 they come within 0.209 m of it in "filtered" mode, inside R = 0.3,
+and within 0.439 m in "filtered_uncertainty" (ROADMAP item 12).
 
 The trial loop keeps its state, actions and gate frames as Python floats,
 made once, and corrects a filtered mode's action with one

@@ -105,6 +105,16 @@ def test_invalid_yaml_rejected(tmp_path):
         load_config(write(tmp_path, "safety: [unclosed\n"))
 
 
+def test_non_scalar_key_rejected_as_invalid_yaml(tmp_path):
+    # The repeated-key walk skips a key it cannot name; building the mapping refuses it.
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_config(write(tmp_path, "? [a, b]\n: 1\n"))
+
+
+def test_empty_section_body_gives_its_defaults(tmp_path):
+    assert load_config(write(tmp_path, "geometry:\nsafety: {R: 0.45}\n")) == parse_config({"safety": {"R": 0.45}})
+
+
 def test_missing_file_rejected():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/path/cfg.yaml")

@@ -639,6 +639,21 @@ def test_load_rejects_node_values_that_are_no_clearance(small_field, tmp_path, c
     assert not out.exists()
 
 
+def test_map_of_only_inside_nodes_loads_and_every_query_is_in_the_obstacle(tmp_path):
+    # CRC-valid, every node the inside sentinel: no clearance to check, so it
+    # loads, and each query's cell touches the solid.
+    dims, path = (3, 3, 3), tmp_path / "solid.esdf"
+    payload = _HEADER.pack(MAGIC, FORMAT_VERSION, *dims, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0)
+    payload += np.full(math.prod(dims), INSIDE_SENTINEL, dtype="<f4").tobytes()
+    path.write_bytes(payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
+    f = load_field(path)
+    assert np.all(f.values == INSIDE_SENTINEL)
+    with pytest.raises(InsideObstacleError):
+        sample(f, np.array([0.5, 0.5, 0.5]))
+    status = sample_batch(f, np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.9, 0.1, 1.0]]))[2]
+    assert status.tolist() == [SAMPLE_IN_OBSTACLE] * 3
+
+
 def _map_with_header(path, dims, origin, res, inflation) -> None:
     """A map file with the given header geometry, values 0, 1, 2, ... and a valid CRC."""
     n = math.prod(dims)

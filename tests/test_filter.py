@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gatesafe import qp
 from gatesafe.barrier import (
-    BarrierConstraint, BarrierEval, SafetyParams, admissible, assemble_constraint, eval_barrier_world,
+    ADMISSIBLE_TOL, BarrierConstraint, BarrierEval, SafetyParams, admissible, assemble_constraint, eval_barrier_world,
 )
 from gatesafe.field import SAMPLE_OK, SAMPLE_OOB, GridSpec, build_field, inflate_field, sample_batch
 from gatesafe.geometry import Pose
@@ -768,10 +768,52 @@ def test_an_ulp_past_the_norm_bound_on_a_satisfied_constraint_is_unchanged():
     assert filter_action(np.array([0.5 - 2e-9, 0.0, 0.0]), con, params).status is FilterStatus.PROJECTED
 
 
+def _nudged(x: np.ndarray, ulps: np.ndarray) -> np.ndarray:
+    """x moved by ``ulps`` units in the last place, each entry its own count in [-4, 4]."""
+    for k in range(4):
+        x = np.where(ulps > k, np.nextafter(x, np.inf), x)
+        x = np.where(ulps < -k, np.nextafter(x, -np.inf), x)
+    return x
+
+
+@pytest.mark.parametrize("edge", ["plane", "ball"])
+def test_admissible_holds_exactly_when_both_kernels_report_unchanged(edge):
+    # Solvable instances a few ulps either side of one rule's ADMISSIBLE_TOL
+    # edge: a.u = b - 1e-9 inside the ball, or |u| = alpha + 1e-9 on a
+    # constraint met by 1. A BLAS dot product or norm rounds some of them
+    # the other way from the kernels' left-to-right sums.
+    rng = np.random.default_rng(5)
+    n, alpha = 20_000, PARAMS.alpha
+    U, A = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    ulps = rng.integers(-4, 5, size=n)
+    norm = np.sqrt((U[:, 0] * U[:, 0] + U[:, 1] * U[:, 1]) + U[:, 2] * U[:, 2])
+    if edge == "plane":
+        U *= (rng.uniform(0.1, 0.9, size=n) * alpha / norm)[:, None]
+    else:
+        U *= ((alpha + ADMISSIBLE_TOL) / norm)[:, None]
+        U[:, 0] = _nudged(U[:, 0], ulps)
+    au = (A[:, 0] * U[:, 0] + A[:, 1] * U[:, 1]) + A[:, 2] * U[:, 2]
+    B = _nudged(au + ADMISSIBLE_TOL, ulps) if edge == "plane" else au - 1.0
+
+    codes = filter_action_batch(U, A, B, alpha)[1]
+    assert set(codes.tolist()) == {_STATUS_CODE[FilterStatus.UNCHANGED], _STATUS_CODE[FilterStatus.PROJECTED]}
+    disagree = []
+    for u, a, b, code in zip(U, A, B, codes.tolist()):
+        con = make_con(a, b)
+        kept = admissible(u, con, PARAMS)
+        if kept != (FILTER_STATUS_ORDER[code] is FilterStatus.UNCHANGED) or kept != (
+            filter_action(u, con, PARAMS).status is FilterStatus.UNCHANGED
+        ):
+            disagree.append((u.tolist(), a.tolist(), b))
+    assert not disagree, f"{len(disagree)} of {n} instances, first {disagree[0]}"
+
+
 @pytest.mark.parametrize("u, a", [(np.ones(4), np.ones(3)), (np.ones(3), np.ones(4)), (np.ones((3, 1)), np.ones(3))])
 def test_filter_action_rejects_vectors_that_are_not_3_vectors(u, a):
     with pytest.raises(ValueError, match="3-vectors"):
         filter_action(u, BarrierConstraint(a=a, b=0.0), PARAMS)
+    with pytest.raises(ValueError, match="3-vector"):  # the admissibility check takes the same inputs
+        admissible(u, BarrierConstraint(a=a, b=0.0), PARAMS)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0, 0.0])

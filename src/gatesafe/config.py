@@ -22,7 +22,8 @@ from .field import DistanceField, GridSpec, _check_map_axis
 from .geometry import GateGeometry, _check_level, _positive
 from .report import _g
 from .sim import (
-    MODES, SimEnv, _check_count, _check_dt, _check_non_negative, _check_track_length, generate_track, run_experiment,
+    MODES, SimEnv, _check_count, _check_dt, _check_non_negative, _check_track_length, _check_tracks, generate_track,
+    run_experiment,
 )
 
 
@@ -148,7 +149,7 @@ class PolicyConfig:
 @dataclass
 class RunSectionConfig:
     levels: tuple[float, ...] = _setting(_default(run_experiment, "levels"), _levels)
-    tracks: int = _setting(_default(run_experiment, "tracks_per_level"), _int, _check_count)
+    tracks: int = _setting(_default(run_experiment, "tracks_per_level"), _int, _check_tracks)
     modes: tuple[str, ...] = _setting(_default(run_experiment, "modes"), _modes)
     seed_base: int = _setting(_default(run_experiment, "seed_base"), _int, _check_non_negative)
 

@@ -40,6 +40,15 @@ the field reads a cell's corners with ``struct`` from its arrays' buffers,
 and an off-map or in-obstacle error names its three-float query as it is.
 Noise rows are drawn 1024 at a time, the gate estimates once per trial;
 ``test_sim`` counts the numpy calls.
+
+What a step keeps past its end holds no container: its log row is one flat
+tuple of floats and ints, turned into the log's columns by one ``np.array``
+after the loop, and its noise row a 3-tuple cut from a block drawn as one
+flat list. CPython's cyclic garbage collector untracks a tuple of atoms the
+first time it sees it, so a trial leaves about one tracked object per step
+to the youngest generation and none reach the older ones, whose full
+collections would otherwise run inside whichever trial set them off
+(``test_sim`` counts the objects).
 """
 from __future__ import annotations
 
@@ -69,6 +78,7 @@ STEP_IN_OBSTACLE = len(FILTER_STATUS_ORDER) + 1
 STEP_LABELS = tuple(s.value for s in FILTER_STATUS_ORDER) + ("off_map", "in_obstacle")
 
 PASS_MARGIN = 0.01  # [m] crossing must clear the opening edge by this much
+TRACK_SEED_STRIDE = 1000  # track seeds of one level start this far after the last level's
 
 
 class SetupError(RuntimeError):
@@ -105,7 +115,14 @@ class SimState:
 
 @dataclass
 class StepLog:
-    """Column arrays, one row per executed step (values at step start)."""
+    """Column arrays, one row per executed step (values at step start).
+
+    :func:`run_trial` logs each step as one flat tuple of floats and ints,
+    which the garbage collector untracks (a row holding the step's position
+    lists would keep three containers tracked), and copies each column out
+    of one array of those rows, so the log holds no view of the gate-frame
+    columns it does not keep.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -170,6 +187,19 @@ def _check_count(n: int, name: str) -> None:
         raise ValueError(f"{name} must be positive, got {n}")
 
 
+def _check_tracks(n: int, name: str) -> None:
+    """Raise ValueError naming ``name`` unless 1 <= n <= TRACK_SEED_STRIDE.
+
+    More tracks per level would give a track the seed of the next level's
+    first tracks, and with it their noise and gate-estimate streams.
+    """
+    _check_count(n, name)
+    if n > TRACK_SEED_STRIDE:
+        raise ValueError(
+            f"{name} must be at most {TRACK_SEED_STRIDE}, the track-seed stride between levels, got {n}"
+        )
+
+
 def _check_non_negative(v: float, name: str) -> None:
     if not 0.0 <= v < math.inf:  # an integer too large for a float compares too
         raise ValueError(f"{name} must be finite and >= 0, got {v}")
@@ -228,13 +258,17 @@ def virtual_gate_pose(track: TrackSpec, index: int) -> Pose:
 
 
 def _uniform_rows(rng: np.random.Generator):
-    """Rows of rng.uniform(-1, 1, size=3) as float lists, drawn 1024 rows at a time.
+    """Rows of rng.uniform(-1, 1, size=3) as float 3-tuples, drawn 1024 rows at a time.
 
-    A (K, 3) draw holds the same doubles, in the same order, as K draws of
-    size 3, so taking the rows one by one reproduces the stream.
+    A draw of 3K values holds the same doubles, in the same order, as K draws
+    of size 3, so taking them three by three reproduces the stream. A block
+    is one flat list, and each row a tuple of floats, which the garbage
+    collector untracks the first time it sees it: 1,024 nested lists per
+    block would stay tracked until the block is spent.
     """
     while True:
-        yield from rng.uniform(-1.0, 1.0, size=(1024, 3)).tolist()
+        block = iter(rng.uniform(-1.0, 1.0, size=3072).tolist())
+        yield from zip(block, block, block)
 
 
 def nominal_policy(state: SimState, estimate: Pose, gain: float, alpha: float, pass_offset: float) -> np.ndarray:
@@ -351,7 +385,7 @@ def run_trial(
     gates = [(frame, *_approach(frame, r, dv, pass_offset)) for frame, r in zip(frames, errors)]
     outer, bars = _slab_boxes(env.gate)
     pass_half = env.gate.inner_half - PASS_MARGIN
-    rows = []  # (t, x, q, h, status, deviation) at each step start
+    rows = []  # (t, x0, x1, x2, q0, q1, q2, h, status, deviation) at each step start
 
     frame, estimate, target = gates[0]
     q = _to_gate(x, *frame)
@@ -380,7 +414,7 @@ def run_trial(
         if not (math.isfinite(x_new[0]) and math.isfinite(x_new[1]) and math.isfinite(x_new[2])):
             _finite_point(x_new)  # raises, naming the point
 
-        rows.append((t, x, q, h, status, dev))
+        rows.append((t, x[0], x[1], x[2], q[0], q[1], q[2], h, status, dev))
         steps += 1
 
         # Closed boxes: a start point inside the solid is a hit too.
@@ -416,9 +450,12 @@ def run_trial(
 
     # Clearance to the current gate at every step start, plus the final
     # position when the trial ended safely; a collision scores 0.0.
-    t_log, x_log, q_log, h_log, st_log, dev_log = zip(*rows)
-    d = exact_distance_batch(np.array(q_log + (q,) if safe else q_log), env.gate)
-    st = np.array(st_log, dtype=np.int8)
+    log = np.array(rows)
+    q_log = log[:, 4:7]
+    d = exact_distance_batch(np.concatenate((q_log, [q])) if safe else q_log, env.gate)
+    # The log's columns are copies, so it holds no view of the q columns.
+    t_log, h_log, dev_log = log.T[[0, 7, 9]]
+    st = log[:, 8].astype(np.int8)
     counts = np.bincount(st, minlength=len(STEP_LABELS))
     fallback = int(counts[STEP_FALLBACK])
     in_obstacle = int(counts[STEP_IN_OBSTACLE])
@@ -437,12 +474,12 @@ def run_trial(
         off_map_steps=int(counts[STEP_OFF_MAP]),
         in_obstacle_steps=in_obstacle,
         log=StepLog(
-            t=np.array(t_log),
-            x=np.array(x_log),
+            t=t_log,
+            x=log[:, 1:4].copy(),
             d_true=d[:steps],
-            h=np.array(h_log),
+            h=h_log,
             status=st,
-            deviation=np.array(dev_log),
+            deviation=dev_log,
         ),
     )
 
@@ -468,15 +505,18 @@ def run_experiment(
 ) -> list[TrialRecord]:
     """Seeded grid of trials: every mode flies the same tracks per level.
 
-    Track seeds are seed_base + 1000*level_index + track_index; the per-trial
-    noise stream is seeded from the track seed, so the whole grid is
-    reproducible from seed_base alone. ``track_args`` (num_gates, spacing,
-    laps) go to :func:`generate_track`, which holds their defaults.
+    Track seeds are seed_base + TRACK_SEED_STRIDE*level_index + track_index,
+    distinct because tracks_per_level may not exceed the stride
+    (``ValueError`` otherwise, or below 1); the per-trial noise stream is
+    seeded from the track seed, so the whole grid is reproducible from
+    seed_base alone. ``track_args`` (num_gates, spacing, laps) go to
+    :func:`generate_track`, which holds their defaults.
     """
+    _check_tracks(tracks_per_level, "tracks_per_level")
     records: list[TrialRecord] = []
     for li, level in enumerate(levels):
         for ti in range(tracks_per_level):
-            track_seed = seed_base + 1000 * li + ti
+            track_seed = seed_base + TRACK_SEED_STRIDE * li + ti
             track = generate_track(difficulty=level, seed=track_seed, **track_args)
             for mode in modes:
                 result = run_trial(env, track, mode, seed=track_seed + 500_000)

@@ -359,6 +359,7 @@ def test_run_rejects_unknown_mode(tmp_path):
         ("--levels", "-1", "run.levels"),
         ("--levels", "-1,2", "run.levels"),
         ("--tracks", "0", "run.tracks"),
+        ("--tracks", "1001", "run.tracks"),
         ("--levels", "0,0", "run.levels"),
         ("--levels", "1e308", "run.levels"),
         ("--modes", "baseline,baseline", "run.modes"),

@@ -15,8 +15,8 @@ from gatesafe.config import Config, ConfigError, dump_manifest, load_config, par
 from gatesafe.field import DistanceField, _check_map_axis
 from gatesafe.geometry import GateGeometry, _positive
 from gatesafe.sim import (
-    MAX_LEVEL, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, generate_track,
-    nominal_policy, run_experiment,
+    MAX_LEVEL, TRACK_SEED_STRIDE, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, _check_tracks,
+    generate_track, nominal_policy, run_experiment,
 )
 
 
@@ -196,7 +196,7 @@ LIBRARY_RULES = [
     ("policy.gain", -2.0, _positive),
     ("policy.pass_offset", -0.5, _check_level),
     ("run.levels", [0.0, -1.0], _check_level),  # the rule checks one entry
-    ("run.tracks", 0, _check_count),
+    ("run.tracks", 0, _check_tracks),
     ("run.seed_base", -1, _check_non_negative),
 ]
 
@@ -247,6 +247,17 @@ def test_noise_and_pass_offset_are_held_to_the_level_bound(path, axis):
             parse_config({section: {key: value(v)}})
     cfg = parse_config({section: {key: value(MAX_LEVEL)}})
     assert getattr(getattr(cfg, section), key) == value(MAX_LEVEL)
+
+
+def test_run_tracks_are_held_to_the_track_seed_stride():
+    # One track more per level would give two tracks of the grid one seed.
+    assert parse_config({"run": {"tracks": TRACK_SEED_STRIDE}}).run.tracks == TRACK_SEED_STRIDE
+    with pytest.raises(ValueError) as want:
+        _check_tracks(TRACK_SEED_STRIDE + 1, "run.tracks")
+    with pytest.raises(ConfigError) as got:
+        parse_config({"run": {"tracks": TRACK_SEED_STRIDE + 1}})
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("run.tracks must be at most 1000, the track-seed stride")
 
 
 def test_run_modes_validated():

@@ -1,5 +1,6 @@
 """Track generation, perception, policy, and closed-loop trial behavior."""
 import copy
+import gc
 import math
 import os
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 from gatesafe.barrier import SafetyParams, assemble_constraint, eval_barrier_world
 from gatesafe.field import InsideObstacleError, OutOfBoundsError
 from gatesafe.geometry import Pose, exact_distance_batch, segment_hits_frame, world_to_gate
+from gatesafe import sim
 from gatesafe.qp import FILTER_STATUS_ORDER, filter_action
 from gatesafe.sim import (
     MAX_LEVEL,
@@ -21,6 +23,7 @@ from gatesafe.sim import (
     STEP_OFF_MAP,
     STEP_PROJECTED,
     STEP_UNCHANGED,
+    TRACK_SEED_STRIDE,
     SetupError,
     SimEnv,
     SimState,
@@ -369,6 +372,13 @@ def test_run_experiment_grid_shape(default_env):
     assert len(all_seeds) == 4
 
 
+def test_run_experiment_refuses_more_tracks_per_level_than_the_seed_stride(default_env):
+    # One track more would give track TRACK_SEED_STRIDE of level 0 the seed of track 0 of level 1.
+    for n, words in ((0, "positive"), (TRACK_SEED_STRIDE + 1, f"at most {TRACK_SEED_STRIDE}, the track-seed stride")):
+        with pytest.raises(ValueError, match=rf"^tracks_per_level must be {words}.*, got {n}$"):
+            run_experiment(default_env, levels=(0.0, 0.5), tracks_per_level=n, modes=("baseline",))
+
+
 def test_working_filter_stalls_without_fallback(default_env):
     # With zero disturbance the QP is always feasible (u = 0 satisfies any
     # b <= 0 constraint), so an approach aimed at a bar stalls at the
@@ -695,6 +705,38 @@ def test_trial_steps_make_no_numpy_call(default_env):
             for status in steps:
                 steps[status] += getattr(r, f"{status}_steps")
     assert steps["off_map"] > 0 and steps["in_obstacle"] > 0
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="reads CPython's collector counts")
+def test_trial_steps_keep_at_most_one_tracked_object_alive_each(default_env, monkeypatch):
+    # gc.get_count()[0] is the count of containers the collector tracks,
+    # allocated less freed since its last collection; with the collector off,
+    # its growth from one step to the next is what the step left alive. A
+    # step's flat log row is one tuple; a log row holding the step's position
+    # lists, or a noise block of nested lists, would leave three or more.
+    nominal = copy.deepcopy(default_env.nominal_field)
+    nominal.gradients  # derive every gradient block before the count
+    env = SimEnv(gate=default_env.gate, nominal_field=nominal, inflated_field=None, params=default_env.params)
+    counts = []
+    policy = sim._policy_action
+
+    def counted(*args):
+        counts.append(gc.get_count()[0])
+        return policy(*args)
+
+    monkeypatch.setattr(sim, "_policy_action", counted)
+    track = generate_track(difficulty=1.0, seed=3002)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        r = run_trial(env, track, "filtered", seed=99)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(counts) == r.steps > 2 * 1024, "the trial must span a noise block after the first"
+    # Counted from the second block on, past the first steps' one-off allocations.
+    growth, steps = counts[-1] - counts[1024], r.steps - 1 - 1024
+    assert growth <= steps, (steps, growth)
 
 
 def test_readme_library_use_blocks_run(capsys):

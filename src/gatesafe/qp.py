@@ -133,8 +133,33 @@ def _project(u: list[float], a: list[float], b: float, alpha: float) -> tuple[li
         if margin >= -_CLIP_IN_HALFSPACE * max(1.0, abs(b)):
             return clip, code, margin, _distance(u, clip)
     # Both single-set projections failed, so both boundaries are active.
-    v = _circle_rows(np.array([u]), np.array([a]), np.array([b]), alpha, np.array([na2]))[0].tolist()
+    v = _circle(u, a, b, alpha, na2)
     return v, code, _dot(a, v) - b, _distance(u, v)
+
+
+def _circle(u: list[float], a: list[float], b: float, alpha: float, na2: float) -> list[float]:
+    """Nearest point to u on the circle {a.u = b, |u| = alpha}, in closed form, on three floats each.
+
+    With c0 = (b/|a|^2) a the circle's centre and perp the component of u
+    orthogonal to a, the nearest circle point is c0 + r perp/|perp| with
+    r = sqrt(alpha^2 - b^2/|a|^2), 0 where rounding leaves the radicand <= 0.
+    A u parallel to a (|perp| < 1e-12), with every circle point as near,
+    takes the direction a x e_k for the axis k of the smallest |a_k|, so the
+    pick is deterministic.
+    """
+    c, t = b / na2, _dot(a, u) / na2
+    perp = [u[0] - a[0] * t, u[1] - a[1] * t, u[2] - a[2] * t]
+    pn = _norm(perp)
+    rr = alpha * alpha - b * b / na2
+    r = 0.0 if rr <= 0.0 else math.sqrt(rr)
+    if pn < 1e-12:
+        k = min(range(3), key=lambda i: abs(a[i]))  # the first such axis on a tie
+        e = [float(i == k) for i in range(3)]
+        perp = [a[1] * e[2] - a[2] * e[1], a[2] * e[0] - a[0] * e[2], a[0] * e[1] - a[1] * e[0]]
+        n = _norm(perp)
+        perp, pn = [perp[0] / n, perp[1] / n, perp[2] / n], 1.0
+    s = r / pn
+    return [a[0] * c + perp[0] * s, a[1] * c + perp[1] * s, a[2] * c + perp[2] * s]
 
 
 def _scaled(v: list[float], k: float) -> list[float]:
@@ -156,8 +181,8 @@ class SafetyFilter:
     the bits of ``eval_barrier_world``, ``assemble_constraint`` and
     :func:`filter_action` chained, with their ``OutOfBoundsError``,
     ``InsideObstacleError``, and ``ValueError`` for an input that is not a 3-vector.
-    ``params`` is read once; numpy is called only to derive a map block's
-    gradients and in the QP's circle case.
+    ``params`` is read once; numpy is called only on a map block's first query,
+    to derive the block's gradients.
     """
 
     def __init__(self, field: DistanceField, params: SafetyParams) -> None:
@@ -177,12 +202,12 @@ class SafetyFilter:
 
 def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (N, 3) arrays, each summed left to right like ``geometry._dot``."""
-    return np.add.reduce(X * Y, axis=1)
+    return X[:, 0] * Y[:, 0] + X[:, 1] * Y[:, 1] + X[:, 2] * Y[:, 2]
 
 
 def _row_norm(X: np.ndarray) -> np.ndarray:
     """Row-wise norms of an (N, 3) array, the bits of ``geometry._norm`` per row."""
-    return np.sqrt(np.add.reduce(X * X, axis=1))
+    return np.sqrt(_row_dot(X, X))
 
 
 def filter_action_batch(
@@ -192,19 +217,14 @@ def filter_action_batch(
 
     Returns (u_star (N,3), status codes (N,), margins (N,), deviations (N,)).
     Status codes index into FILTER_STATUS_ORDER. Each row gets the bits
-    :func:`filter_action` gives it, status included: both paths run the same
-    case analysis and circle step, sum every row's products left to right
-    (``np.add.reduce`` along a row of three adds them in order, as the
-    scalar path does), take a fallback's margin as ``alpha |a| - b`` and a
-    degenerate row's as ``-b``, and report a solvable row that is admissible
-    within ``ADMISSIBLE_TOL`` as unchanged.
+    :func:`filter_action` gives it, status included.
 
-    Each row takes the first case that applies: degenerate (``|a|^2 <=
-    1e-300``), infeasible (``alpha |a| < b``), unchanged, plane foot (``a.u <
-    b`` and the foot lies in the ball), ball clip (``|u| > alpha`` and the
-    clip meets the halfspace), else the circle. The foot and the clip are
-    computed for every row and chosen with ``np.where``; the other cases run
-    only on the rows that take them.
+    The unchanged, plane-foot and ball-clip cases run as one whole-batch pass
+    (the foot and the clip computed for every row, chosen with ``np.where``),
+    the infeasible fallback ``alpha a / |a|`` on its rows; products are summed
+    left to right, as in the scalar kernel. A row with both boundaries active
+    takes the scalar circle step, ``_circle``, and a degenerate row (``|a|^2
+    <= 1e-300``) the scalar kernel, ``_project``, one row at a time.
 
     Raises ValueError unless ``alpha`` is finite and positive, ``U`` and
     ``A`` are (N, 3) and ``B`` is (N,).
@@ -218,7 +238,6 @@ def filter_action_batch(
     na = np.sqrt(na2)
     nu = _row_norm(U)
     au = _row_dot(A, U)
-
     degenerate = na2 <= _DEGENERATE_NORM
     infeasible = ~degenerate & (alpha * na < B)
     solvable = ~(degenerate | infeasible)
@@ -231,59 +250,25 @@ def filter_action_batch(
     foot = U + lam[:, None] * A
     use_foot = half & (_row_norm(foot) <= alpha * _FOOT_IN_BALL)
     # Ball violated: the clip onto the sphere, kept when the halfspace still
-    # holds. Rows inside the ball scale by alpha / alpha = 1 and stay U bit for
-    # bit, which is also the unchanged and the degenerate-safe result.
+    # holds. Rows inside the ball scale by 1 and keep U's bits: the unchanged result.
     clip = U * (alpha / np.maximum(nu, alpha))[:, None]
     clip_ok = (nu > alpha) & (_row_dot(A, clip) - B >= -_CLIP_IN_HALFSPACE * np.maximum(1.0, np.abs(B)))
 
     out = np.where(use_foot[:, None], foot, clip)
     status = np.where(_admits(au, nu, B, alpha), np.int8(_UNCHANGED), np.int8(_PROJECTED))
-
-    # Both boundaries active.
-    circle = solvable & ~(ok | use_foot | clip_ok)
-    if circle.any():
-        out[circle] = _circle_rows(U[circle], A[circle], B[circle], alpha, na2[circle])
+    circle = np.flatnonzero(solvable & ~(ok | use_foot | clip_ok))
+    if circle.size:
+        rows = zip(U[circle].tolist(), A[circle].tolist(), B[circle].tolist(), na2[circle].tolist())
+        out[circle] = [_circle(u, a, b, alpha, m) for u, a, b, m in rows]
     margins = _row_dot(A, out) - B
-    # Infeasible: best-effort along a.
     if infeasible.any():
         out[infeasible] = A[infeasible] * (alpha / na[infeasible])[:, None]
         status[infeasible] = _FALLBACK
         margins[infeasible] = alpha * na[infeasible] - B[infeasible]
-    # Degenerate: b <= 0 keeps the clip to the ball; b > 0 gives no direction.
-    if degenerate.any():
-        stuck = degenerate & (B > 0.0)
-        out[stuck] = 0.0
-        status[degenerate] = _DEGENERATE
-        status[stuck] = _FALLBACK
-        margins[degenerate] = -B[degenerate]
-
+    for i in np.flatnonzero(degenerate).tolist():
+        out[i], status[i], margins[i], _ = _project(U[i].tolist(), A[i].tolist(), float(B[i]), alpha)
     deviations = _row_norm(U - out)
     return out, status, margins, deviations
-
-
-def _circle_rows(U, A, B, alpha, na2) -> np.ndarray:
-    """Nearest point on each row's circle {a.u = b, |u| = alpha}, in closed form.
-
-    With c0 = (b/|a|^2) a the circle's centre and perp the component of u
-    orthogonal to a, the nearest circle point is c0 + r perp/|perp| with
-    r = sqrt(alpha^2 - b^2/|a|^2). Row sums run left to right, as in
-    :func:`_project`, so a row gets the same bits alone or in a batch.
-    """
-    c0 = A * (B / na2)[:, None]
-    perp = U - A * (_row_dot(A, U) / na2)[:, None]
-    pn = _row_norm(perp)
-    r = np.sqrt(np.maximum(alpha * alpha - B * B / na2, 0.0))
-    # Deterministic orthogonal direction for nominal actions parallel to a.
-    par = pn < 1e-12
-    if np.any(par):
-        ap = A[par]
-        e = np.zeros_like(ap)
-        e[np.arange(ap.shape[0]), np.argmin(np.abs(ap), axis=1)] = 1.0
-        alt = np.cross(ap, e)
-        alt /= _row_norm(alt)[:, None]
-        perp[par] = alt
-        pn[par] = 1.0
-    return c0 + perp * (r / pn)[:, None]
 
 
 def verify_kkt(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParams, decision: FilterDecision) -> bool:

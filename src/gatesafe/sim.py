@@ -34,10 +34,10 @@ made once, and corrects a filtered mode's action with one
 filter chain. Every step is plain float arithmetic, every dot product, norm
 and rotation included: sums run left to right and ``math.sqrt`` takes the
 roots, so no BLAS kernel sets a bit and a run's outputs do not depend on the
-BLAS build or the CPU it picks. The step calls numpy only in the QP's circle
-case and on a map block's first query, which derives the block's gradients:
-the field reads a cell's corners with ``struct`` from its arrays' buffers,
-and an off-map or in-obstacle error names its three-float query as it is.
+BLAS build or the CPU it picks. The step calls numpy only on a map block's
+first query, which derives the block's gradients: the field reads a cell's
+corners with ``struct`` from its arrays' buffers, and an off-map or
+in-obstacle error names its three-float query as it is.
 Noise rows are drawn 1024 at a time, the gate estimates once per trial;
 ``test_sim`` counts the numpy calls.
 

@@ -37,7 +37,7 @@ from .field import (
     save_field,
 )
 from .geometry import _axis_bounds
-from .qp import PlaneActionField, _check_offset, _check_samples, _check_speed, safest_action_field
+from .qp import _PLANE_AXES, PlaneActionField, _check_offset, _check_samples, _check_speed, safest_action_field
 from .report import ReportError, _g, write_report, write_trial_tables
 from .sim import MODES, run_experiment
 
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="export the safest-action field on a plane slice")
     p.add_argument("--map", required=True, help="map file from build-map")
-    p.add_argument("--plane", required=True, choices=("xy", "yz"), help="slice orientation")
+    p.add_argument("--plane", required=True, choices=tuple(_PLANE_AXES), help="slice orientation")
     p.add_argument("--offset", required=True, type=float, help="slice offset on the fixed axis [m]")
     p.add_argument("--speed", required=True, type=float, help="commanded speed [m/s]")
     p.add_argument("--samples", type=int, default=_default(safest_action_field, "angular_samples"),

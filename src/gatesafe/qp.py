@@ -74,7 +74,7 @@ class FilterDecision:
 
 
 def filter_action(u_nom: np.ndarray, con: BarrierConstraint, params: SafetyParams) -> FilterDecision:
-    """Project a nominal action into the admissible set with minimal deviation."""
+    """Project a nominal action into the admissible set with minimal deviation; a non-finite one raises ValueError."""
     u, a = np.asarray(u_nom, dtype=float), np.asarray(con.a, dtype=float)
     if u.shape != (3,) or a.shape != (3,):
         raise ValueError(f"expected 3-vectors u_nom and a, got shapes {u.shape} and {a.shape}")
@@ -97,9 +97,13 @@ def _project(u: list[float], a: list[float], b: float, alpha: float) -> tuple[li
     u_star, margin and deviation are still the projection's, a move of the
     order of an ulp, as when ``nominal_policy`` clips |u| to alpha by an ulp
     past it.
+
+    A non-finite u_nom fails every test of the unchanged, plane-foot and
+    ball-clip cases, so it is refused (ValueError) only in the other three.
     """
     na2 = _dot(a, a)
     if na2 <= _DEGENERATE_NORM:
+        _check_finite(u)
         nu = _norm(u)
         if b <= 0.0:
             if nu <= alpha:
@@ -110,6 +114,7 @@ def _project(u: list[float], a: list[float], b: float, alpha: float) -> tuple[li
 
     na = math.sqrt(na2)
     if alpha * na < b:
+        _check_finite(u)
         v = _scaled(a, alpha / na)
         return v, _FALLBACK, alpha * na - b, _distance(u, v)
 
@@ -133,8 +138,15 @@ def _project(u: list[float], a: list[float], b: float, alpha: float) -> tuple[li
         if margin >= -_CLIP_IN_HALFSPACE * max(1.0, abs(b)):
             return clip, code, margin, _distance(u, clip)
     # Both single-set projections failed, so both boundaries are active.
+    _check_finite(u)
     v = _circle(u, a, b, alpha, na2)
     return v, code, _dot(a, v) - b, _distance(u, v)
+
+
+def _check_finite(u: list[float]) -> None:
+    """Raise ValueError naming u_nom unless its three values are finite."""
+    if not (math.isfinite(u[0]) and math.isfinite(u[1]) and math.isfinite(u[2])):
+        raise ValueError(f"u_nom must be finite, got {list(u)}")
 
 
 def _circle(u: list[float], a: list[float], b: float, alpha: float, na2: float) -> list[float]:
@@ -180,9 +192,9 @@ class SafetyFilter:
     returns ``(u, code, h, deviation)``, ``code`` indexing ``FILTER_STATUS_ORDER``:
     the bits of ``eval_barrier_world``, ``assemble_constraint`` and
     :func:`filter_action` chained, with their ``OutOfBoundsError``,
-    ``InsideObstacleError``, and ``ValueError`` for an input that is not a 3-vector.
-    ``params`` is read once; numpy is called only on a map block's first query,
-    to derive the block's gradients.
+    ``InsideObstacleError``, and ``ValueError`` for an input that is not a
+    3-vector or a non-finite ``u_nom``. ``params`` is read once; numpy is called
+    only on a map block's first query, to derive the block's gradients.
     """
 
     def __init__(self, field: DistanceField, params: SafetyParams) -> None:
@@ -227,12 +239,14 @@ def filter_action_batch(
     <= 1e-300``) the scalar kernel, ``_project``, one row at a time.
 
     Raises ValueError unless ``alpha`` is finite and positive, ``U`` and
-    ``A`` are (N, 3) and ``B`` is (N,).
+    ``A`` are (N, 3), ``B`` is (N,) and ``U`` is finite.
     """
     alpha = _positive(alpha, "alpha")
     U, A, B = _points(U), np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.shape != U.shape or B.shape != U.shape[:1]:
         raise ValueError(f"expected A of shape {U.shape} and B of shape {U.shape[:1]}, got {A.shape}, {B.shape}")
+    if not np.isfinite(U).all():
+        raise ValueError("U must be finite")
 
     na2 = _row_dot(A, A)
     na = np.sqrt(na2)
@@ -399,7 +413,7 @@ def safest_action_field(
     plane scaled to ``speed`` (must not exceed the norm bound).
     """
     if plane not in _PLANE_AXES:
-        raise ValueError(f"plane must be 'xy' or 'yz', got {plane!r}")
+        raise ValueError(f"plane must be {' or '.join(map(repr, _PLANE_AXES))}, got {plane!r}")
     _check_speed(speed, params.alpha, "speed")
     _check_samples(angular_samples, "angular_samples")
     _check_offset(offset, f, plane, "offset")

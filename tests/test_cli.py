@@ -166,6 +166,18 @@ def test_flag_error_names_the_flag(map_path, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_field_plane_choices_are_the_library_planes(map_path, tmp_path, capsys):
+    for plane in ("xy", "yz"):
+        assert run_cli(["field", "--map", map_path, "--plane", plane, "--offset", "0", "--speed", "2",
+                        "--samples", "2", "--out", tmp_path / f"{plane}.csv"]) == 0
+    capsys.readouterr()
+    assert run_cli(["field", "--map", map_path, "--plane", "xz", "--offset", "0", "--speed", "2",
+                    "--out", tmp_path / "xz.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "--plane" in err and "'xz'" in err and "xy" in err and "yz" in err, err
+    assert not (tmp_path / "xz.csv").exists()
+
+
 def test_field_speed_and_offset_errors_name_the_flag(map_path, tmp_path, capsys):
     # The library's own rules, run under the flag's name.
     for speed, offset, message in (

@@ -820,6 +820,33 @@ def test_filter_action_batch_gives_rare_rows_among_common_ones_the_scalar_bits()
             assert _bits(margins[i]) == _bits(got.margin) and _bits(devs[i]) == _bits(got.deviation), (n, i)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", range(len(_RARE_CASES)))
+def test_a_non_finite_nominal_action_is_refused(case, bad):
+    # Each case outside the common three, with one component of u_nom not
+    # finite: filter_action and filter_action_batch refuse it.
+    u, a, b, _ = _RARE_CASES[case]
+    params = SafetyParams(alpha=3.0)
+    for k in range(3):
+        v = list(u)
+        v[k] = bad
+        with pytest.raises(ValueError, match=r"^u_nom must be finite, got \["):
+            filter_action(np.array(v), make_con(a, b), params)
+        U, A, B = np.array([[0.5, 0.0, 0.0], v]), np.array([[1.0, 0.0, 0.0], a]), np.array([0.0, b])
+        with pytest.raises(ValueError, match="^U must be finite$"):
+            filter_action_batch(U, A, B, params.alpha)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_safety_filter_refuses_a_non_finite_nominal_action(default_env, bad):
+    filt = qp.SafetyFilter(default_env.nominal_field, default_env.params)
+    for k in range(3):
+        u_nom = [0.0, 0.0, 0.0]
+        u_nom[k] = bad
+        with pytest.raises(ValueError, match=r"^u_nom must be finite, got \["):
+            filt([-1.0, 0.9, 0.0], (1.0, 0.0), [0.0, 0.0, 0.0], u_nom)
+
+
 def test_an_ulp_past_the_norm_bound_on_a_satisfied_constraint_is_unchanged():
     # nominal_policy's clip can leave |u| = alpha (1 + 2**-52). The constraint
     # holds, so the action is admissible within ADMISSIBLE_TOL: both kernels
@@ -922,6 +949,13 @@ def test_filter_action_batch_of_no_rows_returns_empty_arrays():
     assert out.shape == (0, 3) and out.dtype == np.float64
     assert status.shape == (0,) and status.dtype == np.int8
     assert margins.shape == deviations.shape == (0,)
+
+
+def test_safest_action_field_rejects_an_unknown_plane(default_gate):
+    spec = GridSpec(origin=np.array([-1.5, -2.0, -2.0]), resolution=0.1, dims=(31, 41, 41))
+    f = build_field(default_gate, spec)
+    with pytest.raises(ValueError, match="^plane must be 'xy' or 'yz', got 'xz'$"):
+        safest_action_field(f, SafetyParams(R=0.3), speed=1.0, plane="xz", offset=0.0)
 
 
 def test_safest_action_field_rejects_non_finite_offset(default_gate):

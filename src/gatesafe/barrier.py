@@ -24,7 +24,7 @@ from .geometry import Pose, _axis_bounds, _check_level, _dot, _finite_point, _no
 ADMISSIBLE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class SafetyParams:
     """Safety-filter parameters.
 
@@ -55,7 +55,7 @@ def _noise_bounds(v, name: str) -> np.ndarray:
     return v
 
 
-@dataclass
+@dataclass(eq=False)
 class BarrierEval:
     """Sampled clearance d, its gradient, and the barrier value h = d^2 - R^2."""
 
@@ -64,7 +64,7 @@ class BarrierEval:
     h: float
 
 
-@dataclass
+@dataclass(eq=False)
 class BarrierConstraint:
     """Linear admissibility constraint a . u >= b on the action.
 

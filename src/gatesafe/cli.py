@@ -36,8 +36,8 @@ from .field import (
     quantize_inflation,
     save_field,
 )
-from .geometry import _axis_bounds
-from .qp import _PLANE_AXES, PlaneActionField, _check_offset, _check_samples, _check_speed, safest_action_field
+from .geometry import _axis_bounds, _check_count
+from .qp import _PLANE_AXES, PlaneActionField, _check_offset, _check_speed, safest_action_field
 from .report import ReportError, _g, write_report, write_trial_tables
 from .sim import MODES, run_experiment
 
@@ -141,7 +141,7 @@ def _field_rows(fld: PlaneActionField) -> list[str]:
 
 
 def _cmd_field(args) -> int:
-    _check_samples(args.samples, "--samples")
+    _check_count(args.samples, "--samples", minimum=2)
     params = _load_cfg(args.config).safety_params()
     _check_speed(args.speed, params.alpha, "--speed")
     f = load_field(args.map)

@@ -19,12 +19,9 @@ import yaml
 
 from .barrier import SafetyParams, _noise_bounds
 from .field import DistanceField, GridSpec, _check_map_axis
-from .geometry import GateGeometry, _check_level, _positive
+from .geometry import GateGeometry, _check_count, _check_level, _positive
 from .report import _g
-from .sim import (
-    MODES, SimEnv, _check_count, _check_dt, _check_non_negative, _check_track_length, _check_tracks, generate_track,
-    run_experiment,
-)
+from .sim import MODES, SimEnv, _check_dt, _check_track_length, _check_tracks, generate_track, run_experiment
 
 
 class ConfigError(ValueError):
@@ -40,10 +37,9 @@ def _number(path: str, value) -> float:
         raise ConfigError(f"{path} must be a number, got an integer too large for a float") from None
 
 
-def _int(path: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return value
+def _count(path: str, value, minimum: int = 1) -> int:
+    """A count key, read by the library's count check."""
+    return _check_count(value, path, minimum)
 
 
 def _list(path: str, value, n: int | None = None) -> list:
@@ -130,13 +126,13 @@ class NoiseConfig:
 @dataclass
 class SimSectionConfig:
     dt: float = _setting(_default(SimEnv, "dt"), _number, _check_dt)
-    laps: int = _setting(_default(generate_track, "laps"), _int, _check_count)
-    max_steps: int = _setting(_default(SimEnv, "max_steps"), _int, _check_count)
+    laps: int = _setting(_default(generate_track, "laps"), _count)
+    max_steps: int = _setting(_default(SimEnv, "max_steps"), _count)
 
 
 @dataclass
 class TrackConfig:
-    num_gates: int = _setting(_default(generate_track, "num_gates"), _int, _check_count)
+    num_gates: int = _setting(_default(generate_track, "num_gates"), _count)
     spacing: float = _setting(_default(generate_track, "spacing"), _number, _positive)
 
 
@@ -149,9 +145,9 @@ class PolicyConfig:
 @dataclass
 class RunSectionConfig:
     levels: tuple[float, ...] = _setting(_default(run_experiment, "levels"), _levels)
-    tracks: int = _setting(_default(run_experiment, "tracks_per_level"), _int, _check_tracks)
+    tracks: int = _setting(_default(run_experiment, "tracks_per_level"), _count, _check_tracks)
     modes: tuple[str, ...] = _setting(_default(run_experiment, "modes"), _modes)
-    seed_base: int = _setting(_default(run_experiment, "seed_base"), _int, _check_non_negative)
+    seed_base: int = _setting(_default(run_experiment, "seed_base"), _count, minimum=0)
 
 
 @dataclass

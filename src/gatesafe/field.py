@@ -39,13 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import GateGeometry, _axis_bounds, _clearance, _points, _positive, _vector
+from .geometry import (
+    INSIDE_SENTINEL, GateGeometry, _axis_bounds, _check_count, _clearance, _finite_point, _points, _positive, _vector,
+)
 
 MAGIC = b"ESDF"
 FORMAT_VERSION = 3
 _HEADER = struct.Struct("<4sI3I3dd3d")
-
-INSIDE_SENTINEL = -1.0
 
 # A query may lie this many cells past the outer nodes (rounding slack).
 _EDGE_CELLS = 1e-9
@@ -72,7 +72,7 @@ class InsideObstacleError(ValueError):
     """A query cell touches the solid; interpolation is undefined there."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GridSpec:
     """Regular grid in the gate frame: min corner, node spacing, node counts."""
 
@@ -81,13 +81,9 @@ class GridSpec:
     dims: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float)
-        if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
-            raise ValueError("origin must be a finite 3-vector")
+        self.origin = _finite_point(self.origin, "origin")[0]
         self.resolution = _positive(self.resolution, "resolution")
-        self.dims = tuple(int(n) for n in self.dims)
-        if len(self.dims) != 3 or any(n < 2 for n in self.dims):
-            raise ValueError(f"dims must be three counts >= 2, got {self.dims}")
+        self.dims = tuple(_check_count(n, f"dims[{k}]", minimum=2) for k, n in zip(range(3), self.dims, strict=True))
 
     @property
     def max_corner(self) -> np.ndarray:
@@ -101,7 +97,7 @@ class GridSpec:
         return tuple(self.axis_nodes(k).reshape([-1 if a == k else 1 for a in range(3)]) for k in range(3))
 
 
-@dataclass
+@dataclass(eq=False)
 class DistanceField:
     """Node values (float32, -1 inside the solid) and the gradients derived from them.
 
@@ -134,14 +130,14 @@ class DistanceField:
     spec: GridSpec
     values: np.ndarray
     inflated_by: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gate: GateGeometry | None = field(default=None, compare=False)
-    _grads: np.ndarray = field(init=False, repr=False, compare=False)
-    _blocks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    _done: bytearray = field(init=False, repr=False, compare=False)  # one flag per block, x-major
-    _lookup: tuple = field(init=False, repr=False, compare=False)  # sample's grid constants, see __post_init__
-    _batch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _value_corners: str = field(init=False, repr=False, compare=False)  # struct formats of a cell's corners
-    _grad_corners: str = field(init=False, repr=False, compare=False)
+    gate: GateGeometry | None = None
+    _grads: np.ndarray = field(init=False, repr=False)
+    _blocks: tuple[int, int, int] = field(init=False, repr=False)
+    _done: bytearray = field(init=False, repr=False)  # one flag per block, x-major
+    _lookup: tuple = field(init=False, repr=False)  # sample's grid constants, see __post_init__
+    _batch: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _value_corners: str = field(init=False, repr=False)  # struct formats of a cell's corners
+    _grad_corners: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.inflated_by = np.asarray(self.inflated_by, dtype=float)

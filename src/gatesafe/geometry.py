@@ -20,6 +20,7 @@ including at the internal interfaces between adjacent bars.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,9 @@ import numpy as np
 # square root of the largest float); coordinates and gate bounds within 1e150
 # of the origin keep every square and every sum of three squares finite.
 MAX_LEVEL = 1e150
+
+# The clearance of a point strictly inside the solid.
+INSIDE_SENTINEL = -1.0
 
 
 @dataclass
@@ -91,19 +95,19 @@ class GateGeometry:
         return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid gate pose: world position of the opening center plus yaw [rad].
 
     Yaw is rotation about world +z and is normalized to (-pi, pi] on
     construction, which also copies the position and takes the heading
     (cos yaw, sin yaw) once: every use of the gate's orientation reads it.
-    Gates never pitch or roll.
+    Gates never pitch or roll. Poses compare and hash by identity.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
-    heading: tuple[float, float] = field(init=False, repr=False, compare=False)
+    heading: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         position = np.array(self.position, dtype=float)
@@ -143,12 +147,12 @@ def _vector(q) -> np.ndarray:
     return q
 
 
-def _finite_point(q) -> tuple[np.ndarray, list[float]]:
+def _finite_point(q, name: str = "point") -> tuple[np.ndarray, list[float]]:
     """A finite 3-vector as a float array and as its three Python floats."""
     q = _vector(q)
     x, y, z = coords = q.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"point must be finite, got {q}")
+        raise ValueError(f"{name} must be finite, got {q}")
     return q, coords
 
 
@@ -186,6 +190,20 @@ def _positive(v, name: str) -> float:
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {v}")
     return float(v)
+
+
+def _check_count(n, name: str, minimum: int = 1) -> int:
+    """``n`` as an int; ValueError naming ``name`` unless it is an integer of at least ``minimum``:
+    one ``operator.index`` takes (a Python or numpy integer), but not a bool."""
+    if not isinstance(n, (bool, np.bool_)):
+        try:
+            count = operator.index(n)
+        except TypeError:
+            pass
+        else:
+            if count >= minimum:
+                return count
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
 def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:
@@ -247,7 +265,7 @@ def _clearance(cols, gate: GateGeometry, grow=0.0) -> np.ndarray:
         d = sq if d is None else np.minimum(d, sq, out=d)
         inside = box_inside if inside is None else np.logical_or(inside, box_inside, out=inside)
     np.sqrt(d, out=d)
-    np.copyto(d, -1.0, where=inside)
+    np.copyto(d, INSIDE_SENTINEL, where=inside)
     return d
 
 

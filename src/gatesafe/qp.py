@@ -35,7 +35,7 @@ import numpy as np
 
 from .barrier import BarrierConstraint, SafetyParams, _admits, _barrier_value, _constraint, _world_sample
 from .field import SAMPLE_OK, DistanceField, _in_range, sample_batch
-from .geometry import _dot, _norm, _points, _positive, _to_gate
+from .geometry import _check_count, _dot, _norm, _points, _positive, _to_gate
 
 _DEGENERATE_NORM = 1e-300
 # The slacks of the two single-set projections' tests, shared by both kernels:
@@ -58,7 +58,7 @@ _STATUS_CODE = {s: i for i, s in enumerate(FILTER_STATUS_ORDER)}
 _UNCHANGED, _PROJECTED, _FALLBACK, _DEGENERATE = (_STATUS_CODE[s] for s in FilterStatus)
 
 
-@dataclass
+@dataclass(eq=False)
 class FilterDecision:
     """Filtered action plus bookkeeping about how it was obtained.
 
@@ -357,7 +357,7 @@ def _nnls_residual(M: np.ndarray, rhs: np.ndarray) -> float:
     return best
 
 
-@dataclass
+@dataclass(eq=False)
 class PlaneActionField:
     """Safest sampled action per grid node on one axis-aligned plane.
 
@@ -370,12 +370,6 @@ class PlaneActionField:
     positions: np.ndarray
     directions: np.ndarray
     unsafe: np.ndarray
-
-
-def _check_samples(n: int, name: str) -> None:
-    """Raise ValueError naming ``name`` unless n >= 2 directions are sampled."""
-    if n < 2:
-        raise ValueError(f"{name} must be at least 2, got {n}")
 
 
 def _check_speed(speed: float, alpha: float, name: str) -> None:
@@ -415,7 +409,7 @@ def safest_action_field(
     if plane not in _PLANE_AXES:
         raise ValueError(f"plane must be {' or '.join(map(repr, _PLANE_AXES))}, got {plane!r}")
     _check_speed(speed, params.alpha, "speed")
-    _check_samples(angular_samples, "angular_samples")
+    angular_samples = _check_count(angular_samples, "angular_samples", minimum=2)
     _check_offset(offset, f, plane, "offset")
     au, av, fixed = _PLANE_AXES[plane]
 

@@ -60,8 +60,8 @@ import numpy as np
 from .barrier import SafetyParams
 from .field import DistanceField, InsideObstacleError, OutOfBoundsError
 from .geometry import (
-    MAX_LEVEL, GateGeometry, Pose, _check_level, _finite_point, _norm, _positive, _segment_hits, _slab_boxes,
-    _to_gate, exact_distance_batch,
+    MAX_LEVEL, GateGeometry, Pose, _check_count, _check_level, _finite_point, _norm, _positive, _segment_hits,
+    _slab_boxes, _to_gate, exact_distance_batch,
 )
 from .qp import _DEGENERATE, _FALLBACK, _PROJECTED, _UNCHANGED, FILTER_STATUS_ORDER, SafetyFilter
 
@@ -85,7 +85,7 @@ class SetupError(RuntimeError):
     """Trial precondition violated (bad spawn state)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class TrackSpec:
     """One lap of gates; laps repeat the row shifted a track length along +x.
 
@@ -106,14 +106,14 @@ class TrackSpec:
         return self.num_gates * self.spacing
 
 
-@dataclass
+@dataclass(eq=False)
 class SimState:
     """The input of :func:`nominal_policy`: the robot's world position ``x``, all the policy reads."""
 
     x: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class StepLog:
     """Column arrays, one row per executed step (values at step start).
 
@@ -132,7 +132,7 @@ class StepLog:
     deviation: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialResult:
     """Outcome of one trial: safety, task success, and the step log.
 
@@ -157,7 +157,7 @@ class TrialResult:
     log: StepLog
 
 
-@dataclass
+@dataclass(eq=False)
 class SimEnv:
     """Everything a trial needs besides the track: geometry, fields, knobs."""
 
@@ -172,7 +172,7 @@ class SimEnv:
 
     def __post_init__(self) -> None:
         _check_dt(self.dt, "dt")
-        _check_count(self.max_steps, "max_steps")
+        self.max_steps = _check_count(self.max_steps, "max_steps")
         self.gain = _positive(self.gain, "gain")
         _check_level(self.pass_offset, "pass_offset")
 
@@ -182,27 +182,18 @@ def _check_dt(dt: float, name: str) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {dt}")
 
 
-def _check_count(n: int, name: str) -> None:
-    if n < 1:
-        raise ValueError(f"{name} must be positive, got {n}")
-
-
-def _check_tracks(n: int, name: str) -> None:
-    """Raise ValueError naming ``name`` unless 1 <= n <= TRACK_SEED_STRIDE.
+def _check_tracks(n: int, name: str) -> int:
+    """``n`` as an int; ValueError naming ``name`` unless it is an integer in [1, TRACK_SEED_STRIDE].
 
     More tracks per level would give a track the seed of the next level's
     first tracks, and with it their noise and gate-estimate streams.
     """
-    _check_count(n, name)
+    n = _check_count(n, name)
     if n > TRACK_SEED_STRIDE:
         raise ValueError(
             f"{name} must be at most {TRACK_SEED_STRIDE}, the track-seed stride between levels, got {n}"
         )
-
-
-def _check_non_negative(v: float, name: str) -> None:
-    if not 0.0 <= v < math.inf:  # an integer too large for a float compares too
-        raise ValueError(f"{name} must be finite and >= 0, got {v}")
+    return n
 
 
 def _check_track_length(spacing: float, num_gates: int, laps: int, name: str) -> None:
@@ -230,10 +221,10 @@ def generate_track(
     yaws to face the incoming segment. The lap seam may exceed that bound:
     the next lap's first gate returns to gate 0's lateral position.
     """
-    _check_count(num_gates, "num_gates")
+    num_gates = _check_count(num_gates, "num_gates")
     _positive(spacing, "spacing")
     _check_level(difficulty, "difficulty")
-    _check_count(laps, "laps")
+    laps = _check_count(laps, "laps")
     _check_track_length(spacing, num_gates, laps, "spacing")
     rng = np.random.default_rng(seed)
     poses = [Pose(position=np.zeros(3), yaw=0.0)]
@@ -484,7 +475,7 @@ def run_trial(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialRecord:
     """One grid cell of an experiment: which trial, and its result."""
 
@@ -507,12 +498,13 @@ def run_experiment(
 
     Track seeds are seed_base + TRACK_SEED_STRIDE*level_index + track_index,
     distinct because tracks_per_level may not exceed the stride
-    (``ValueError`` otherwise, or below 1); the per-trial noise stream is
-    seeded from the track seed, so the whole grid is reproducible from
-    seed_base alone. ``track_args`` (num_gates, spacing, laps) go to
-    :func:`generate_track`, which holds their defaults.
+    (``ValueError`` otherwise, or below 1, or for a negative seed_base); the
+    per-trial noise stream is seeded from the track seed, so the whole grid
+    is reproducible from seed_base alone. ``track_args`` (num_gates,
+    spacing, laps) go to :func:`generate_track`, which holds their defaults.
     """
-    _check_tracks(tracks_per_level, "tracks_per_level")
+    tracks_per_level = _check_tracks(tracks_per_level, "tracks_per_level")
+    seed_base = _check_count(seed_base, "seed_base", minimum=0)
     records: list[TrialRecord] = []
     for li, level in enumerate(levels):
         for ti in range(tracks_per_level):

@@ -1,5 +1,6 @@
 """Strict-config loading: defaults, dotted-path rejection, manifests."""
 import dataclasses
+import functools
 import inspect
 import math
 import pathlib
@@ -13,10 +14,10 @@ import yaml
 from gatesafe.barrier import SafetyParams, _noise_bounds
 from gatesafe.config import Config, ConfigError, dump_manifest, load_config, parse_config
 from gatesafe.field import DistanceField, _check_map_axis
-from gatesafe.geometry import GateGeometry, _positive
+from gatesafe.geometry import GateGeometry, _check_count, _positive
 from gatesafe.sim import (
-    MAX_LEVEL, TRACK_SEED_STRIDE, SimEnv, _check_count, _check_dt, _check_level, _check_non_negative, _check_tracks,
-    generate_track, nominal_policy, run_experiment,
+    MAX_LEVEL, TRACK_SEED_STRIDE, SimEnv, _check_dt, _check_level, _check_tracks, generate_track, nominal_policy,
+    run_experiment,
 )
 
 
@@ -197,7 +198,7 @@ LIBRARY_RULES = [
     ("policy.pass_offset", -0.5, _check_level),
     ("run.levels", [0.0, -1.0], _check_level),  # the rule checks one entry
     ("run.tracks", 0, _check_tracks),
-    ("run.seed_base", -1, _check_non_negative),
+    ("run.seed_base", -1, functools.partial(_check_count, minimum=0)),
 ]
 
 

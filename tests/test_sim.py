@@ -374,7 +374,7 @@ def test_run_experiment_grid_shape(default_env):
 
 def test_run_experiment_refuses_more_tracks_per_level_than_the_seed_stride(default_env):
     # One track more would give track TRACK_SEED_STRIDE of level 0 the seed of track 0 of level 1.
-    for n, words in ((0, "positive"), (TRACK_SEED_STRIDE + 1, f"at most {TRACK_SEED_STRIDE}, the track-seed stride")):
+    for n, words in ((0, "an integer >= 1"), (TRACK_SEED_STRIDE + 1, f"at most {TRACK_SEED_STRIDE}, the track-seed stride")):
         with pytest.raises(ValueError, match=rf"^tracks_per_level must be {words}.*, got {n}$"):
             run_experiment(default_env, levels=(0.0, 0.5), tracks_per_level=n, modes=("baseline",))
 

@@ -28,15 +28,17 @@ import numpy as np
 from .config import Config, _default, dump_manifest, load_config, parse_config
 from .field import (
     DistanceField,
+    GridSpec,
     MapFormatError,
     _check_extent,
+    _gate_field,
     build_field,
     inflate_field,
     load_field,
     quantize_inflation,
     save_field,
 )
-from .geometry import _axis_bounds, _check_count
+from .geometry import GateGeometry, _axis_bounds, _check_count
 from .qp import _PLANE_AXES, PlaneActionField, _check_offset, _check_speed, safest_action_field
 from .report import ReportError, _g, write_report, write_trial_tables
 from .sim import MODES, run_experiment
@@ -79,8 +81,8 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{float(x):g}" for x in v) + ")"
 
 
-def _build_maps(cfg: Config, inflation, name: str) -> tuple[DistanceField, DistanceField | None]:
-    """The nominal map and, given an inflation (``name`` in errors), the map inflated by it in whole cells.
+def _map_grid(cfg: Config, inflation, name: str) -> tuple[GateGeometry, GridSpec, np.ndarray | None]:
+    """The gate, the map grid and, given an inflation (``name`` in errors), that inflation in whole cells.
 
     A grid too small for the margins is refused naming the ``map`` axis and the
     margins' sources (``safety.R``, and ``name``), before anything is built.
@@ -93,16 +95,23 @@ def _build_maps(cfg: Config, inflation, name: str) -> tuple[DistanceField, Dista
     gate = cfg.gate()
     margins = "safety.R" if quantized is None else f"safety.R and {name}"
     _check_extent(gate, spec, cfg.safety.R, quantized, "map.{}", margins)
+    return gate, spec, quantized
+
+
+def _build_maps(cfg: Config, inflation, name: str) -> tuple[DistanceField, DistanceField | None]:
+    """The nominal map and, given an inflation, the map inflated by it in whole cells (see :func:`_map_grid`)."""
+    gate, spec, quantized = _map_grid(cfg, inflation, name)
     nominal = build_field(gate, spec, safety_radius=cfg.safety.R, inflation=quantized)
     return nominal, None if quantized is None else inflate_field(nominal, quantized)
 
 
 def _cmd_build_map(args) -> int:
     inflation = None if args.inflate is None else _axis_bounds(args.inflate, "--inflate")
-    nominal, inflated = _build_maps(_load_cfg(args.config), inflation, "--inflate")
-    f = nominal if inflated is None else inflated
-    del nominal  # freed before save_field allocates its map-sized buffers
-    if inflated is not None and not np.allclose(f.inflated_by, inflation):
+    cfg = _load_cfg(args.config)
+    gate, spec, quantized = _map_grid(cfg, inflation, "--inflate")
+    # Only the map the file holds: an inflated one is built from the grown boxes, with no nominal map.
+    f = build_field(gate, spec, safety_radius=cfg.safety.R) if quantized is None else _gate_field(gate, spec, quantized)
+    if quantized is not None and not np.allclose(f.inflated_by, inflation):
         print(f"note: inflation rounded up to whole cells: {_fmt_vec(f.inflated_by)}")
     save_field(f, args.out)
     print(

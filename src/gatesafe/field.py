@@ -2,10 +2,12 @@
 
 The field stores, at every node of a regular gate-frame grid, the exact
 Euclidean clearance to the frame (sentinel -1.0 strictly inside the solid).
-Node gradients are finite differences of those values, derived on demand:
-block by block of cells, the first time a query touches a block. Queries
-between nodes are answered by trilinear interpolation of both values and
-gradients.
+Node gradients are finite differences of those values, derived on demand
+for the cells a query reads: a single-point query derives the block of
+16^3 cells that holds its cell; a batch query derives the bounding box of the
+cells its rows read, plus the one-node halo the differences take, and no
+more. Queries between nodes are answered by trilinear interpolation of both
+values and gradients.
 
 Worst-case inflation by eps stores, at every node, the minimum clearance
 over all gate translations within +/-eps per axis: the exact clearance to
@@ -104,10 +106,18 @@ class DistanceField:
     ``gate`` is the geometry a built map was computed from, which
     :func:`inflate_field` grows; a loaded map has none.
 
-    Gradients are derived per block of ``_GRAD_BLOCK`` cells per axis, the
-    first time a query touches the block, and kept. Each block runs
-    :func:`_node_gradients` on its nodes plus a one-node halo, so every
-    gradient is bit-identical to a whole-grid derivation.
+    Gradients are derived on demand and kept, in boxes of nodes: each box
+    runs :func:`_node_gradients` on its nodes plus a one-node halo, so every
+    gradient is bit-identical to a whole-grid derivation, whatever box
+    derived it. The grid is split into blocks of ``_GRAD_BLOCK`` cells per
+    axis, each with one flag in ``_done``, set once a box has covered the
+    block wholly. :func:`sample` derives the block of its cell when that
+    flag is unset; :func:`sample_batch` derives the bounding box of the cells
+    of its rows in unflagged blocks (rows out of bounds or touching the
+    solid read no gradients), so a plane slice derives the two node layers
+    around its plane, not the blocks they cross. A later query in a block
+    that box covered only in part derives that block again, with the same
+    bits.
 
     The grid's lookup constants are taken once, on construction. For
     :func:`sample` they are one plain tuple, ``_lookup``: the origin as three
@@ -183,15 +193,26 @@ class DistanceField:
         missing = np.unravel_index(blocks[done[blocks] == 0], self._blocks)
         if missing[0].size == 0:
             return
-        lo = [int(m.min()) for m in missing]
-        hi = [int(m.max()) + 1 for m in missing]
+        self._derive_nodes(
+            [_GRAD_BLOCK * int(m.min()) for m in missing], [_GRAD_BLOCK * (int(m.max()) + 1) + 1 for m in missing]
+        )
+
+    def _derive_nodes(self, lo, hi) -> None:
+        """Derive the nodes ``lo[k] <= n_k < hi[k]`` (clipped to the grid), then flag the blocks they cover wholly."""
+        dims = self.spec.dims
+        box = [slice(int(a), min(int(b), n)) for a, b, n in zip(lo, hi, dims)]
         # The box's nodes, then one node more on each side where the grid goes on:
         # a node's rule reads its +/-1 neighbours and whether it is a border node.
-        box = [slice(_GRAD_BLOCK * a, min(_GRAD_BLOCK * b + 1, n)) for a, b, n in zip(lo, hi, self.spec.dims)]
-        halo = [slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, self.spec.dims)]
+        halo = [slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, dims)]
         g = _node_gradients(self.values[tuple(halo)], self.spec.resolution)
         self._grads[tuple(box)] = g[tuple(slice(s.start - h.start, s.stop - h.start) for s, h in zip(box, halo))]
-        done.reshape(self._blocks)[tuple(slice(a, b) for a, b in zip(lo, hi))] = 1
+        # Block b holds nodes 16 b to min(16 b + 16, n - 1): inside the box from
+        # the first block starting in it to the last one ending in it.
+        flagged = [
+            slice(-(-s.start // _GRAD_BLOCK), nb if s.stop == n else (s.stop - 1) // _GRAD_BLOCK)
+            for s, n, nb in zip(box, dims, self._blocks)
+        ]
+        np.frombuffer(self._done, dtype=np.uint8).reshape(self._blocks)[tuple(flagged)] = 1
 
 
 def _check_map_axis(ends, name: str) -> None:
@@ -249,8 +270,17 @@ def build_field(
     ``ValueError`` names the offending axis.
     """
     _check_extent(gate, spec, safety_radius, inflation)
-    values = _clearance(spec.node_axes(), gate).astype(np.float32)
-    return DistanceField(spec=spec, values=values, gate=gate)
+    return _gate_field(gate, spec, np.zeros(3))
+
+
+def _gate_field(gate: GateGeometry, spec: GridSpec, eps: np.ndarray) -> DistanceField:
+    """The map of ``gate``'s clearance at ``spec``'s nodes, every bar box grown by ``eps`` (zeros: nominal).
+
+    Both :func:`build_field` and :func:`inflate_field` end here, after their
+    checks; so does ``build-map --inflate``, which builds no nominal map.
+    """
+    values = _clearance(spec.node_axes(), gate, grow=eps).astype(np.float32)
+    return DistanceField(spec=spec, values=values, inflated_by=eps, gate=gate)
 
 
 def _node_gradients(values: np.ndarray, res: float) -> np.ndarray:
@@ -311,9 +341,7 @@ def inflate_field(f: DistanceField, eps: np.ndarray) -> DistanceField:
         raise ValueError(f"field is already inflated by {f.inflated_by}; inflate a nominal field")
     if f.gate is None:
         raise ValueError("field records no gate (a loaded map); inflate a map from build_field")
-    eps = _axis_bounds(eps, "eps")
-    values = _clearance(f.spec.node_axes(), f.gate, grow=eps).astype(np.float32)
-    return DistanceField(spec=f.spec, values=values, inflated_by=eps, gate=f.gate)
+    return _gate_field(f.gate, f.spec, _axis_bounds(eps, "eps"))
 
 
 def sample(f: DistanceField, q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -480,9 +508,6 @@ def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     cell = np.fmin(np.floor(rel), last_cell)
     frac = rel - cell
     cell = cell.astype(np.intp)
-    blocks = ((cell // _GRAD_BLOCK) @ block_strides)[inside]  # rows out of bounds read no gradients
-    if not np.frombuffer(f._done, dtype=np.uint8)[blocks].all():
-        f._derive(blocks)
 
     # Values and gradients share one (8, 4, N) array, corner-major: row k
     # holds corner k's value and gradient components of every point. A
@@ -492,6 +517,12 @@ def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     vg = np.empty((8, 4, n))
     vg[:, 0] = np.take(f.values, flat)
     in_obs = np.minimum.reduce(vg[:, 0], axis=0) == INSIDE_SENTINEL
+    # Rows out of bounds or touching the solid read no gradients.
+    todo = inside & ~in_obs
+    todo &= np.frombuffer(f._done, dtype=np.uint8)[(cell // _GRAD_BLOCK) @ block_strides] == 0
+    if todo.any():
+        cells = cell[todo]
+        f._derive_nodes(cells.min(axis=0), cells.max(axis=0) + 2)  # each cell's eight corner nodes
     vg[:, 1:] = np.take(f._grads.reshape(-1, 3), flat, axis=0).transpose(0, 2, 1)
 
     t = np.empty((2, 3, n))
@@ -519,9 +550,12 @@ def save_field(f: DistanceField, path: str | Path) -> None:
         float(f.spec.resolution),
         *(float(e) for e in f.inflated_by),
     )
-    payload = header + f.values.astype("<f4", copy=False).ravel(order="F").tobytes()  # x-fastest
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    Path(path).write_bytes(payload + struct.pack("<I", crc))
+    values = f.values.astype("<f4", copy=False).ravel(order="F")  # x-fastest: the one copy of the map
+    crc = zlib.crc32(values, zlib.crc32(header))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(values)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_field(path: str | Path) -> DistanceField:
@@ -545,7 +579,7 @@ def load_field(path: str | Path) -> DistanceField:
         raise MapFormatError(f"{path}: {len(raw) - size} trailing bytes after checksum")
 
     (stored_crc,) = struct.unpack_from("<I", raw, size - 4)
-    crc = zlib.crc32(raw[: size - 4]) & 0xFFFFFFFF
+    crc = zlib.crc32(memoryview(raw)[: size - 4])  # a view: no copy of the map
     if crc != stored_crc:
         raise MapFormatError(f"{path}: crc32 {crc:#010x} != stored {stored_crc:#010x}")
 

@@ -26,7 +26,7 @@ steps fly the nominal action unfiltered and are logged with their own status
 code. The filter sees only the current gate, so right after a crossing these
 steps are unprotected from the gate just passed. On the default grid at
 level 1.5 they come within 0.209 m of it in "filtered" mode, inside R = 0.3,
-and within 0.439 m in "filtered_uncertainty" (ROADMAP item 12).
+and within 0.439 m in "filtered_uncertainty" (ROADMAP item 9).
 
 The trial loop keeps its state, actions and gate frames as Python floats,
 made once, and corrects a filtered mode's action with one
@@ -226,7 +226,7 @@ def generate_track(
     _check_level(difficulty, "difficulty")
     laps = _check_count(laps, "laps")
     _check_track_length(spacing, num_gates, laps, "spacing")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, "seed", minimum=0))
     poses = [Pose(position=np.zeros(3), yaw=0.0)]
     y = z = 0.0
     for k in range(1, num_gates):
@@ -353,6 +353,7 @@ def run_trial(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "filtered_uncertainty" and env.inflated_field is None:
         raise ValueError("filtered_uncertainty mode requires an inflated field")
+    seed = _check_count(seed, "seed", minimum=0)
     params = env.params
     fld = {"filtered": env.nominal_field, "filtered_uncertainty": env.inflated_field}.get(mode)
     filt = None if fld is None else SafetyFilter(fld, params)

@@ -10,9 +10,12 @@ import zlib
 import numpy as np
 import pytest
 
-from gatesafe.cli import _field_rows, main as cli_main
-from gatesafe.config import load_config
-from gatesafe.field import _HEADER, _node_gradients, build_field, inflate_field, load_field
+from gatesafe import field as field_module
+from gatesafe.cli import _csv_floats, _field_rows, main as cli_main
+from gatesafe.config import Config, load_config
+from gatesafe.field import (
+    _HEADER, _node_gradients, build_field, inflate_field, load_field, quantize_inflation, save_field,
+)
 from gatesafe.qp import PlaneActionField
 from gatesafe.report import (
     GroupSummary,
@@ -71,6 +74,30 @@ def test_build_map_inflation_rounds_up_to_whole_cells(tmp_path):
     assert run_cli(["build-map", "--out", out, "--inflate", "0.25,0.25,0.25"]) == 0
     f = load_field(out)
     np.testing.assert_allclose(f.inflated_by, [0.3, 0.3, 0.3])
+
+
+@pytest.mark.parametrize("inflate", [None, "0.25,0.25,0.25"], ids=["nominal", "inflated"])
+def test_build_map_runs_the_clearance_kernel_once(inflate, tmp_path, monkeypatch):
+    # An inflated map is built straight from the grown boxes: no nominal map first.
+    calls = []
+    kernel = field_module._clearance
+    monkeypatch.setattr(field_module, "_clearance", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    extra = [] if inflate is None else ["--inflate", inflate]
+    assert run_cli(["build-map", "--out", tmp_path / "m.esdf", *extra]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("inflate", [None, "0.25,0.25,0.25"], ids=["nominal", "inflated"])
+def test_build_map_file_is_the_library_chains_bytes(inflate, tmp_path):
+    out = tmp_path / "cli.esdf"
+    extra = [] if inflate is None else ["--inflate", inflate]
+    assert run_cli(["build-map", "--out", out, *extra]) == 0
+    cfg = Config()
+    spec = cfg.grid_spec()
+    eps = None if inflate is None else quantize_inflation(np.array(_csv_floats(inflate)), spec.resolution)
+    f = build_field(cfg.gate(), spec, safety_radius=cfg.safety.R, inflation=eps)
+    save_field(f if eps is None else inflate_field(f, eps), tmp_path / "library.esdf")
+    assert out.read_bytes() == (tmp_path / "library.esdf").read_bytes()
 
 
 def test_inflated_map_with_bars_thinner_than_a_cell_is_built(tmp_path):

@@ -1138,7 +1138,8 @@ def test_block_gradients_are_bit_identical_whatever_derives_first(dims, first, m
         got = run(f)
         assert got == run(full)
         derived = _derived_blocks(f)
-        # Every block those queries touch is derived now: a repeat derives nothing.
+        # Those queries span the grid, so every block they touch is derived
+        # now: a repeat derives nothing.
         monkeypatch.setattr("gatesafe.field._node_gradients", lambda *a: pytest.fail("derived again"))
         assert run(f) == got
         monkeypatch.undo()
@@ -1175,7 +1176,7 @@ def test_build_inflate_and_load_derive_no_block(default_gate, small_spec, tmp_pa
 
 
 @pytest.mark.parametrize("plane, axis", [("yz", 0), ("xy", 2)])
-def test_plane_export_derives_only_the_blocks_next_to_its_plane(default_gate, small_spec, plane, axis):
+def test_plane_export_derives_only_the_two_node_layers_around_its_plane(default_gate, small_spec, plane, axis):
     f = build_field(default_gate, small_spec, safety_radius=0.3, inflation=np.full(3, 0.3))
     # The last cell of the first block layer, at mid-cell, so rounding cannot
     # move the plane to a neighbouring cell; the plane cuts the frame.
@@ -1183,7 +1184,60 @@ def test_plane_export_derives_only_the_blocks_next_to_its_plane(default_gate, sm
     offset = float(small_spec.origin[axis] + (cell + 0.5) * small_spec.resolution)
     exported = safest_action_field(f, SafetyParams(), speed=2.0, plane=plane, offset=offset)
     assert exported.unsafe.any() and not exported.unsafe.all()
-    blocks = np.moveaxis(_derived_blocks(f), axis, 0)
-    assert blocks[cell // _GRAD_BLOCK].all()
-    assert blocks.sum() == blocks[0].size
-    _assert_same_bits(f.gradients, _node_gradients(f.values, f.spec.resolution))
+    layers = np.moveaxis(f._grads, axis, 0).any(axis=(1, 2, 3))
+    assert np.flatnonzero(layers).tolist() == [cell, cell + 1]
+    assert not _derived_blocks(f).any()  # two layers cover no block wholly
+    # Later queries, in those blocks and elsewhere, read whole-map bits.
+    want = _node_gradients(f.values, f.spec.resolution)
+    full = DistanceField(f.spec, f.values)
+    _assert_same_bits(full.gradients, want)
+    pts = np.random.default_rng(axis).uniform(small_spec.origin, small_spec.max_corner, size=(300, 3))
+    pts[::2, axis] = offset + np.random.default_rng(axis).uniform(-0.05, 0.05, size=150)
+    for q in pts:
+        try:
+            got = sample(f, q)
+        except InsideObstacleError:
+            continue
+        ref = sample(full, q)
+        assert (np.float64(got[0]).tobytes(), got[1].tobytes()) == (np.float64(ref[0]).tobytes(), ref[1].tobytes())
+    _assert_same_bits(f.gradients, want)
+
+
+@pytest.mark.parametrize("dims", [(37, 2, 20), (17, 33, 18), (16, 49, 3), (2, 2, 2)])
+def test_a_node_box_derives_its_nodes_and_flags_the_blocks_it_covers_wholly(dims):
+    rng = np.random.default_rng(sum(dims))
+    spec = GridSpec(origin=np.zeros(3), resolution=0.1, dims=dims)
+    values = _blob_values(rng, dims)
+    want = _node_gradients(values, spec.resolution)
+    # Boxes that start and end at block edges, one node either side, and random ones.
+    edges = ((0, 100), (0, 16), (1, 17), (0, 17), (16, 33))
+    boxes = [([min(a, n - 1) for n in dims], [min(b, n) for n in dims]) for a, b in edges]
+    for _ in range(40):
+        lo = [int(rng.integers(0, n)) for n in dims]
+        boxes.append((lo, [int(rng.integers(a + 1, n + 1)) for a, n in zip(lo, dims)]))
+    for lo, hi in boxes:
+        f = DistanceField(spec, values)
+        f._derive_nodes(lo, hi)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        _assert_same_bits(f._grads[box], want[box])
+        outside = np.ones(dims, dtype=bool)
+        outside[box] = False
+        assert not f._grads[outside].any()
+        # Block k holds nodes 16 k to min(16 k + 16, n - 1).
+        covered = [
+            all(a <= _GRAD_BLOCK * k and min(_GRAD_BLOCK * k + _GRAD_BLOCK, n - 1) < b
+                for k, a, b, n in zip(block, lo, hi, dims))
+            for block in np.ndindex(*f._blocks)
+        ]
+        assert _derived_blocks(f).ravel().tolist() == covered, (lo, hi)
+
+
+def test_sample_batch_rows_touching_the_solid_derive_nothing(small_spec):
+    values = np.ones(small_spec.dims, dtype=np.float32)
+    values[10, 10, 10] = INSIDE_SENTINEL
+    f = DistanceField(small_spec, values)
+    # Mid-cell points in the eight cells around that node.
+    cells = np.array(list(np.ndindex(2, 2, 2))) + 9
+    pts = small_spec.origin + (cells + 0.5) * small_spec.resolution
+    assert sample_batch(f, pts)[2].tolist() == [SAMPLE_IN_OBSTACLE] * 8
+    assert not f._grads.any() and not _derived_blocks(f).any()

@@ -10,7 +10,7 @@ import gatesafe
 from gatesafe import (
     BarrierConstraint, BarrierEval, DistanceField, FilterDecision, FilterStatus, GateGeometry, GridSpec,
     PlaneActionField, Pose, SafetyParams, SimEnv, SimState, StepLog, TrackSpec, TrialRecord, TrialResult, build_field,
-    generate_track, parse_config, run_experiment, safest_action_field,
+    generate_track, parse_config, run_experiment, run_trial, safest_action_field,
 )
 
 
@@ -45,6 +45,9 @@ COUNT_ENTRY_POINTS = {
     "SimEnv.max_steps": ("max_steps", lambda n: SimEnv(GateGeometry(), None, None, SafetyParams(), max_steps=n).max_steps),
     "generate_track.num_gates": ("num_gates", lambda n: generate_track(num_gates=n, laps=1).num_gates),
     "generate_track.laps": ("laps", lambda n: generate_track(laps=n).laps),
+    "generate_track.seed": ("seed", lambda n: generate_track(seed=n)),
+    "run_trial.seed": ("seed", lambda n: run_trial(
+        SimEnv(GateGeometry(), None, None, SafetyParams()), generate_track(num_gates=2, laps=1), "baseline", seed=n)),
     # No levels: the counts are checked, and no trial flies.
     "run_experiment.tracks_per_level": ("tracks_per_level", lambda n: run_experiment(None, (), tracks_per_level=n)),
     "run_experiment.seed_base": ("seed_base", lambda n: run_experiment(None, (), seed_base=n)),

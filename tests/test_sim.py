@@ -57,6 +57,14 @@ def test_track_determinism():
     ), "different seeds should give different tracks"
 
 
+@pytest.mark.parametrize("bad", [1.5, -1, True])
+def test_seeds_must_be_non_negative_integers_and_are_named(bad, default_env):
+    track = generate_track(seed=0)
+    for call in (lambda: generate_track(seed=bad), lambda: run_trial(default_env, track, "baseline", seed=bad)):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad!r}$"):
+            call()
+
+
 def test_track_offsets_bounded_over_many_seeds():
     for seed in range(1000):
         track = generate_track(difficulty=1.5, seed=seed)

@@ -18,22 +18,26 @@ and any bar thickness. Inflated values never exceed nominal ones.
 File format (all little-endian)::
 
     magic   4 bytes  b"ESDF"
-    version u32      3
+    version u32      4
     dims    3 x u32  nx, ny, nz
     origin  3 x f64  grid min corner [m]
     res     f64      node spacing [m]
     infl    3 x f64  inflation applied per axis [m] (0 for a nominal map)
-    values  nx*ny*nz x f32, x-fastest node order
+    values  nx*ny*nz x f32, C node order: node (i, j, l) at (i*ny + j)*nz + l, z fastest
     crc32   u32      checksum of every preceding byte
 
 The file holds no gradients: a loaded field derives them from the values,
 exactly as a built one does. Grid geometry is kept at full double precision
 so node coordinates of a loaded map equal those of the freshly built one
-bit for bit; node values are f32, matching the in-memory array.
+bit for bit; node values are f32 in the in-memory array's own node order,
+so a save writes that array as it is and a load reads the file once into
+the buffer that becomes it. Version 3 files, whose values were x-fastest,
+are refused: such a map must be rebuilt.
 """
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -46,7 +50,7 @@ from .geometry import (
 )
 
 MAGIC = b"ESDF"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = struct.Struct("<4sI3I3dd3d")
 
 # A query may lie this many cells past the outer nodes (rounding slack).
@@ -104,7 +108,8 @@ class DistanceField:
     """Node values (float32, -1 inside the solid) and the gradients derived from them.
 
     ``gate`` is the geometry a built map was computed from, which
-    :func:`inflate_field` grows; a loaded map has none.
+    :func:`inflate_field` grows; a loaded map has none, and its ``values``
+    are a writable view of the buffer the file was read into.
 
     Gradients are derived on demand and kept, in boxes of nodes: each box
     runs :func:`_node_gradients` on its nodes plus a one-node halo, so every
@@ -279,7 +284,7 @@ def _gate_field(gate: GateGeometry, spec: GridSpec, eps: np.ndarray) -> Distance
     Both :func:`build_field` and :func:`inflate_field` end here, after their
     checks; so does ``build-map --inflate``, which builds no nominal map.
     """
-    values = _clearance(spec.node_axes(), gate, grow=eps).astype(np.float32)
+    values = _clearance(spec.node_axes(), gate, grow=eps, dtype=np.float32)
     return DistanceField(spec=spec, values=values, inflated_by=eps, gate=gate)
 
 
@@ -319,12 +324,17 @@ def _node_gradients(values: np.ndarray, res: float) -> np.ndarray:
 def quantize_inflation(eps: np.ndarray, resolution: float) -> np.ndarray:
     """Round a per-axis inflation up to whole cells of ``resolution`` (never down).
 
-    Raises ``ValueError`` when the rounded inflation overflows.
+    A count ``eps / resolution`` within 1e-9 cells past a whole number rounds
+    to that number, so float noise costs no cell; where that many cells fall
+    short of ``eps`` in floats, one cell more is taken. Raises ``ValueError``
+    when the rounded inflation overflows.
     """
     eps = _axis_bounds(eps, "eps")
     resolution = _positive(resolution, "resolution")
     with np.errstate(over="ignore"):
-        quantized = np.maximum(np.ceil(eps / resolution - 1e-9), 0.0) * resolution
+        cells = np.maximum(np.ceil(eps / resolution - 1e-9), 0.0)
+        cells += cells * resolution < eps
+        quantized = cells * resolution
     if not np.all(np.isfinite(quantized)):
         raise ValueError(f"eps {eps.tolist()} overflows when rounded up to whole {resolution:g} m cells")
     return quantized
@@ -541,7 +551,11 @@ def _sample_block(f: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def save_field(f: DistanceField, path: str | Path) -> None:
-    """Write a field to disk in the binary map format."""
+    """Write a field to disk in the binary map format.
+
+    The values are checksummed and written from the field's own C-ordered
+    buffer, so saving copies no part of the map.
+    """
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
@@ -550,7 +564,7 @@ def save_field(f: DistanceField, path: str | Path) -> None:
         float(f.spec.resolution),
         *(float(e) for e in f.inflated_by),
     )
-    values = f.values.astype("<f4", copy=False).ravel(order="F")  # x-fastest: the one copy of the map
+    values = f.values.astype("<f4", copy=False)  # the field's own array on a little-endian host
     crc = zlib.crc32(values, zlib.crc32(header))
     with open(path, "wb") as fh:
         fh.write(header)
@@ -559,17 +573,25 @@ def save_field(f: DistanceField, path: str | Path) -> None:
 
 
 def load_field(path: str | Path) -> DistanceField:
-    """Read a field written by :func:`save_field`, verifying the checksum."""
-    raw = Path(path).read_bytes()
+    """Read a field written by :func:`save_field`, verifying the checksum.
+
+    The file is read once, into a writable buffer whose values section
+    becomes the loaded map's array, in the file's C node order.
+    """
+    with open(path, "rb") as fh:
+        raw = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)  # not zero-filled: the read writes it
+        raw = raw[: fh.readinto(raw)]  # a short read leaves a short buffer, refused below
     if len(raw) < 4:
         raise MapFormatError(f"{path}: file shorter than the magic header")
-    if raw[:4] != MAGIC:
-        raise MapFormatError(f"{path}: bad magic {raw[:4]!r}")
+    if bytes(raw[:4]) != MAGIC:
+        raise MapFormatError(f"{path}: bad magic {bytes(raw[:4])!r}")
     if len(raw) < _HEADER.size:
         raise MapFormatError(f"{path}: truncated header")
     magic, version, nx, ny, nz, ox, oy, oz, res, ex, ey, ez = _HEADER.unpack_from(raw, 0)
     if version != FORMAT_VERSION:
-        raise MapFormatError(f"{path}: unsupported format version {version}")
+        raise MapFormatError(
+            f"{path}: unsupported format version {version} (this build reads version {FORMAT_VERSION}; rebuild the map)"
+        )
 
     n = nx * ny * nz
     size = _HEADER.size + 4 * n + 4  # values, crc
@@ -579,11 +601,11 @@ def load_field(path: str | Path) -> DistanceField:
         raise MapFormatError(f"{path}: {len(raw) - size} trailing bytes after checksum")
 
     (stored_crc,) = struct.unpack_from("<I", raw, size - 4)
-    crc = zlib.crc32(memoryview(raw)[: size - 4])  # a view: no copy of the map
+    crc = zlib.crc32(raw[: size - 4])  # a view: no copy of the map
     if crc != stored_crc:
         raise MapFormatError(f"{path}: crc32 {crc:#010x} != stored {stored_crc:#010x}")
 
-    values = np.frombuffer(raw, dtype="<f4", count=n, offset=_HEADER.size).reshape((nx, ny, nz), order="F").copy()
+    values = np.frombuffer(raw, dtype="<f4", count=n, offset=_HEADER.size).reshape((nx, ny, nz))
     try:
         spec = GridSpec(origin=np.array([ox, oy, oz], dtype=float), resolution=float(res), dims=(nx, ny, nz))
         inflated_by = _axis_bounds((ex, ey, ez), "inflation")
@@ -600,12 +622,16 @@ def _values_fault(values: np.ndarray, res: float) -> str | None:
 
     Every node difference the gradients take lies within the spread of the
     values outside the solid, so a spread that stays finite in float32 over
-    ``res`` lets every block be derived without an overflow or NaN.
+    ``res`` lets every block be derived without an overflow or NaN. The
+    screen copies no part of the map: a plain minimum and maximum, and a
+    masked minimum for the least value outside the solid only when the
+    sentinel is the least value.
     """
-    outside = values[values != INSIDE_SENTINEL]
-    if outside.size == 0:
-        return None
-    lo, hi = float(outside.min()), float(outside.max())  # NaN if any value is NaN
+    lo, hi = float(values.min()), float(values.max())  # NaN if any value is NaN
+    if lo == INSIDE_SENTINEL:
+        if hi == INSIDE_SENTINEL:
+            return None  # every node inside the solid
+        lo = float(np.min(values, where=values != INSIDE_SENTINEL, initial=math.inf))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return f"node gradients at resolution {res:g}: invalid value: node values must be finite"
     if lo < 0.0:

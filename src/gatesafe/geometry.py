@@ -218,54 +218,80 @@ def exact_distance(q: np.ndarray, gate: GateGeometry) -> float:
 def exact_distance_batch(points: np.ndarray, gate: GateGeometry) -> np.ndarray:
     """Vectorized :func:`exact_distance` for an (N, 3) array of points.
 
-    Runs :func:`_clearance` on the (N,) coordinate columns, so temporaries
-    are O(N). The grid build runs it on the grid's axis arrays instead, with
-    the per-axis overshoots broadcast and the operation order unchanged.
+    Runs :func:`_clearance` on the (N,) coordinate columns, views of the
+    points, in slabs of ``_CLEARANCE_SLAB`` points. The grid build runs it on
+    the grid's axis arrays instead, with the per-axis overshoots broadcast
+    and the operation order unchanged.
     """
-    return _clearance(_points(points).T.copy(), gate)
+    return _clearance(_points(points).T, gate)
 
 
-def _clearance(cols, gate: GateGeometry, grow=0.0) -> np.ndarray:
-    """Exact clearance at the points whose x, y and z coordinates are ``cols``.
+# Elements per slab of :func:`_clearance`: its temporaries are a few arrays of
+# this size, which stay in cache while a slab's four bars are taken.
+_CLEARANCE_SLAB = 1 << 16
+
+
+def _clearance(cols, gate: GateGeometry, grow=0.0, dtype=np.float64) -> np.ndarray:
+    """Exact clearance at the points whose x, y and z coordinates are ``cols``, as ``dtype``.
 
     ``grow`` (per axis, or one scalar) widens every bar box to ``lo - grow``,
     ``hi + grow``: the clearance to the frame's Minkowski sum with the box
     +/-grow, the worst case over gate translations within it. Growing by 0
     changes no bound, hence no result.
 
-    The three coordinate arrays broadcast against each other: three (N,)
-    columns give N points, and the axis arrays of a grid shaped (nx, 1, 1),
-    (1, ny, 1) and (1, 1, nz) give every node. Each bar's per-axis overshoot
-    is computed on its own coordinate array, and its square is added to the
-    sum over the broadcast shape of the axes read so far: from 0.0 in x, y, z
-    order, the same additions of the same values whatever the shapes, so a
-    point gets the same bits as a column entry or as a grid node, and a grid
-    fills only its last sum, not all three.
+    The three coordinate arrays have one number of dimensions and broadcast
+    against each other: three (N,) columns give N points, and the axis arrays
+    of a grid shaped (nx, 1, 1), (1, ny, 1) and (1, 1, nz) give every node.
+    Each bar's per-axis overshoot is computed on its own coordinate array,
+    and its square is added to the sum over the broadcast shape of the axes
+    read so far: from 0.0 in x, y, z order, the same additions of the same
+    values whatever the shapes, so a point gets the same bits as a column
+    entry or as a grid node. Each bar's x-y sum and x-y inside test are
+    taken once, on the broadcast of the x and y arrays alone; the last
+    addition, of the z square, and everything after it run over slabs of
+    the leading axis of about ``_CLEARANCE_SLAB`` elements, so the output is
+    the only array of the full shape, written once.
 
     The minimum over the four bars is taken on the squared distances, with
-    one square root at the end. That is exact: ``sqrt`` is correctly
-    rounded, hence monotone, so the root of the minimum equals the minimum
-    of the roots bit for bit.
+    one square root at the end, rounded once to ``dtype``. That is exact:
+    ``sqrt`` is correctly rounded, hence monotone, so the root of the minimum
+    equals the minimum of the roots bit for bit.
 
     Every square stays finite while coordinates and gate bounds lie within
     :data:`MAX_LEVEL` of the origin.
     """
     lo, hi = gate.bar_boxes()
     lo, hi = lo - grow, hi + grow
-    d = inside = None
+    bars = []
     for box_lo, box_hi in zip(lo.tolist(), hi.tolist()):
-        sq = 0.0
-        box_inside = True
-        for c, lk, hk in zip(cols, box_lo, box_hi):  # squares summed in axis order x, y, z
+        axes = []
+        for c, lk, hk in zip(cols, box_lo, box_hi):
             e = np.maximum(lk - c, 0.0)
             e += np.maximum(c - hk, 0.0)
             e *= e
-            sq = sq + e
-            box_inside = box_inside & ((lk < c) & (c < hk))
-        d = sq if d is None else np.minimum(d, sq, out=d)
-        inside = box_inside if inside is None else np.logical_or(inside, box_inside, out=inside)
-    np.sqrt(d, out=d)
-    np.copyto(d, INSIDE_SENTINEL, where=inside)
+            axes.append((e, (lk < c) & (c < hk)))
+        (ex, in_x), (ey, in_y), (ez, in_z) = axes
+        bars.append(((0.0 + ex) + ey, in_x & in_y, ez, in_z))
+    shape = tuple(map(max, bars[0][0].shape, bars[0][2].shape))
+    d = np.empty(shape, dtype=dtype)
+    rows = max(_CLEARANCE_SLAB // max(math.prod(shape[1:]), 1), 1)
+    for start in range(0, len(d), rows):
+        slab = slice(start, start + rows)
+        sq = inside = bar_sq = bar_inside = None
+        for bar in bars:
+            # An array whose leading axis has length 1 broadcasts along it whole.
+            sq_xy, in_xy, ez, in_z = (a[slab] if len(a) > 1 else a for a in bar)
+            if sq is None:
+                sq, inside = sq_xy + ez, in_xy & in_z
+                continue
+            # The second bar allocates the slab's bar buffers (out=None); the later ones reuse them.
+            bar_sq = np.add(sq_xy, ez, out=bar_sq)
+            np.minimum(sq, bar_sq, out=sq)
+            bar_inside = np.logical_and(in_xy, in_z, out=bar_inside)
+            np.logical_or(inside, bar_inside, out=inside)
+        out = d[slab]
+        out[...] = np.sqrt(sq, out=sq)
+        np.copyto(out, INSIDE_SENTINEL, where=inside)
     return d
 
 

@@ -429,7 +429,9 @@ def safest_action_field(
     dirs[:, av] = np.sin(theta)
 
     a, b = _constraint(d, grad.T, _barrier_value(d, params.R), params.gamma, params.dw.tolist())
-    margins = speed * (np.array(a).T @ dirs.T) - b[:, None]
+    margins = np.array(a).T @ dirs.T  # scaled and offset in place: speed * (A . dir) - b
+    np.multiply(speed, margins, out=margins)
+    np.subtract(margins, b[:, None], out=margins)
     margins[~valid] = -np.inf
     best = np.argmax(margins, axis=1)
     best_margin = margins[np.arange(flat.shape[0]), best]

@@ -13,6 +13,7 @@ import pickle
 import re
 import struct
 import tracemalloc
+import types
 import warnings
 import zlib
 
@@ -47,6 +48,7 @@ from gatesafe.field import (
     sample_batch,
     save_field,
 )
+from gatesafe import field as field_module, geometry
 from gatesafe.geometry import GateGeometry, _clearance, exact_distance, exact_distance_batch
 from gatesafe.qp import safest_action_field
 
@@ -89,11 +91,13 @@ def test_build_is_deterministic(default_gate, small_spec):
     assert np.array_equal(a.gradients, b.gradients)
 
 
-def _column_clearance(pts: np.ndarray, gate: GateGeometry) -> np.ndarray:
-    """Reference: the clearance loop on (N,) coordinate columns, written out
-    here so that a change to the library kernel cannot move both sides."""
+def _column_clearance(pts: np.ndarray, gate: GateGeometry, grow=0.0) -> np.ndarray:
+    """Reference: the clearance loop on (N,) coordinate columns, every bar box
+    grown by ``grow``, written out here so that a change to the library
+    kernel cannot move both sides."""
     cols = pts.T.copy()
     lo, hi = gate.bar_boxes()
+    lo, hi = lo - grow, hi + grow
     d = np.full(len(pts), np.inf)
     inside = np.zeros(len(pts), dtype=bool)
     for box_lo, box_hi in zip(lo.tolist(), hi.tolist()):
@@ -165,6 +169,69 @@ def test_clearance_at_the_float_edges_matches_the_column_reference(gate, axis):
         points = exact_distance_batch(pts, gate)
     np.testing.assert_array_equal(points.view(np.uint64), expected.view(np.uint64))
     np.testing.assert_array_equal(grid.view(np.uint64), expected.reshape(grid.shape).view(np.uint64))
+
+
+# Nodes on every bar face, and on the faces grown by 0.125 m in x and 0.25 m in y and z.
+_FACES = GridSpec(np.full(3, -1.5), 0.125, (25, 25, 25))
+_GROW = np.array([0.125, 0.25, 0.25])
+
+
+@pytest.mark.parametrize("grow", [0.0, _GROW], ids=["nominal", "grown"])
+@pytest.mark.parametrize(
+    "slab",
+    [
+        pytest.param(2 * 25 * 25, id="rows-2"),  # 25 x layers of 625 nodes: 12 slabs of 2 rows, then one of 1
+        pytest.param(7 * 25 * 25 + 100, id="rows-7"),  # 3 slabs of 7 rows, then one of 4
+        pytest.param(600, id="layer-past-a-slab"),  # one x layer is 625 nodes: a slab of one row each
+    ],
+)
+def test_grid_slab_edges_match_the_column_reference(monkeypatch, slab, grow):
+    # The grid path runs its last addition per slab of whole x rows: nodes on
+    # each side of a slab edge get the reference's bits, nominal and grown.
+    monkeypatch.setattr(geometry, "_CLEARANCE_SLAB", slab)
+    xs, ys, zs = (_FACES.axis_nodes(k) for k in range(3))
+    pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+    expected = _column_clearance(pts, GateGeometry(), grow).reshape(_FACES.dims)
+    assert np.any(expected == INSIDE_SENTINEL) and np.any(expected == 0.0)
+    grid = _clearance(_FACES.node_axes(), GateGeometry(), grow=grow)
+    np.testing.assert_array_equal(grid.view(np.uint64), expected.view(np.uint64))
+    values = _clearance(_FACES.node_axes(), GateGeometry(), grow=grow, dtype=np.float32)
+    np.testing.assert_array_equal(values.view(np.uint32), expected.astype(np.float32).view(np.uint32))
+
+
+@pytest.mark.parametrize("grow", [0.0, _GROW], ids=["nominal", "grown"])
+@pytest.mark.parametrize("slab", [1000, None], ids=["slab-1000", "library-slab"])
+def test_point_slab_edges_match_the_column_reference(monkeypatch, rng, slab, grow):
+    # 2^16 + 123 points, more than one slab with the last one partial: the
+    # face nodes, then random points around the gate.
+    if slab is not None:
+        monkeypatch.setattr(geometry, "_CLEARANCE_SLAB", slab)
+    xs = _FACES.axis_nodes(0)
+    faces = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = np.concatenate((faces, rng.uniform(-1.5, 1.5, size=((1 << 16) + 123 - len(faces), 3))))
+    assert len(pts) > geometry._CLEARANCE_SLAB and len(pts) % geometry._CLEARANCE_SLAB != 0
+    expected = _column_clearance(pts, GateGeometry(), grow)
+    got = _clearance(pts.T, GateGeometry(), grow=grow)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    if np.ndim(grow) == 0:
+        np.testing.assert_array_equal(exact_distance_batch(pts, GateGeometry()).view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_clearance_peaks_at_its_output_plus_a_few_slabs(default_gate, dtype):
+    # The output is the one array of the grid's size: the kernel's other
+    # arrays are per-slab temporaries and the bars' x-y sums, together under
+    # four float64 slabs. The former kernel held two more grid-sized float64
+    # arrays (and the build a float64 grid before its float32 copy).
+    axes = Config().grid_spec().node_axes()
+    tracemalloc.start()
+    try:
+        d = _clearance(axes, default_gate, dtype=dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.dtype == dtype and d.shape == (121, 121, 81)
+    assert peak - d.nbytes <= 4 * 8 * geometry._CLEARANCE_SLAB, (peak, d.nbytes)
 
 
 def test_build_at_the_map_bound_stays_finite_and_refuses_past_it(default_gate):
@@ -430,6 +497,23 @@ def test_quantize_inflation_rounds_up():
         quantize_inflation(np.array([1e308, 0.0, 0.0]), 0.1)
 
 
+@pytest.mark.parametrize(
+    "eps, cells",
+    [
+        (0.3000000001, 4),  # 3 cells less 1e-9 rounds to 3 cells, 0.30000000000000004 < eps
+        (0.2000000001, 3),
+        (0.3, 3),
+        (0.7, 7),
+        (0.30000000000000004, 3),  # float noise past 3 cells costs no cell
+        (0.25, 3),  # the default run's --inflate
+    ],
+)
+def test_quantize_inflation_never_rounds_down(eps, cells):
+    q = quantize_inflation(np.full(3, eps), 0.1)
+    assert q.tolist() == [cells * 0.1] * 3
+    assert np.all(q >= eps)
+
+
 @pytest.mark.parametrize("resolution", [-0.1, 0.0, math.nan, math.inf])
 def test_quantize_inflation_rejects_a_bad_resolution(resolution):
     with pytest.raises(ValueError, match="^resolution must be finite and positive"):
@@ -513,6 +597,11 @@ def test_save_load_round_trip_bit_exact(small_field, tmp_path):
     assert np.array_equal(loaded.values, small_field.values)
     assert np.array_equal(loaded.gradients, small_field.gradients)
     assert path.stat().st_size == _HEADER.size + 4 * math.prod(small_field.spec.dims) + 4
+    # Version 4 stores the values in the array's own C node order, z fastest.
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, 4)[0] == FORMAT_VERSION == 4
+    assert raw[_HEADER.size:-4] == small_field.values.astype("<f4").tobytes(order="C")
+    assert loaded.values.flags.c_contiguous and loaded.values.flags.writeable
     assert np.array_equal(loaded.spec.origin, small_field.spec.origin), (
         "grid origin must round-trip bit-exactly so node coordinates are stable"
     )
@@ -600,6 +689,58 @@ def test_load_rejects_format_version_2(small_field, tmp_path, capsys):
     assert cli_main(argv) == 2
     assert "unsupported format version 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_load_refuses_a_version_3_map_in_the_x_fastest_layout(small_field, tmp_path, capsys):
+    # A CRC-valid file as version 3 wrote it: the same header fields and
+    # values, the values x-fastest. Read in the C order they would land on
+    # other nodes, so the file is refused, naming its version, and nothing
+    # is exported.
+    spec = small_field.spec
+    header = _HEADER.pack(MAGIC, 3, *spec.dims, *spec.origin, spec.resolution, *small_field.inflated_by)
+    payload = header + small_field.values.ravel(order="F").tobytes()
+    path = tmp_path / "v3.esdf"
+    path.write_bytes(payload + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
+    with pytest.raises(MapFormatError, match=r"unsupported format version 3 \(this build reads version 4; rebuild"):
+        load_field(path)
+    out = tmp_path / "f.csv"
+    argv = ["field", "--map", str(path), "--plane", "yz", "--offset", "0", "--speed", "2", "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert "unsupported format version 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_refuses_a_short_read_as_truncation(small_field, tmp_path, monkeypatch):
+    # The file shrinks between the size query and the read: the buffer holds
+    # what was read, and is refused as truncated.
+    path = tmp_path / "short.esdf"
+    save_field(small_field, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-100])
+    monkeypatch.setattr(field_module.os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(raw)))
+    with pytest.raises(MapFormatError, match=f"expected {len(raw)} bytes, found {len(raw) - 100}$"):
+        load_field(path)
+
+
+def test_save_and_load_copy_no_part_of_the_map(default_env, tmp_path):
+    # save_field checksums and writes the field's own array. load_field reads
+    # the file once into the buffer that becomes the map's values; the rest of
+    # its peak is the zero-filled gradient array (three floats a node) and the
+    # sentinel mask of the value screen (one byte a node, freed before it).
+    f, path = default_env.nominal_field, tmp_path / "map.esdf"
+    nbytes = f.values.nbytes
+    tracemalloc.start()
+    try:
+        save_field(f, path)
+        held, saved = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loaded = load_field(path)
+        loaded_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert saved < nbytes // 100, saved
+    assert 4 * nbytes <= loaded_peak < 4 * nbytes + nbytes // 100, (loaded_peak, nbytes)
+    assert np.array_equal(loaded.values, f.values)
 
 
 def test_load_rejects_values_without_finite_differences(small_field, tmp_path):

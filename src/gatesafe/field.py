@@ -37,6 +37,7 @@ are refused: such a map must be rebuilt.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 import zlib
@@ -52,6 +53,24 @@ from .geometry import (
 MAGIC = b"ESDF"
 FORMAT_VERSION = 4
 _HEADER = struct.Struct("<4sI3I3dd3d")
+
+
+def _map_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zero-filled, writable array in an anonymous memory mapping of its own.
+
+    A map's node arrays (built values, the buffer a file is read into, the
+    gradients) live in such mappings, not in the C allocator's heap. Their
+    pages go back to the system when the map is freed, and pages never
+    written are never resident. With ``np.zeros``/``np.empty`` that holds
+    only while glibc serves the request with a mapping; once it has freed a
+    mapping of that size it serves the next from its heap, where a small
+    allocation made meanwhile can keep the freed pages resident, and the
+    process's peak memory then varies with allocation order from run to run.
+    """
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
 
 # A query may lie this many cells past the outer nodes (rounding slack).
 _EDGE_CELLS = 1e-9
@@ -161,8 +180,8 @@ class DistanceField:
         if self.values.dtype != np.float32:
             raise ValueError(f"values dtype {self.values.dtype} is not float32")
         self.values = np.ascontiguousarray(self.values)  # the corner reads take the C node order
-        # Zero-filled, so the pages of blocks never derived are never resident.
-        self._grads = np.zeros(self.spec.dims + (3,), dtype=np.float32)
+        # Zero-filled pages of its own, so those of blocks never derived are never resident.
+        self._grads = _map_array(self.spec.dims + (3,), np.float32)
         self._blocks = tuple(-(-(n - 1) // _GRAD_BLOCK) for n in self.spec.dims)
         self._done = bytearray(math.prod(self._blocks))
         nx, ny, nz = self.spec.dims
@@ -284,7 +303,7 @@ def _gate_field(gate: GateGeometry, spec: GridSpec, eps: np.ndarray) -> Distance
     Both :func:`build_field` and :func:`inflate_field` end here, after their
     checks; so does ``build-map --inflate``, which builds no nominal map.
     """
-    values = _clearance(spec.node_axes(), gate, grow=eps, dtype=np.float32)
+    values = _clearance(spec.node_axes(), gate, grow=eps, out=_map_array(spec.dims, np.float32))
     return DistanceField(spec=spec, values=values, inflated_by=eps, gate=gate)
 
 
@@ -579,7 +598,7 @@ def load_field(path: str | Path) -> DistanceField:
     becomes the loaded map's array, in the file's C node order.
     """
     with open(path, "rb") as fh:
-        raw = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)  # not zero-filled: the read writes it
+        raw = _map_array((os.fstat(fh.fileno()).st_size,), np.uint8)
         raw = raw[: fh.readinto(raw)]  # a short read leaves a short buffer, refused below
     if len(raw) < 4:
         raise MapFormatError(f"{path}: file shorter than the magic header")

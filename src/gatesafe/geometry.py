@@ -231,8 +231,11 @@ def exact_distance_batch(points: np.ndarray, gate: GateGeometry) -> np.ndarray:
 _CLEARANCE_SLAB = 1 << 16
 
 
-def _clearance(cols, gate: GateGeometry, grow=0.0, dtype=np.float64) -> np.ndarray:
+def _clearance(cols, gate: GateGeometry, grow=0.0, dtype=np.float64, out=None) -> np.ndarray:
     """Exact clearance at the points whose x, y and z coordinates are ``cols``, as ``dtype``.
+
+    ``out``, when given, is the array of the broadcast shape the result is
+    written to, and its dtype is used.
 
     ``grow`` (per axis, or one scalar) widens every bar box to ``lo - grow``,
     ``hi + grow``: the clearance to the frame's Minkowski sum with the box
@@ -273,7 +276,7 @@ def _clearance(cols, gate: GateGeometry, grow=0.0, dtype=np.float64) -> np.ndarr
         (ex, in_x), (ey, in_y), (ez, in_z) = axes
         bars.append(((0.0 + ex) + ey, in_x & in_y, ez, in_z))
     shape = tuple(map(max, bars[0][0].shape, bars[0][2].shape))
-    d = np.empty(shape, dtype=dtype)
+    d = np.empty(shape, dtype=dtype) if out is None else out
     rows = max(_CLEARANCE_SLAB // max(math.prod(shape[1:]), 1), 1)
     for start in range(0, len(d), rows):
         slab = slice(start, start + rows)

@@ -9,6 +9,7 @@ Oracles:
 """
 import copy
 import math
+import mmap
 import pickle
 import re
 import struct
@@ -724,9 +725,10 @@ def test_load_refuses_a_short_read_as_truncation(small_field, tmp_path, monkeypa
 
 def test_save_and_load_copy_no_part_of_the_map(default_env, tmp_path):
     # save_field checksums and writes the field's own array. load_field reads
-    # the file once into the buffer that becomes the map's values; the rest of
-    # its peak is the zero-filled gradient array (three floats a node) and the
-    # sentinel mask of the value screen (one byte a node, freed before it).
+    # the file once into the buffer that becomes the map's values. That buffer
+    # and the zero-filled gradient array (three floats a node) are mappings of
+    # their own, outside the heap tracemalloc sees, so the traced peak of the
+    # load is the sentinel mask of the value screen (one byte a node).
     f, path = default_env.nominal_field, tmp_path / "map.esdf"
     nbytes = f.values.nbytes
     tracemalloc.start()
@@ -739,8 +741,27 @@ def test_save_and_load_copy_no_part_of_the_map(default_env, tmp_path):
     finally:
         tracemalloc.stop()
     assert saved < nbytes // 100, saved
-    assert 4 * nbytes <= loaded_peak < 4 * nbytes + nbytes // 100, (loaded_peak, nbytes)
+    assert nbytes // 4 <= loaded_peak < nbytes // 4 + nbytes // 100, (loaded_peak, nbytes)
     assert np.array_equal(loaded.values, f.values)
+    assert len(_mapping(loaded.values)) == path.stat().st_size
+    assert len(_mapping(loaded._grads)) == 3 * nbytes
+
+
+def _mapping(a: np.ndarray) -> mmap.mmap:
+    """The anonymous mapping an array's buffer lies in."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    assert isinstance(a, mmap.mmap), type(a)
+    return a
+
+
+def test_built_map_arrays_are_mappings_of_their_own(small_spec, default_gate):
+    # A built map's values and its gradients each lie in a mapping of their
+    # own size, so freeing the map returns their pages whatever the heap holds.
+    f = build_field(default_gate, small_spec)
+    assert len(_mapping(f.values)) == f.values.nbytes
+    assert len(_mapping(f._grads)) == 3 * f.values.nbytes
+    assert f.values.flags.writeable and not f._grads.any()
 
 
 def test_load_rejects_values_without_finite_differences(small_field, tmp_path):
